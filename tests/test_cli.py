@@ -273,6 +273,22 @@ def test_golden_cusp_cover_report(tmp_path):
     assert out.read_bytes() == golden
 
 
+def test_golden_ellipsoid_report(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify-theorem", str(PROBLEMS / "ellipsoid_321.json"),
+                 "-o", str(out)]) == 0
+    golden = (GOLDEN / "ellipsoid_321.report.json").read_bytes()
+    assert out.read_bytes() == golden
+
+
+def test_golden_half_turn_circle_report(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(PROBLEMS / "half_turn_circle.json"),
+                 "-o", str(out)]) == 0
+    golden = (GOLDEN / "half_turn_circle.report.json").read_bytes()
+    assert out.read_bytes() == golden
+
+
 def test_analyze_three_web_no_singularities(tmp_path):
     out = tmp_path / "report.json"
     code = main(["analyze", str(PROBLEMS / "three_web_constant.json"),
