@@ -72,12 +72,33 @@ def _need(obj, key, kind, where):
     if key not in obj:
         raise InputError(f"{where}: missing required key {key!r}")
     val = obj[key]
-    if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise InputError(f"{where}.{key}: expected a number")
-        return float(val)
     if not isinstance(val, kind):
         raise InputError(f"{where}.{key}: expected {kind.__name__}")
+    return val
+
+
+def _finite(val):
+    """``val`` as a float if it is a finite JSON number, else None."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        val = float(val)
+    except OverflowError:
+        return None
+    return val if math.isfinite(val) else None
+
+
+def _positive(obj, key, default, where):
+    val = _finite(obj.get(key, default))
+    if val is None or val <= 0.0:
+        raise InputError(f"{where}.{key}: expected a finite positive number")
+    return val
+
+
+def _integer(obj, key, default, where):
+    val = obj.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise InputError(f"{where}.{key}: expected an integer")
     return val
 
 
@@ -98,8 +119,9 @@ def _parse_domain(obj, where, names=("x", "y")):
     for nm in names:
         rng = obj.get(nm)
         if (not isinstance(rng, list) or len(rng) != 2
-                or not all(isinstance(t, (int, float)) for t in rng)):
-            raise InputError(f"{where}.{nm}: expected [min, max]")
+                or any(_finite(t) is None for t in rng)):
+            raise InputError(f"{where}.{nm}: expected [min, max] with "
+                             "finite bounds")
         spans.append((float(rng[0]), float(rng[1])))
     try:
         return Rect(spans[0][0], spans[0][1], spans[1][0], spans[1][1])
@@ -228,8 +250,9 @@ def load_problem(path: str) -> Problem:
     tol = doc.get("tolerances", {})
     if not isinstance(tol, dict):
         raise InputError(f"{path}: tolerances must be an object")
-    prob.singular_tol = float(tol.get("singular", SINGULAR_TOL))
-    prob.sep_floor = float(tol.get("separation_floor", SEP_FLOOR))
+    prob.singular_tol = _positive(tol, "singular", SINGULAR_TOL, "tolerances")
+    prob.sep_floor = _positive(tol, "separation_floor", SEP_FLOOR,
+                               "tolerances")
 
     if "grid_density" in doc:
         prob.grid_density = _need(doc, "grid_density", int, path)
@@ -244,8 +267,8 @@ def load_problem(path: str) -> Problem:
                              "positive number")
         radius = float(radius)
     prob.loop_radius = radius
-    prob.samples = int(loop.get("samples", 64))
-    prob.max_depth = int(loop.get("max_depth", 12))
+    prob.samples = _integer(loop, "samples", 64, "loop")
+    prob.max_depth = _integer(loop, "max_depth", 12, "loop")
     if prob.samples < 32:
         raise InputError(f"{path}: loop.samples must be >= 32")
     if prob.max_depth < 0:
@@ -277,7 +300,9 @@ def load_problem(path: str) -> Problem:
         quad = doc.get("quadrature", {})
         if not isinstance(quad, dict):
             raise InputError(f"{path}: quadrature must be an object")
-        prob.quadrature_order = int(quad.get("order", 48))
+        prob.quadrature_order = _integer(quad, "order", 48, "quadrature")
+        if prob.quadrature_order < 4:
+            raise InputError(f"{path}: quadrature.order must be >= 4")
         prob.surface, prob.bde_source = _parse_surface(
             _need(doc, "surface", dict, path))
     return prob

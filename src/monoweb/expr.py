@@ -6,11 +6,11 @@ default, ``u``/``v`` for surface patches), numeric literals, the operators
 ``sqrt, sin, cos, exp, log, atan2, abs`` plus the internal helper ``sign``
 (emitted by differentiation of ``abs``).  ``pi`` is a predefined constant.
 
-Derivatives come in two forms: :func:`eval_grad` runs forward-mode
-accumulation and is exact up to rounding, and :func:`diff` returns the
-derivative as a new expression (used for nested second derivatives).
-Non-smooth points of ``abs``/``sqrt`` raise :class:`NonDifferentiable`
-when a derivative is requested within ``SMOOTH_TOL`` of the kink.
+Derivatives come in two forms: :func:`diff` returns the derivative as a
+new expression (compiled for every Jacobian), and :func:`eval_grad` runs
+forward-mode accumulation, exact up to rounding, as an independent check.
+Under ``eval_grad``, non-smooth points of ``abs``/``sqrt`` raise
+:class:`NonDifferentiable` within ``SMOOTH_TOL`` of the kink.
 """
 
 from __future__ import annotations
@@ -23,13 +23,16 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "ParseError", "DomainError", "NonDifferentiable",
     "parse", "to_source", "eval_expr", "eval_grad", "diff",
-    "compile_value", "compile_value_vec",
-    "add", "sub", "mul", "div", "neg", "powi", "call", "num", "var",
-    "SMOOTH_TOL",
+    "compile_value", "compile_value_vec", "call_compiled",
+    "add", "sub", "mul", "div", "neg", "call", "num", "var",
+    "SMOOTH_TOL", "MAX_DEPTH",
 ]
 
 # |argument| at or below this counts as the singular locus of abs/sqrt.
 SMOOTH_TOL = 1e-12
+
+# Deepest expression the parser accepts; see ``_Parser``.
+MAX_DEPTH = 100
 
 FUNCTION_ARITY = {
     "sqrt": 1, "sin": 1, "cos": 1, "exp": 1, "log": 1, "abs": 1,
@@ -242,25 +245,12 @@ def div(a: Expr, b: Expr) -> Expr:
     return Div(a, b)
 
 
-def powi(base: Expr, n: int) -> Expr:
-    """Integer power as an expression."""
-    if n == 0:
-        return Num(1.0)
-    if n == 1:
-        return base
-    return Pow(base, Num(float(n)))
-
-
 def call(fn: str, *args: Expr) -> Expr:
     if fn not in FUNCTION_ARITY:
         raise ValueError(f"unknown function {fn!r}")
     if len(args) != FUNCTION_ARITY[fn]:
         raise ValueError(f"{fn} takes {FUNCTION_ARITY[fn]} argument(s)")
     return Call(fn, tuple(args))
-
-
-def sqrt(a: Expr) -> Expr:
-    return Call("sqrt", (a,))
 
 
 # ---------------------------------------------------------------------------
@@ -337,69 +327,88 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr(0)
         kind, t, off = self.peek()
         if kind != "END":
             raise ParseError(f"unexpected token {t!r}", off,
                              expected="end of input")
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
+    # Each method parses at ``level`` levels below the top and returns the
+    # expression with its depth; every operator, function call and pair of
+    # parentheses is one level.  unary() refuses to descend past MAX_DEPTH
+    # (so the recursion stays bounded) and node() rejects a result whose
+    # depth would exceed it (so left-associative chains are bounded too).
+
+    def node(self, e, depth, level, off):
+        if level + depth > MAX_DEPTH:
+            raise ParseError(
+                f"expression nested deeper than {MAX_DEPTH} levels", off)
+        return e, depth
+
+    def expr(self, level):
+        e, d = self.term(level)
         while True:
             kind, t, off = self.peek()
             if kind == "OP" and t in "+-":
                 self.advance()
-                rhs = self.term()
-                e = Add(e, rhs) if t == "+" else Sub(e, rhs)
+                rhs, dr = self.term(level)
+                e, d = self.node(Add(e, rhs) if t == "+" else Sub(e, rhs),
+                                 1 + max(d, dr), level, off)
             else:
-                return e
+                return e, d
 
-    def term(self) -> Expr:
-        e = self.unary()
+    def term(self, level):
+        e, d = self.unary(level)
         while True:
             kind, t, off = self.peek()
             if kind == "OP" and t in "*/":
                 self.advance()
-                rhs = self.unary()
-                e = Mul(e, rhs) if t == "*" else Div(e, rhs)
+                rhs, dr = self.unary(level)
+                e, d = self.node(Mul(e, rhs) if t == "*" else Div(e, rhs),
+                                 1 + max(d, dr), level, off)
             else:
-                return e
+                return e, d
 
-    def unary(self) -> Expr:
+    def unary(self, level):
         kind, t, off = self.peek()
-        if kind == "OP" and t == "-":
+        if level >= MAX_DEPTH:
+            raise ParseError(
+                f"expression nested deeper than {MAX_DEPTH} levels", off)
+        if kind == "OP" and t in "+-":
             self.advance()
-            return Neg(self.unary())
-        if kind == "OP" and t == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+            a, d = self.unary(level + 1)
+            return self.node(Neg(a) if t == "-" else a, d + 1, level, off)
+        return self.power(level)
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self, level):
+        base, d = self.atom(level)
         kind, t, off = self.peek()
         if kind == "OP" and t == "^":
             self.advance()
-            return Pow(base, self.unary())
-        return base
+            expo, de = self.unary(level + 1)
+            return self.node(Pow(base, expo), 1 + max(d, de), level, off)
+        return base, d
 
-    def atom(self) -> Expr:
+    def atom(self, level):
         kind, t, off = self.advance()
         if kind == "NUM":
-            return Num(float(t))
+            value = float(t)
+            if not math.isfinite(value):
+                raise ParseError(f"number {t!r} is out of range", off)
+            return Num(value), 1
         if kind == "IDENT":
             k2, t2, _ = self.peek()
             if k2 == "OP" and t2 == "(":
                 if t not in FUNCTION_ARITY:
                     raise ParseError(f"unknown function {t!r}", off)
                 self.advance()
-                args = [self.expr()]
+                args = [self.expr(level + 1)]
                 while True:
                     k3, t3, off3 = self.peek()
                     if k3 == "OP" and t3 == ",":
                         self.advance()
-                        args.append(self.expr())
+                        args.append(self.expr(level + 1))
                     else:
                         break
                 self.expect_op(")")
@@ -407,16 +416,17 @@ class _Parser:
                     raise ParseError(
                         f"{t} takes {FUNCTION_ARITY[t]} argument(s), "
                         f"got {len(args)}", off)
-                return Call(t, tuple(args))
+                return self.node(Call(t, tuple(a for a, _ in args)),
+                                 1 + max(d for _, d in args), level, off)
             if t in self.variables:
-                return Var(t)
+                return Var(t), 1
             if t in CONSTANTS:
-                return Num(CONSTANTS[t])
+                return Num(CONSTANTS[t]), 1
             raise ParseError(f"unknown identifier {t!r}", off)
         if kind == "OP" and t == "(":
-            e = self.expr()
+            e, d = self.expr(level + 1)
             self.expect_op(")")
-            return e
+            return self.node(e, d + 1, level, off)
         raise ParseError(f"unexpected token {t or 'end of input'!r}", off,
                          expected="a number, variable, function or '('")
 
@@ -425,7 +435,8 @@ def parse(source: str, variables=("x", "y")) -> Expr:
     """Parse ``source`` into an Expr over the two declared variables.
 
     Raises ParseError (with the byte offset of the offending token) on
-    malformed input or unknown identifiers.
+    malformed input, unknown identifiers, a literal that overflows to
+    infinity, or nesting deeper than MAX_DEPTH levels.
     """
     return _Parser(source, variables).parse()
 
@@ -810,32 +821,58 @@ def _diff_call(e: Call, wrt: str) -> Expr:
 # Compilation to fast callables
 
 
-def _codegen(e: Expr, prec: int) -> str:
-    if isinstance(e, Num):
-        s = repr(e.value)
-        return f"({s})" if e.value < 0 and prec > 1 else s
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        s = "-" + _codegen(e.a, 3)
-        return f"({s})" if prec > 2 else s
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        s = _codegen(e.a, 1) + op + _codegen(e.b, 2)
-        return f"({s})" if prec > 1 else s
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        s = _codegen(e.a, 2) + op + _codegen(e.b, 3)
-        return f"({s})" if prec > 2 else s
+_FORMAT = {Neg: "-{}", Add: "{}+{}", Sub: "{}-{}", Mul: "{}*{}",
+           Div: "{}/{}", Pow: "{}**{}"}
+
+
+def _rhs(e: Expr, ops) -> str:
+    """One operation on already-computed operands (names or literals)."""
+    if isinstance(e, Call):
+        return f"{e.fn}({', '.join(ops)})"
     if isinstance(e, Pow):
         expo = e.exponent
-        if isinstance(expo, Num) and expo.value == round(expo.value):
-            s = _codegen(e.base, 4) + "**" + _codegen(expo, 5)
-            return f"({s})" if prec > 3 else s
-        return f"_pow({_codegen(e.base, 0)}, {_codegen(expo, 0)})"
-    if isinstance(e, Call):
-        return e.fn + "(" + ",".join(_codegen(a, 0) for a in e.args) + ")"
-    raise TypeError(f"not an Expr: {e!r}")
+        if not (isinstance(expo, Num) and expo.value == round(expo.value)):
+            return f"_pow({ops[0]}, {ops[1]})"   # non-integer exponent
+    return _FORMAT[type(e)].format(*ops)
+
+
+def _straight_line(exprs):
+    """Assignment lines computing ``exprs``, and the name or literal that
+    holds each result.
+
+    Every operation gets a temporary keyed by its right-hand side, so a
+    subexpression that occurs again (shared or rebuilt) is computed once.
+    Temporaries come in the order nested evaluation reaches them, left
+    operand first, so each value and the first failing operation are
+    those of evaluating the expressions one after another.
+    """
+    lines, temps, text = [], {}, {}   # text: id(node) -> name or literal
+    for root in exprs:
+        todo = [(root, False)]
+        while todo:
+            e, ready = todo.pop()
+            if id(e) in text:
+                continue
+            if isinstance(e, Num):
+                s = repr(e.value)
+                text[id(e)] = f"({s})" if s.startswith("-") else s
+                continue
+            if isinstance(e, Var):
+                text[id(e)] = e.name
+                continue
+            # operands: a call's arguments, else the dataclass fields
+            ops = e.args if isinstance(e, Call) else [
+                getattr(e, field) for field in e.__slots__]
+            if not ready:
+                todo.append((e, True))
+                todo.extend((a, False) for a in reversed(ops))
+                continue
+            rhs = _rhs(e, [text[id(a)] for a in ops])
+            if rhs not in temps:
+                temps[rhs] = f"_t{len(temps)}"
+                lines.append(f"    {temps[rhs]} = {rhs}")
+            text[id(e)] = temps[rhs]
+    return lines, [text[id(e)] for e in exprs]
 
 
 def _scalar_namespace():
@@ -864,23 +901,38 @@ def _vector_namespace():
     }
 
 
-def _compile(e: Expr, variables, namespace):
-    src = f"def _f({variables[0]}, {variables[1]}):\n    return " \
-          + _codegen(e, 0)
+def _compile(exprs, variables, namespace):
+    lines, results = _straight_line(exprs)
+    src = "\n".join([f"def _f({variables[0]}, {variables[1]}):", *lines,
+                     f"    return {', '.join(results)}"])
     ns = dict(namespace)
     exec(compile(src, "<expr>", "exec"), ns)
     return ns["_f"]
 
 
-def compile_value(e: Expr, variables=("x", "y")):
-    """Compile to a fast scalar callable f(x, y) -> float.
+def compile_value(*exprs: Expr, variables=("x", "y")):
+    """Compile to a fast scalar callable f(x, y).
 
-    Exceptions from math functions (ValueError, ZeroDivisionError,
-    OverflowError) propagate raw; callers on hot paths convert them.
+    f returns the value of the one expression, or a tuple with the value
+    of each expression in order.  The body is straight-line code in
+    which each distinct subexpression of all the expressions is computed
+    once.  Exceptions from math functions (ValueError, ZeroDivisionError,
+    OverflowError) propagate raw; ``call_compiled`` converts them.
     """
-    return _compile(e, variables, _scalar_namespace())
+    return _compile(exprs, variables, _scalar_namespace())
 
 
-def compile_value_vec(e: Expr, variables=("x", "y")):
-    """Compile to a numpy-vectorized callable f(X, Y) -> array."""
-    return _compile(e, variables, _vector_namespace())
+def compile_value_vec(*exprs: Expr, variables=("x", "y")):
+    """Compile to a numpy-vectorized callable f(X, Y), returning what
+    ``compile_value`` returns with arrays for floats.  A result that does
+    not depend on the variables stays a scalar."""
+    return _compile(exprs, variables, _vector_namespace())
+
+
+def call_compiled(fn, x, y, what: str):
+    """``fn(x, y)`` for a compiled function; a raw math error becomes a
+    DomainError naming ``what`` and the point."""
+    try:
+        return fn(x, y)
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        raise DomainError(f"{what} failed at ({x}, {y}): {e}") from None

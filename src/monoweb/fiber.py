@@ -31,8 +31,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .expr import (DomainError, Expr, ExprError, compile_value,
-                   compile_value_vec, diff, eval_grad, parse)
+from .expr import (DomainError, Expr, ExprError, call_compiled,
+                   compile_value, compile_value_vec, diff, parse)
 
 __all__ = [
     "FiberKind", "Rect", "RP1Angle", "CircleAngle", "ComplexPoint",
@@ -193,8 +193,17 @@ def min_root_separation(roots) -> float:
 # Binary forms
 
 
-def _compile_all(exprs, variables):
-    return tuple(compile_value(e, variables) for e in exprs)
+def _with_gradients(exprs, variables):
+    """Each expression followed by its two partial derivatives."""
+    return [d for e in exprs
+            for d in (e, diff(e, variables[0]), diff(e, variables[1]))]
+
+
+def _jacobian(fn, x, y):
+    """(r, J) from a function returning r_0, dr_0/dx, dr_0/dy, r_1, ..."""
+    vals = np.array(call_compiled(fn, x, y, "Jacobian evaluation"),
+                    dtype=float).reshape(-1, 3)
+    return vals[:, 0], vals[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -223,32 +232,21 @@ class BinaryForm:
         return cls(len(coeffs) - 1, coeffs, tuple(variables))
 
     @cached_property
-    def _value_fns(self):
-        return _compile_all(self.coeffs, self.variables)
+    def _value_fn(self):
+        return compile_value(*self.coeffs, variables=self.variables)
 
     @cached_property
-    def _vec_fns(self):
-        return tuple(compile_value_vec(e, self.variables)
-                     for e in self.coeffs)
+    def _vec_fn(self):
+        return compile_value_vec(*self.coeffs, variables=self.variables)
 
     @cached_property
-    def _grad_fns(self):
-        """Compiled partial derivatives of every coefficient, or None when
-        the coefficients cannot be differentiated/compiled."""
-        try:
-            return tuple(
-                (compile_value(diff(c, self.variables[0]), self.variables),
-                 compile_value(diff(c, self.variables[1]), self.variables))
-                for c in self.coeffs)
-        except ExprError:
-            return None
+    def _grad_fn(self):
+        return compile_value(*_with_gradients(self.coeffs, self.variables),
+                             variables=self.variables)
 
     def coeff_values(self, x: float, y: float):
-        try:
-            return [f(x, y) for f in self._value_fns]
-        except (ValueError, ZeroDivisionError, OverflowError) as e:
-            raise DomainError(f"coefficient evaluation failed at "
-                              f"({x}, {y}): {e}") from None
+        return list(call_compiled(self._value_fn, x, y,
+                                  "coefficient evaluation"))
 
     def scaled(self, factor: Expr) -> "BinaryForm":
         from .expr import mul
@@ -330,8 +328,8 @@ class ProjectiveSystem(FiberSystem):
         try:
             with np.errstate(all="raise"):
                 acc = np.zeros_like(XX)
-                for f in self.form._vec_fns:
-                    vals = np.asarray(f(XX, YY), dtype=float)
+                for vals in self.form._vec_fn(XX, YY):
+                    vals = np.asarray(vals, dtype=float)
                     acc = acc + vals * vals
                 if not np.all(np.isfinite(acc)):
                     raise FloatingPointError
@@ -341,25 +339,7 @@ class ProjectiveSystem(FiberSystem):
             return super().residual_grid(X, Y)
 
     def residual_vector(self, x, y):
-        n1 = self.form.degree + 1
-        r = np.empty(n1)
-        J = np.empty((n1, 2))
-        grads = self.form._grad_fns
-        if grads is not None:
-            try:
-                for i, f in enumerate(self.form._value_fns):
-                    r[i] = f(x, y)
-                    J[i, 0] = grads[i][0](x, y)
-                    J[i, 1] = grads[i][1](x, y)
-                return r, J
-            except (ValueError, ZeroDivisionError, OverflowError):
-                pass
-        for i, c in enumerate(self.form.coeffs):
-            v, dx, dy = eval_grad(c, x, y, self.form.variables)
-            r[i] = v
-            J[i, 0] = dx
-            J[i, 1] = dy
-        return r, J
+        return _jacobian(self.form._grad_fn, x, y)
 
 
 @dataclass(frozen=True)
@@ -382,17 +362,17 @@ class CircleSystem(FiberSystem):
         return self.sheets
 
     @cached_property
-    def _fns(self):
-        return (compile_value(self.v_re, self.variables),
-                compile_value(self.v_im, self.variables))
+    def _value_fn(self):
+        return compile_value(self.v_re, self.v_im, variables=self.variables)
+
+    @cached_property
+    def _grad_fn(self):
+        return compile_value(
+            *_with_gradients((self.v_re, self.v_im), self.variables),
+            variables=self.variables)
 
     def _v(self, x, y):
-        fre, fim = self._fns
-        try:
-            return fre(x, y), fim(x, y)
-        except (ValueError, ZeroDivisionError, OverflowError) as e:
-            raise DomainError(f"relation evaluation failed at "
-                              f"({x}, {y}): {e}") from None
+        return call_compiled(self._value_fn, x, y, "relation evaluation")
 
     def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
         vre, vim = self._v(x, y)
@@ -408,11 +388,7 @@ class CircleSystem(FiberSystem):
         return vre * vre + vim * vim
 
     def residual_vector(self, x, y):
-        vre = eval_grad(self.v_re, x, y, self.variables)
-        vim = eval_grad(self.v_im, x, y, self.variables)
-        r = np.array([vre[0], vim[0]])
-        J = np.array([[vre[1], vre[2]], [vim[1], vim[2]]])
-        return r, J
+        return _jacobian(self._grad_fn, x, y)
 
 
 @dataclass(frozen=True)
@@ -438,17 +414,13 @@ class PuncturedPlaneSystem(FiberSystem):
         return self.degree_w
 
     @cached_property
-    def _fns(self):
-        return tuple((compile_value(re, self.variables),
-                      compile_value(im, self.variables))
-                     for re, im in self.coeffs)
+    def _value_fn(self):
+        return compile_value(*(e for pair in self.coeffs for e in pair),
+                             variables=self.variables)
 
     def coeff_values(self, x, y):
-        try:
-            return [complex(fre(x, y), fim(x, y)) for fre, fim in self._fns]
-        except (ValueError, ZeroDivisionError, OverflowError) as e:
-            raise DomainError(f"coefficient evaluation failed at "
-                              f"({x}, {y}): {e}") from None
+        vals = call_compiled(self._value_fn, x, y, "coefficient evaluation")
+        return [complex(re, im) for re, im in zip(vals[::2], vals[1::2])]
 
     def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
         c = self.coeff_values(x, y)
@@ -478,43 +450,28 @@ class PuncturedPlaneSystem(FiberSystem):
                 f"fiber roots closer than {sep_floor} at ({x}, {y})")
         return pts
 
-    def residual(self, x, y) -> float:
+    def _c0_disc(self, x, y):
+        """Constant coefficient and root discriminant of the relation
+        scaled by max |c_k|; both vanish together with all coefficients."""
         c = self.coeff_values(x, y)
         scale = max(abs(v) for v in c)
         if scale == 0.0:
-            return 0.0
-        c0 = c[0] / scale
+            return 0j, 0j
         roots = np.roots(np.array(c[::-1], dtype=complex) / scale)
         disc = 1.0 + 0.0j
         for i in range(len(roots)):
             for j in range(i + 1, len(roots)):
                 disc *= (roots[i] - roots[j]) ** 2
-        return abs(c0) ** 2 + abs(disc) ** 2
+        return c[0] / scale, disc
 
-    def residual_grid(self, X, Y):
-        XX, YY = np.meshgrid(X, Y, indexing="ij")
-        out = np.empty_like(XX)
-        for i in range(XX.shape[0]):
-            for j in range(XX.shape[1]):
-                try:
-                    out[i, j] = self.residual(XX[i, j], YY[i, j])
-                except (DomainError, ExprError):
-                    out[i, j] = math.inf
-        return out
+    def residual(self, x, y) -> float:
+        c0, disc = self._c0_disc(x, y)
+        return abs(c0) ** 2 + abs(disc) ** 2
 
     def residual_vector(self, x, y):
         # no closed-form discriminant gradient; central differences
         def vec(px, py):
-            c = self.coeff_values(px, py)
-            scale = max(abs(v) for v in c)
-            if scale == 0.0:
-                return np.zeros(4)
-            c0 = c[0] / scale
-            roots = np.roots(np.array(c[::-1], dtype=complex) / scale)
-            disc = 1.0 + 0.0j
-            for i in range(len(roots)):
-                for j in range(i + 1, len(roots)):
-                    disc *= (roots[i] - roots[j]) ** 2
+            c0, disc = self._c0_disc(px, py)
             return np.array([c0.real, c0.imag, disc.real, disc.imag])
 
         r = vec(x, y)

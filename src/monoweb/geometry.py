@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import math
 import random
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .expr import (DomainError, Expr, add, compile_value, compile_value_vec,
-                   diff, div, mul, parse, sub)
+from .expr import (DomainError, Expr, add, call_compiled, compile_value,
+                   compile_value_vec, diff, div, mul, parse, sub)
 from .expr import call as expr_call
 from .fiber import (BinaryForm, ProjectiveSystem, Rect, SEP_FLOOR,
                     SINGULAR_TOL, SingularPoint, find_singularities)
@@ -122,60 +121,68 @@ class SurfacePatch:
         return duu, duv, dvv
 
     @cached_property
-    def _pos_fns(self):
-        return tuple(compile_value(c, self.variables) for c in self.coords)
+    def _frame_exprs(self):
+        """su, sv, suu, suv, svv, component by component."""
+        return tuple(c for grp in self.d1 + self.d2 for c in grp)
 
     @cached_property
-    def _frame_fns(self):
+    def _position_fn(self):
+        return compile_value(*self.coords, variables=self.variables)
+
+    @cached_property
+    def _position_vec_fn(self):
+        return compile_value_vec(*self.coords, variables=self.variables)
+
+    @cached_property
+    def _chart_fn(self):
+        """Position, su and sv."""
+        return compile_value(*self.coords, *self._frame_exprs[:6],
+                             variables=self.variables)
+
+    @cached_property
+    def _frame_fn(self):
+        return compile_value(*self._frame_exprs, variables=self.variables)
+
+    @cached_property
+    def _frame_vec_fn(self):
+        return compile_value_vec(*self._frame_exprs, variables=self.variables)
+
+    @cached_property
+    def _brioschi_fn(self):
+        """E, F, G, E_u, E_v, E_vv, F_u, F_v, F_uv, G_u, G_v, G_uu."""
+        u, v = self.variables
         du, dv = self.d1
-        duu, duv, dvv = self.d2
-        return tuple(tuple(compile_value(c, self.variables) for c in grp)
-                     for grp in (du, dv, duu, duv, dvv))
-
-    @cached_property
-    def _frame_vec_fns(self):
-        du, dv = self.d1
-        duu, duv, dvv = self.d2
-        return tuple(tuple(compile_value_vec(c, self.variables) for c in grp)
-                     for grp in (du, dv, duu, duv, dvv))
-
-    @cached_property
-    def _pos_vec_fns(self):
-        return tuple(compile_value_vec(c, self.variables)
-                     for c in self.coords)
+        E, F, G = _dot(du, du), _dot(du, dv), _dot(dv, dv)
+        E_v, F_u, G_u = diff(E, v), diff(F, u), diff(G, u)
+        return compile_value(
+            E, F, G, diff(E, u), E_v, diff(E_v, v), F_u, diff(F, v),
+            diff(F_u, v), G_u, diff(G, v), diff(G_u, u),
+            variables=self.variables)
 
     # --- numeric evaluation -------------------------------------------------
 
     def position(self, u: float, v: float):
-        try:
-            return np.array([f(u, v) for f in self._pos_fns])
-        except (ValueError, ZeroDivisionError, OverflowError) as e:
-            raise DomainError(
-                f"patch evaluation failed at ({u}, {v}): {e}") from None
+        return np.array(call_compiled(self._position_fn, u, v,
+                                  "patch evaluation"))
 
     def frame(self, u: float, v: float):
         """First and second derivative vectors at a point."""
-        try:
-            su, sv, suu, suv, svv = (
-                np.array([f(u, v) for f in grp]) for grp in self._frame_fns)
-        except (ValueError, ZeroDivisionError, OverflowError) as e:
-            raise DomainError(
-                f"patch derivatives failed at ({u}, {v}): {e}") from None
-        return su, sv, suu, suv, svv
+        vals = call_compiled(self._frame_fn, u, v, "patch derivatives")
+        return tuple(np.array(vals[k:k + 3]) for k in range(0, 15, 3))
 
     def _frame_grids(self, U, V):
         """Fundamental-form ingredients on a meshgrid (vectorized)."""
         UU, VV = np.meshgrid(U, V, indexing="ij")
         with np.errstate(all="raise"):
             try:
-                su, sv, suu, suv, svv = (
-                    np.stack([np.broadcast_to(np.asarray(f(UU, VV), dtype=float),
-                                              UU.shape) for f in grp])
-                    for grp in self._frame_vec_fns)
+                vals = np.stack([np.broadcast_to(np.asarray(t, dtype=float),
+                                                 UU.shape)
+                                 for t in self._frame_vec_fn(UU, VV)])
             except (FloatingPointError, ValueError, ZeroDivisionError,
                     OverflowError) as e:
                 raise DomainError(
                     f"patch grid evaluation failed: {e}") from None
+        su, sv, suu, suv, svv = (vals[k:k + 3] for k in range(0, 15, 3))
         E = np.einsum("kij,kij->ij", su, su)
         F = np.einsum("kij,kij->ij", su, sv)
         G = np.einsum("kij,kij->ij", sv, sv)
@@ -219,49 +226,24 @@ def fundamental_forms(patch: SurfacePatch, u: float, v: float
     return FundamentalForms(E, F, G, L, M, N, K, W)
 
 
-def _brioschi_fns(patch: SurfacePatch):
-    u, v = patch.variables
-    du, dv = patch.d1
-    E = _dot(du, du)
-    F = _dot(du, dv)
-    G = _dot(dv, dv)
-    E_u, E_v = diff(E, u), diff(E, v)
-    F_u, F_v = diff(F, u), diff(F, v)
-    G_u, G_v = diff(G, u), diff(G, v)
-    exprs = {
-        "E": E, "F": F, "G": G,
-        "E_u": E_u, "E_v": E_v, "E_vv": diff(E_v, v),
-        "F_u": F_u, "F_v": F_v, "F_uv": diff(F_u, v),
-        "G_u": G_u, "G_v": G_v, "G_uu": diff(G_u, u),
-    }
-    return {k: compile_value(e, patch.variables) for k, e in exprs.items()}
-
-
-_BRIOSCHI_CACHE = weakref.WeakKeyDictionary()
-
-
 def gaussian_curvature_brioschi(patch: SurfacePatch, u: float, v: float
                                 ) -> float:
     """Intrinsic Gaussian curvature from the first fundamental form only
     (Brioschi formula); an independent oracle for the shape-operator
     route in ``fundamental_forms``."""
-    fns = _BRIOSCHI_CACHE.get(patch)
-    if fns is None:
-        fns = _brioschi_fns(patch)
-        _BRIOSCHI_CACHE[patch] = fns
-    g = {k: f(u, v) for k, f in fns.items()}
+    (E, F, G, E_u, E_v, E_vv, F_u, F_v, F_uv, G_u, G_v,
+     G_uu) = patch._brioschi_fn(u, v)
     M1 = np.array([
-        [-0.5 * g["E_vv"] + g["F_uv"] - 0.5 * g["G_uu"],
-         0.5 * g["E_u"], g["F_u"] - 0.5 * g["E_v"]],
-        [g["F_v"] - 0.5 * g["G_u"], g["E"], g["F"]],
-        [0.5 * g["G_v"], g["F"], g["G"]],
+        [-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v],
+        [F_v - 0.5 * G_u, E, F],
+        [0.5 * G_v, F, G],
     ])
     M2 = np.array([
-        [0.0, 0.5 * g["E_v"], 0.5 * g["G_u"]],
-        [0.5 * g["E_v"], g["E"], g["F"]],
-        [0.5 * g["G_u"], g["F"], g["G"]],
+        [0.0, 0.5 * E_v, 0.5 * G_u],
+        [0.5 * E_v, E, F],
+        [0.5 * G_u, F, G],
     ])
-    W2 = g["E"] * g["G"] - g["F"] ** 2
+    W2 = E * G - F ** 2
     return float((np.linalg.det(M1) - np.linalg.det(M2)) / W2 ** 2)
 
 
@@ -301,11 +283,12 @@ class WeightedPatch:
 
     @cached_property
     def weight_fn(self):
-        return compile_value(self.weight, self.patch.variables)
+        return compile_value(self.weight, variables=self.patch.variables)
 
     @cached_property
     def weight_vec_fn(self):
-        return compile_value_vec(self.weight, self.patch.variables)
+        return compile_value_vec(self.weight,
+                                 variables=self.patch.variables)
 
 
 def locate_on_patch(patch: SurfacePatch, point3, seed_grid: int = 8,
@@ -322,16 +305,15 @@ def locate_on_patch(patch: SurfacePatch, point3, seed_grid: int = 8,
     U, V = dom.grid(seed_grid)
     UU, VV = np.meshgrid(U, V, indexing="ij")
     with np.errstate(all="ignore"):
-        px = np.stack([np.broadcast_to(np.asarray(f(UU, VV), dtype=float),
-                                       UU.shape)
-                       for f in patch._pos_vec_fns])
+        px = np.stack([np.broadcast_to(np.asarray(t, dtype=float), UU.shape)
+                       for t in patch._position_vec_fn(UU, VV)])
     d2 = ((px - p.reshape(3, 1, 1)) ** 2).sum(axis=0)
     i, j = np.unravel_index(np.nanargmin(d2), d2.shape)
     u, v = float(UU[i, j]), float(VV[i, j])
 
     for _ in range(max_iter):
-        r = patch.position(u, v)
-        su, sv, *_ = patch.frame(u, v)
+        r, su, sv = np.array(call_compiled(patch._chart_fn, u, v,
+                                       "patch evaluation")).reshape(3, 3)
         J = np.column_stack([su, sv])
         try:
             step, *_ = np.linalg.lstsq(J, p - r, rcond=None)

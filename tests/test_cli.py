@@ -373,3 +373,55 @@ def test_problem_validation_errors(tmp_path):
         with pytest.raises(InputError) as exc:
             load_problem(str(path))
         assert needle in str(exc.value)
+
+
+def _lemon_with(**changes):
+    doc = _read(PROBLEMS / "lemon.json")
+    for key, value in changes.items():
+        section, _, field = key.partition("__")
+        if field:
+            doc.setdefault(section, {})[field] = value
+        else:
+            doc[section] = value
+    return doc
+
+
+def _lemon_coefficient(src):
+    doc = _read(PROBLEMS / "lemon.json")
+    doc["system"]["coefficients"][0] = src
+    return doc
+
+
+def _ellipsoid_with_order(order):
+    doc = _read(PROBLEMS / "ellipsoid_321.json")
+    doc["quadrature"]["order"] = order
+    return doc
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("analyze", _lemon_coefficient("1e999*x")),
+    ("analyze", _lemon_coefficient("(" * 200 + "x" + ")" * 200)),
+    ("analyze", _lemon_coefficient("+".join(["x"] * 3000))),
+    ("analyze", _lemon_with(tolerances__singular=-1)),
+    ("analyze", _lemon_with(tolerances__singular="abc")),
+    ("analyze", _lemon_with(tolerances__separation_floor=float("inf"))),
+    ("analyze", _lemon_with(domain__x=[float("-inf"), 1])),
+    ("analyze", _lemon_with(domain__y=[-1, float("nan")])),
+    ("analyze", _lemon_with(loop__samples="many")),
+    ("analyze", _lemon_with(loop__samples=64.0)),
+    ("analyze", _lemon_with(loop__max_depth=True)),
+    ("verify-theorem", _ellipsoid_with_order("32")),
+    ("verify-theorem", _ellipsoid_with_order(0)),
+], ids=["literal_1e999", "parens_200", "chain_3000", "singular_negative",
+        "singular_string", "separation_floor_inf", "domain_minus_inf",
+        "domain_nan", "samples_string", "samples_float", "max_depth_bool",
+        "quadrature_order_string", "quadrature_order_zero"])
+def test_bad_input_exits_1(tmp_path, capsys, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main([command, str(path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "monoweb: input error" in err
+    assert "Traceback" not in err
+    assert not out.exists()

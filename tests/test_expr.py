@@ -44,6 +44,31 @@ def test_pi_constant():
     assert eval_expr(parse("cos(pi)"), 0, 0) == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("src, offset", [
+    ("1e999*x", 0), ("x + 1e400", 4), ("-" + "9" * 400, 1)])
+def test_non_finite_literal_is_parse_error(src, offset):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert exc.value.offset == offset
+    assert "out of range" in str(exc.value)
+
+
+def test_depth_limit():
+    assert to_source(parse("(" * 99 + "x" + ")" * 99)) == "x"
+    assert eval_expr(parse("+".join(["x"] * ex.MAX_DEPTH)), 1, 0) == 100.0
+    too_deep = ["(" * 100 + "x" + ")" * 100,
+                "(" * 200 + "x" + ")" * 200,
+                "sin(" * 200 + "x" + ")" * 200,
+                "-" * 150 + "x",
+                "x^" * 150 + "x",
+                "+".join(["x"] * 3000),
+                "+".join(["x"] * (ex.MAX_DEPTH + 1))]
+    for src in too_deep:
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert "deeper than" in str(exc.value)
+
+
 def test_eval_grad_product():
     assert eval_grad(parse("x*y"), 3, 4) == (12.0, 4.0, 3.0)
 
@@ -250,3 +275,41 @@ def test_custom_variable_names():
     assert eval_expr(e, 3, 4, variables=("u", "v")) == 13.0
     with pytest.raises(ParseError):
         parse("x + 1", variables=("u", "v"))
+
+
+def test_compiled_bundle_matches_single_expressions():
+    sources = ["sin(x)*exp(y) + x^2", "sin(x)*exp(y) - y^(-2)",
+               "atan2(y, x)", "7"]
+    exprs = [parse(src) for src in sources]
+    f = compile_value(*exprs)
+    for x, y in [(0.7, 0.3), (-1.2, 0.8)]:
+        assert f(x, y) == tuple(compile_value(e)(x, y) for e in exprs)
+
+
+def test_compiled_bundle_first_failure_is_evaluation_order():
+    f = compile_value(parse("sqrt(x)"), parse("1/y"))
+    with pytest.raises(ValueError):
+        f(-1.0, 0.0)
+    g = compile_value(parse("1/y"), parse("sqrt(x)"))
+    with pytest.raises(ZeroDivisionError):
+        g(-1.0, 0.0)
+
+
+def test_compiled_deep_expression():
+    # the code generator has no recursion, so trees built programmatically
+    # deeper than the parser accepts still compile
+    e = ex.var("x")
+    for _ in range(3000):
+        e = ex.add(e, ex.var("x"))
+    assert compile_value(e)(0.5, 0.0) == 1500.5
+
+
+def test_compiled_vectorized_bundle():
+    import numpy as np
+
+    exprs = [parse("u*v", ("u", "v")), parse("2", ("u", "v"))]
+    f = compile_value_vec(*exprs, variables=("u", "v"))
+    U = np.linspace(-1, 1, 5)
+    prod, const = f(U, U)
+    assert np.array_equal(prod, U * U)
+    assert const == 2.0

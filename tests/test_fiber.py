@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from monoweb.expr import parse
+from monoweb.expr import DomainError, eval_grad, parse
 from monoweb.fiber import (
     BinaryForm, CircleAngle, CircleSystem, ComplexPoint, ComplexRoots,
     IllConditioned, MixedVariants, NonIsolatedZero, ProjectiveSystem,
@@ -203,3 +203,27 @@ def test_ill_conditioned_separation():
         ["0", "-1e-8", "1"]))
     with pytest.raises(IllConditioned):
         solve_fiber(sys, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("system, exprs", [
+    (CircleSystem(SQ, sheets=2, v_re=parse("x^2 - y"),
+                  v_im=parse("sin(x*y) + exp(y)/3")),
+     lambda s: (s.v_re, s.v_im)),
+    (ProjectiveSystem(SQ, form=BinaryForm.from_strings(
+        ["y*cos(x)", "-2*x", "sqrt(1 + x^2) - y^2"])),
+     lambda s: s.form.coeffs),
+])
+def test_compiled_jacobian_matches_eval_grad(system, exprs):
+    for x, y in [(0.3, -0.7), (-1.1, 0.4)]:
+        r, J = system.residual_vector(x, y)
+        for i, e in enumerate(exprs(system)):
+            v, dx, dy = eval_grad(e, x, y)
+            assert r[i] == pytest.approx(v, rel=1e-13, abs=1e-13)
+            assert J[i, 0] == pytest.approx(dx, rel=1e-13, abs=1e-13)
+            assert J[i, 1] == pytest.approx(dy, rel=1e-13, abs=1e-13)
+
+
+def test_compiled_jacobian_math_error_is_domain_error():
+    circle = CircleSystem(SQ, sheets=1, v_re=parse("log(x)"), v_im=parse("y"))
+    with pytest.raises(DomainError):
+        circle.residual_vector(0.0, 0.5)
