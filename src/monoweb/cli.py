@@ -285,12 +285,16 @@ def load_problem(path: str) -> Problem:
     if has_system:
         domain = _parse_domain(_need(doc, "domain", dict, path), "domain")
         declared = []
-        for i, p in enumerate(doc.get("singular_points", [])):
-            if (not isinstance(p, list) or len(p) != 2
-                    or not all(isinstance(t, (int, float)) for t in p)):
-                raise InputError(
-                    f"{path}: singular_points[{i}]: expected [x, y]")
-            declared.append((float(p[0]), float(p[1])))
+        points = doc.get("singular_points", [])
+        if not isinstance(points, list):
+            raise InputError(f"{path}: singular_points must be a list")
+        for i, p in enumerate(points):
+            pt = (tuple(map(_finite, p))
+                  if isinstance(p, list) and len(p) == 2 else (None,))
+            if None in pt or not domain.contains(*pt):
+                raise InputError(f"{path}: singular_points[{i}]: expected "
+                                 "[x, y] with finite x, y in the domain")
+            declared.append(pt)
         try:
             prob.system = _parse_system(_need(doc, "system", dict, path),
                                         domain, tuple(declared))

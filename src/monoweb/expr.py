@@ -746,58 +746,71 @@ def _fwd_call(e: Call, env):
 # Differentiation (AST level)
 
 
-def diff(e: Expr, wrt: str) -> Expr:
+def diff(e: Expr, wrt: str, _memo=None) -> Expr:
     """Derivative of ``e`` with respect to the variable named ``wrt``.
 
     The result is again an Expr.  At kinks of abs the derivative uses the
     internal ``sign`` function; sqrt/log derivatives raise DomainError when
-    later evaluated at their singular locus.
+    later evaluated at their singular locus.  Within one call a node that
+    occurs several times (shared by identity) is differentiated once, and
+    all its occurrences share the derivative.
     """
+    if _memo is None:
+        _memo = {}
+    elif id(e) in _memo:
+        return _memo[id(e)]
     if isinstance(e, Num):
-        return Num(0.0)
-    if isinstance(e, Var):
-        return Num(1.0 if e.name == wrt else 0.0)
-    if isinstance(e, Neg):
-        return neg(diff(e.a, wrt))
-    if isinstance(e, Add):
-        return add(diff(e.a, wrt), diff(e.b, wrt))
-    if isinstance(e, Sub):
-        return sub(diff(e.a, wrt), diff(e.b, wrt))
-    if isinstance(e, Mul):
-        return add(mul(diff(e.a, wrt), e.b), mul(e.a, diff(e.b, wrt)))
-    if isinstance(e, Div):
+        d = Num(0.0)
+    elif isinstance(e, Var):
+        d = Num(1.0 if e.name == wrt else 0.0)
+    elif isinstance(e, Neg):
+        d = neg(diff(e.a, wrt, _memo))
+    elif isinstance(e, Add):
+        d = add(diff(e.a, wrt, _memo), diff(e.b, wrt, _memo))
+    elif isinstance(e, Sub):
+        d = sub(diff(e.a, wrt, _memo), diff(e.b, wrt, _memo))
+    elif isinstance(e, Mul):
+        d = add(mul(diff(e.a, wrt, _memo), e.b),
+                mul(e.a, diff(e.b, wrt, _memo)))
+    elif isinstance(e, Div):
         # (a/b)' = a'/b - a b'/b^2
-        da, db = diff(e.a, wrt), diff(e.b, wrt)
+        da, db = diff(e.a, wrt, _memo), diff(e.b, wrt, _memo)
         if isinstance(db, Num) and db.value == 0.0:
-            return div(da, e.b)
-        return div(sub(mul(da, e.b), mul(e.a, db)), Pow(e.b, Num(2.0)))
-    if isinstance(e, Pow):
-        db = diff(e.base, wrt)
-        de = diff(e.exponent, wrt)
+            d = div(da, e.b)
+        else:
+            d = div(sub(mul(da, e.b), mul(e.a, db)), Pow(e.b, Num(2.0)))
+    elif isinstance(e, Pow):
+        db = diff(e.base, wrt, _memo)
+        de = diff(e.exponent, wrt, _memo)
         if isinstance(de, Num) and de.value == 0.0:
             # c * u^(c-1) * u'
             if isinstance(e.exponent, Num):
                 c = e.exponent.value
-                return mul(mul(Num(c), Pow(e.base, Num(c - 1.0))), db)
-            return mul(mul(e.exponent,
-                           Pow(e.base, sub(e.exponent, Num(1.0)))), db)
-        # u^v * (v' log u + v u'/u)
-        return mul(e, add(mul(de, Call("log", (e.base,))),
-                          mul(e.exponent, div(db, e.base))))
-    if isinstance(e, Call):
-        return _diff_call(e, wrt)
-    raise TypeError(f"not an Expr: {e!r}")
+                d = mul(mul(Num(c), Pow(e.base, Num(c - 1.0))), db)
+            else:
+                d = mul(mul(e.exponent,
+                            Pow(e.base, sub(e.exponent, Num(1.0)))), db)
+        else:
+            # u^v * (v' log u + v u'/u)
+            d = mul(e, add(mul(de, Call("log", (e.base,))),
+                           mul(e.exponent, div(db, e.base))))
+    elif isinstance(e, Call):
+        d = _diff_call(e, wrt, _memo)
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    _memo[id(e)] = d
+    return d
 
 
-def _diff_call(e: Call, wrt: str) -> Expr:
+def _diff_call(e: Call, wrt: str, memo) -> Expr:
     fn = e.fn
     if fn == "atan2":
         a, b = e.args  # atan2(a, b), d = (b a' - a b') / (a^2 + b^2)
-        da, db = diff(a, wrt), diff(b, wrt)
+        da, db = diff(a, wrt, memo), diff(b, wrt, memo)
         denom = add(Pow(a, Num(2.0)), Pow(b, Num(2.0)))
         return div(sub(mul(b, da), mul(a, db)), denom)
     u = e.args[0]
-    du = diff(u, wrt)
+    du = diff(u, wrt, memo)
     if isinstance(du, Num) and du.value == 0.0:
         return Num(0.0)
     if fn == "sqrt":

@@ -12,7 +12,9 @@ Three concrete fiber variants are supported:
 Away from the singular set the fiber over a base point is a fixed finite
 set of roots; ``solve_fiber`` returns it, ``find_singularities`` locates
 and certifies the points where it degenerates.  Extending to other fiber
-types means adding a subclass with ``solve``/``residual`` hooks; nothing
+types means adding a subclass with a ``solve`` hook and the expression
+``components`` whose common zeros are the singular set; the residual, its
+grid scan and its exact Jacobian come from the base class, and nothing
 else in the package depends on the variant internals.
 
 System values are immutable after construction and all operations are
@@ -26,13 +28,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import ClassVar
 
 import numpy as np
 
-from .expr import (DomainError, Expr, ExprError, call_compiled,
-                   compile_value, compile_value_vec, diff, parse)
+from .expr import (DomainError, Expr, ExprError, Num, add, call_compiled,
+                   compile_value, compile_value_vec, diff, div, mul, parse,
+                   sub)
 
 __all__ = [
     "FiberKind", "Rect", "RP1Angle", "CircleAngle", "ComplexPoint",
@@ -84,6 +87,11 @@ class FiberKind(Enum):
     PROJECTIVE = "projective"
     CIRCLE = "circle"
     PUNCTURED_PLANE = "punctured_plane"
+
+    @property
+    def period(self) -> float:
+        """Period of the fiber angle: pi on RP^1, 2 pi on S^1 and C*."""
+        return math.pi if self is FiberKind.PROJECTIVE else _TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +201,6 @@ def min_root_separation(roots) -> float:
 # Binary forms
 
 
-def _with_gradients(exprs, variables):
-    """Each expression followed by its two partial derivatives."""
-    return [d for e in exprs
-            for d in (e, diff(e, variables[0]), diff(e, variables[1]))]
-
-
-def _jacobian(fn, x, y):
-    """(r, J) from a function returning r_0, dr_0/dx, dr_0/dy, r_1, ..."""
-    vals = np.array(call_compiled(fn, x, y, "Jacobian evaluation"),
-                    dtype=float).reshape(-1, 3)
-    return vals[:, 0], vals[:, 1:]
-
-
 @dataclass(frozen=True)
 class BinaryForm:
     """Symmetric degree-n form a_0 dx^n + a_1 dx^(n-1) dy + ... + a_n dy^n.
@@ -231,25 +226,7 @@ class BinaryForm:
         coeffs = tuple(parse(s, variables) for s in sources)
         return cls(len(coeffs) - 1, coeffs, tuple(variables))
 
-    @cached_property
-    def _value_fn(self):
-        return compile_value(*self.coeffs, variables=self.variables)
-
-    @cached_property
-    def _vec_fn(self):
-        return compile_value_vec(*self.coeffs, variables=self.variables)
-
-    @cached_property
-    def _grad_fn(self):
-        return compile_value(*_with_gradients(self.coeffs, self.variables),
-                             variables=self.variables)
-
-    def coeff_values(self, x: float, y: float):
-        return list(call_compiled(self._value_fn, x, y,
-                                  "coefficient evaluation"))
-
     def scaled(self, factor: Expr) -> "BinaryForm":
-        from .expr import mul
         return BinaryForm(self.degree,
                           tuple(mul(factor, c) for c in self.coeffs),
                           self.variables)
@@ -261,7 +238,10 @@ class BinaryForm:
 
 @dataclass(frozen=True)
 class FiberSystem:
-    """Base class; concrete systems implement solve/residual hooks."""
+    """Base class.  A concrete system implements ``solve`` and declares
+    ``components``: expressions in its ``variables`` that vanish together
+    exactly on the singular set.  The residual, its grid scan and its
+    Jacobian are computed here from the compiled components."""
     domain: Rect
     declared_singular: tuple = ()
 
@@ -274,36 +254,70 @@ class FiberSystem:
     def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
         raise NotImplementedError
 
-    def residual(self, x, y) -> float:
-        """Smooth nonnegative function vanishing exactly on the singular
-        set; used by the grid scan."""
+    @property
+    def components(self) -> tuple:
         raise NotImplementedError
 
+    @cached_property
+    def _component_fn(self):
+        return compile_value(*self.components, variables=self.variables)
+
+    @cached_property
+    def _component_vec_fn(self):
+        return compile_value_vec(*self.components, variables=self.variables)
+
+    @cached_property
+    def _component_grad_fn(self):
+        # each component followed by its two partial derivatives
+        u, v = self.variables
+        return compile_value(*(d for e in self.components
+                               for d in (e, diff(e, u), diff(e, v))),
+                             variables=self.variables)
+
+    def component_values(self, x, y, what="coefficient evaluation"):
+        return call_compiled(self._component_fn, x, y, what)
+
+    def residual(self, x, y) -> float:
+        """Sum of squared components: smooth, nonnegative and zero exactly
+        on the singular set; used by the grid scan."""
+        return sum(r * r for r in self.component_values(x, y))
+
     def residual_grid(self, X, Y):
-        """Residual on a meshgrid; +inf where evaluation leaves the
-        domain."""
+        """Residual on a meshgrid; +inf where evaluation fails."""
         XX, YY = np.meshgrid(X, Y, indexing="ij")
+        try:
+            with np.errstate(all="raise"):
+                acc = sum((v * v for v in self._component_vec_fn(XX, YY)),
+                          np.zeros_like(XX))
+            if np.all(np.isfinite(acc)):
+                return acc
+        except (FloatingPointError, ValueError, ZeroDivisionError,
+                OverflowError):
+            pass
         out = np.empty_like(XX)
-        for i in range(XX.shape[0]):
-            for j in range(XX.shape[1]):
+        for i, x in enumerate(X.tolist()):
+            for j, y in enumerate(Y.tolist()):
                 try:
-                    out[i, j] = self.residual(XX[i, j], YY[i, j])
-                except (DomainError, ExprError):
+                    out[i, j] = self.residual(x, y)
+                except ExprError:
                     out[i, j] = math.inf
         return out
 
     def residual_vector(self, x, y):
-        """Vector r(x, y) with residual = |r|^2-compatible zero set, plus
-        its Jacobian rows; used by Gauss-Newton refinement.  Returns
-        (r, J) with r of shape (k,) and J of shape (k, 2); J may be
-        finite-difference based for variants without closed-form data."""
-        raise NotImplementedError
+        """The components r(x, y) and their exact Jacobian, for
+        Gauss-Newton refinement: (r, J) with r of shape (k,) and J of
+        shape (k, 2)."""
+        vals = np.array(call_compiled(self._component_grad_fn, x, y,
+                                      "Jacobian evaluation"),
+                        dtype=float).reshape(-1, 3)
+        return vals[:, 0], vals[:, 1:]
 
 
 @dataclass(frozen=True)
 class ProjectiveSystem(FiberSystem):
     """Branched section of the projective tangent bundle cut out by a
-    binary differential form (fiber RP^1)."""
+    binary differential form (fiber RP^1).  Components: the form's
+    coefficients."""
     form: BinaryForm = None
 
     kind: ClassVar[FiberKind] = FiberKind.PROJECTIVE
@@ -316,36 +330,23 @@ class ProjectiveSystem(FiberSystem):
     def sheet_count(self) -> int:
         return self.form.degree
 
+    @property
+    def variables(self) -> tuple:
+        return self.form.variables
+
+    @property
+    def components(self) -> tuple:
+        return self.form.coeffs
+
     def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
-        avals = self.form.coeff_values(x, y)
+        avals = self.component_values(x, y)
         return _projective_roots(avals, singular_tol, sep_floor)
-
-    def residual(self, x, y) -> float:
-        return sum(a * a for a in self.form.coeff_values(x, y))
-
-    def residual_grid(self, X, Y):
-        XX, YY = np.meshgrid(X, Y, indexing="ij")
-        try:
-            with np.errstate(all="raise"):
-                acc = np.zeros_like(XX)
-                for vals in self.form._vec_fn(XX, YY):
-                    vals = np.asarray(vals, dtype=float)
-                    acc = acc + vals * vals
-                if not np.all(np.isfinite(acc)):
-                    raise FloatingPointError
-                return acc
-        except (FloatingPointError, ValueError, ZeroDivisionError,
-                OverflowError):
-            return super().residual_grid(X, Y)
-
-    def residual_vector(self, x, y):
-        return _jacobian(self.form._grad_fn, x, y)
 
 
 @dataclass(frozen=True)
 class CircleSystem(FiberSystem):
     """Relation w^m = v(z)/|v(z)| on the unit circle (fiber S^1); the
-    singular set is the zero set of v."""
+    singular set is the zero set of v.  Components: (Re v, Im v)."""
     sheets: int = 0
     v_re: Expr = None
     v_im: Expr = None
@@ -361,21 +362,12 @@ class CircleSystem(FiberSystem):
     def sheet_count(self) -> int:
         return self.sheets
 
-    @cached_property
-    def _value_fn(self):
-        return compile_value(self.v_re, self.v_im, variables=self.variables)
-
-    @cached_property
-    def _grad_fn(self):
-        return compile_value(
-            *_with_gradients((self.v_re, self.v_im), self.variables),
-            variables=self.variables)
-
-    def _v(self, x, y):
-        return call_compiled(self._value_fn, x, y, "relation evaluation")
+    @property
+    def components(self) -> tuple:
+        return (self.v_re, self.v_im)
 
     def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
-        vre, vim = self._v(x, y)
+        vre, vim = self.component_values(x, y, "relation evaluation")
         if vre * vre + vim * vim <= singular_tol:
             raise SingularFiber(f"defining data vanishes at ({x}, {y})")
         base = math.atan2(vim, vre)
@@ -383,20 +375,14 @@ class CircleSystem(FiberSystem):
         return tuple(CircleAngle(_mod((base + _TWO_PI * k) / m, _TWO_PI))
                      for k in range(m))
 
-    def residual(self, x, y) -> float:
-        vre, vim = self._v(x, y)
-        return vre * vre + vim * vim
-
-    def residual_vector(self, x, y):
-        return _jacobian(self._grad_fn, x, y)
-
 
 @dataclass(frozen=True)
 class PuncturedPlaneSystem(FiberSystem):
     """Polynomial relation sum_k c_k(z) w^k = 0 with w in C* (fiber C*).
 
     Coefficients are given as (re, im) expression pairs in the base
-    coordinates (x, y) with z = x + i y."""
+    coordinates (x, y) with z = x + i y.  Components: the (re, im) pairs
+    of c_0/c_n and of the root discriminant prod_{i<j} (w_i - w_j)^2."""
     degree_w: int = 0
     coeffs: tuple = ()   # tuple of (Expr, Expr) pairs, index = power of w
     variables: tuple = ("x", "y")
@@ -412,6 +398,19 @@ class PuncturedPlaneSystem(FiberSystem):
     @property
     def sheet_count(self) -> int:
         return self.degree_w
+
+    @cached_property
+    def components(self) -> tuple:
+        # prod_{i<j} (w_i - w_j)^2
+        #     = Res(P, dP/dw) / ((-1)^(n(n-1)/2) c_n^(2n-1))
+        n, c = self.degree_w, self.coeffs
+        dc = [(mul(Num(k), c[k][0]), mul(Num(k), c[k][1]))
+              for k in range(n, 0, -1)]
+        res = _determinant(_sylvester(c[::-1], dc))
+        lead = (Num((-1.0) ** (n * (n - 1) // 2)), Num(0.0))
+        for _ in range(2 * n - 1):
+            lead = _cmul(lead, c[n])
+        return (*_cdiv(c[0], c[n]), *_cdiv(res, lead))
 
     @cached_property
     def _value_fn(self):
@@ -450,36 +449,48 @@ class PuncturedPlaneSystem(FiberSystem):
                 f"fiber roots closer than {sep_floor} at ({x}, {y})")
         return pts
 
-    def _c0_disc(self, x, y):
-        """Constant coefficient and root discriminant of the relation
-        scaled by max |c_k|; both vanish together with all coefficients."""
-        c = self.coeff_values(x, y)
-        scale = max(abs(v) for v in c)
-        if scale == 0.0:
-            return 0j, 0j
-        roots = np.roots(np.array(c[::-1], dtype=complex) / scale)
-        disc = 1.0 + 0.0j
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                disc *= (roots[i] - roots[j]) ** 2
-        return c[0] / scale, disc
 
-    def residual(self, x, y) -> float:
-        c0, disc = self._c0_disc(x, y)
-        return abs(c0) ** 2 + abs(disc) ** 2
+# Complex arithmetic on (re, im) expression pairs
 
-    def residual_vector(self, x, y):
-        # no closed-form discriminant gradient; central differences
-        def vec(px, py):
-            c0, disc = self._c0_disc(px, py)
-            return np.array([c0.real, c0.imag, disc.real, disc.imag])
 
-        r = vec(x, y)
-        h = 1e-7 * (1.0 + abs(x) + abs(y))
-        J = np.empty((4, 2))
-        J[:, 0] = (vec(x + h, y) - vec(x - h, y)) / (2 * h)
-        J[:, 1] = (vec(x, y + h) - vec(x, y - h)) / (2 * h)
-        return r, J
+def _cmul(p, q):
+    (a, b), (c, d) = p, q
+    return sub(mul(a, c), mul(b, d)), add(mul(a, d), mul(b, c))
+
+
+def _cdiv(p, q):
+    (a, b), (c, d) = p, q
+    den = add(mul(c, c), mul(d, d))
+    return (div(add(mul(a, c), mul(b, d)), den),
+            div(sub(mul(b, c), mul(a, d)), den))
+
+
+def _sylvester(p, q):
+    """Sylvester matrix of two polynomials given by descending
+    coefficients; its determinant is their resultant."""
+    m, n = len(p) - 1, len(q) - 1
+    zero = (Num(0.0), Num(0.0))
+    return ([[zero] * i + list(p) + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + list(q) + [zero] * (m - 1 - i)
+               for i in range(m)])
+
+
+def _determinant(rows):
+    """Determinant of a matrix of (re, im) pairs by expansion along the
+    rows.  Each minor (the columns left for the rows below) is built once,
+    terms with a zero entry fold away, and nothing is divided."""
+    @cache
+    def minor(cols):
+        if not cols:
+            return (Num(1.0), Num(0.0))
+        row = rows[len(rows) - len(cols)]
+        re, im = Num(0.0), Num(0.0)
+        for k, j in enumerate(cols):
+            t_re, t_im = _cmul(row[j], minor(cols[:k] + cols[k + 1:]))
+            step = sub if k % 2 else add
+            re, im = step(re, t_re), step(im, t_im)
+        return re, im
+    return minor(tuple(range(len(rows))))
 
 
 def _polish_complex(poly, w, iters=3):
@@ -610,8 +621,9 @@ class SingularPoint:
 
 
 def _gauss_newton(sys, x, y, max_iter=80):
-    """Refine a singular-point candidate; returns (x, y, residual)."""
-    best = (x, y, _safe_residual(sys, x, y))
+    """Refine a singular-point candidate; returns (x, y, residual).  Each
+    accepted step lowers the residual, so the last point is the best."""
+    cur = _safe_residual(sys, x, y)
     for _ in range(max_iter):
         try:
             r, J = sys.residual_vector(x, y)
@@ -627,24 +639,18 @@ def _gauss_newton(sys, x, y, max_iter=80):
             break
         # damped acceptance
         lam = 1.0
-        improved = False
-        cur = _safe_residual(sys, x, y)
         for _ in range(8):
             nx, ny = x + lam * step[0], y + lam * step[1]
             res = _safe_residual(sys, nx, ny)
             if res < cur:
-                x, y = nx, ny
-                improved = True
                 break
             lam *= 0.5
-        if not improved:
+        else:
             break
-        res = _safe_residual(sys, x, y)
-        if res < best[2]:
-            best = (x, y, res)
+        x, y, cur = nx, ny, res
         if np.hypot(*(lam * step)) < 1e-14 * (1.0 + abs(x) + abs(y)):
             break
-    return best
+    return x, y, cur
 
 
 def _safe_residual(sys, x, y):
@@ -738,16 +744,19 @@ def find_singularities(sys: FiberSystem, grid_density: int = 48,
     R = sys.residual_grid(X, Y)
 
     finite = np.isfinite(R)
-    if finite.any():
-        frac_zero = float(np.count_nonzero(R[finite] <= tol)) / R.size
-        if frac_zero > 0.10:
-            raise NonIsolatedZero(
-                f"{frac_zero:.0%} of grid points have residual below "
-                "tolerance; the singular set is not discrete")
+    if not finite.any():
+        raise DomainError(
+            "the residual overflows or fails at every grid point of the "
+            f"domain [{dom.xmin}, {dom.xmax}] x [{dom.ymin}, {dom.ymax}]")
+    frac_zero = float(np.count_nonzero(R[finite] <= tol)) / R.size
+    if frac_zero > 0.10:
+        raise NonIsolatedZero(
+            f"{frac_zero:.0%} of grid points have residual below "
+            "tolerance; the singular set is not discrete")
 
     minima = _grid_local_minima(R)
     # skip seeds sitting on a flat high-residual landscape (no nearby zero)
-    med = float(np.median(R[finite])) if finite.any() else math.inf
+    med = float(np.median(R[finite]))
     cutoff = max(100.0 * tol, 0.25 * med)
     minima = [(i, j) for i, j in minima if R[i, j] <= cutoff]
     minima.sort(key=lambda ij: R[ij])

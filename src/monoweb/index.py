@@ -21,7 +21,6 @@ lifts and closure defects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,8 +37,6 @@ __all__ = [
 
 # relative closure-defect bound (fraction of the fiber period)
 CLOSURE_DEFECT_TOL = 1e-6
-
-_TWO_PI = 2.0 * math.pi
 
 
 class IndexError_(Exception):
@@ -58,10 +55,6 @@ class ClosureDefectTooLarge(IndexError_):
 
 class WrongFiber(IndexError_):
     """Operation defined only for RP^1 (projective) fibers."""
-
-
-def _period(kind: FiberKind) -> float:
-    return math.pi if kind is FiberKind.PROJECTIVE else _TWO_PI
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,7 @@ def winding_class(path: TrackedPath, kind: FiberKind | None = None) -> int:
     gap = fiber_distance(path.start_root, path.end_root)
     if gap > 1e-6:
         raise OpenPath(f"path endpoints differ by {gap:.3e} in the fiber")
-    period = _period(kind)
+    period = kind.period
     change = path.lift_change
     m = round(change / period)
     defect = abs(change - m * period)
@@ -130,7 +123,7 @@ def orbit_index(result: MonodromyResult, orbit) -> OrbitIndexReport:
     """Index report of one orbit of a monodromy result."""
     path = orbit_lift(result, orbit)
     k = len(orbit)
-    period = _period(result.kind)
+    period = result.kind.period
     m = winding_class(path, result.kind)
     defect = abs(path.lift_change - m * period)
     classical = (Fraction(m, 2 * k)

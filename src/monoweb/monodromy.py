@@ -171,14 +171,9 @@ def _root_coord(root):
     return root.arg
 
 
-def _lift_period(kind: FiberKind) -> float:
-    return math.pi if kind is FiberKind.PROJECTIVE else _TWO_PI
-
-
 def _advance_lift(kind, lift, prev_root, new_root):
-    period = _lift_period(kind)
     d = _root_coord(new_root) - _root_coord(prev_root)
-    return lift + _wrap(d, period)
+    return lift + _wrap(d, kind.period)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +362,7 @@ def orbit_lift(result: MonodromyResult, orbit) -> TrackedPath:
     orbit = tuple(orbit)
     if orbit not in result.orbits:
         raise ValueError(f"{orbit} is not an orbit of this result")
-    period = _lift_period(result.kind)
+    period = result.kind.period
 
     ts = list(result.paths[orbit[0]].ts)
     roots = list(result.paths[orbit[0]].roots)

@@ -225,6 +225,18 @@ def test_analyze_numerical_failure_partial_report(tmp_path):
     assert report["singular_points"] == []
 
 
+def test_analyze_huge_domain_bound_is_numerical_failure(tmp_path):
+    # the residual overflows at every grid point; an empty answer with
+    # exit 0 would claim there are no singular points
+    prob = tmp_path / "huge.json"
+    prob.write_text(json.dumps(_lemon_with(domain__x=[-1e300, 1e300])))
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(prob), "-o", str(out)]) == 2
+    report = _read(out)
+    assert report["error"]["type"] == "DomainError"
+    assert report["singular_points"] == []
+
+
 def test_plot_skips_singular_grid_points(tmp_path):
     # an 11-cell grid on [-2,2]^2 puts one cell center exactly on the
     # singular point; the segment pair there is a gap, not a failure
@@ -341,6 +353,18 @@ def test_console_script_help():
     assert "verify-theorem" in proc.stdout
 
 
+def test_python_m_monoweb_help():
+    pkg_root = str(pathlib.Path(monoweb.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "monoweb", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: monoweb")
+    assert "verify-theorem" in proc.stdout
+
+
 @pytest.mark.skipif(shutil.which("monoweb") is None,
                     reason="monoweb console script not installed on PATH")
 def test_installed_console_script_help():
@@ -412,10 +436,17 @@ def _ellipsoid_with_order(order):
     ("analyze", _lemon_with(loop__max_depth=True)),
     ("verify-theorem", _ellipsoid_with_order("32")),
     ("verify-theorem", _ellipsoid_with_order(0)),
+    ("analyze", _lemon_with(singular_points=[[5, 5]])),
+    ("analyze", _lemon_with(singular_points=[[0, float("nan")]])),
+    ("analyze", _lemon_with(singular_points=[[0, "0"]])),
+    ("analyze", _lemon_with(singular_points=[[0, 0, 0]])),
+    ("analyze", _lemon_with(singular_points=0)),
 ], ids=["literal_1e999", "parens_200", "chain_3000", "singular_negative",
         "singular_string", "separation_floor_inf", "domain_minus_inf",
         "domain_nan", "samples_string", "samples_float", "max_depth_bool",
-        "quadrature_order_string", "quadrature_order_zero"])
+        "quadrature_order_string", "quadrature_order_zero",
+        "declared_outside_domain", "declared_nan", "declared_string",
+        "declared_three_coordinates", "declared_not_a_list"])
 def test_bad_input_exits_1(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -137,6 +137,32 @@ def test_diff_is_exact_on_polynomials():
         assert eval_expr(dy, x, y) == pytest.approx(x ** 3 - 4 * x * y)
 
 
+def _distinct_nodes(e):
+    seen, todo = set(), [e]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node.args if isinstance(node, ex.Call) else
+                        [getattr(node, f) for f in node.__slots__
+                         if isinstance(getattr(node, f), ex.Expr)])
+    return len(seen)
+
+
+def test_diff_shares_the_derivative_of_a_shared_node():
+    # e = e*e sixteen times: a DAG of 17 nodes.  Differentiating each
+    # occurrence separately gives a derivative with 2^16 distinct nodes.
+    depth = 16
+    e = parse("cos(x)")
+    for _ in range(depth):
+        e = ex.Mul(e, e)
+    d = diff(e, "x")
+    assert _distinct_nodes(d) <= 5 * depth
+    x = 1e-3
+    assert compile_value(d)(x, 0.0) == pytest.approx(
+        -2 ** depth * math.cos(x) ** (2 ** depth - 1) * math.sin(x))
+
+
 def test_diff_matches_eval_grad():
     sources = ["sin(x)*cos(y)", "exp(x*y)", "sqrt(1+x^2+y^2)",
                "atan2(y, x)", "log(2+cos(x))/(1+y^2)", "x^2.5"]

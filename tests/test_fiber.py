@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from monoweb.expr import DomainError, eval_grad, parse
@@ -8,7 +9,7 @@ from monoweb.fiber import (
     BinaryForm, CircleAngle, CircleSystem, ComplexPoint, ComplexRoots,
     IllConditioned, MixedVariants, NonIsolatedZero, ProjectiveSystem,
     PuncturedPlaneSystem, Rect, RP1Angle, SingularFiber, fiber_distance,
-    find_singularities, min_root_separation, solve_fiber,
+    _gauss_newton, find_singularities, min_root_separation, solve_fiber,
 )
 
 SQ = Rect(-2.0, 2.0, -2.0, 2.0)
@@ -212,6 +213,11 @@ def test_ill_conditioned_separation():
     (ProjectiveSystem(SQ, form=BinaryForm.from_strings(
         ["y*cos(x)", "-2*x", "sqrt(1 + x^2) - y^2"])),
      lambda s: s.form.coeffs),
+    (PuncturedPlaneSystem(SQ, degree_w=3, coeffs=tuple(
+        (parse(re), parse(im)) for re, im in [
+            ("x^2 - y", "x*y"), ("0.5", "-y"), ("exp(x/3)", "0"),
+            ("2 + x", "0.3*y")])),
+     lambda s: s.components),
 ])
 def test_compiled_jacobian_matches_eval_grad(system, exprs):
     for x, y in [(0.3, -0.7), (-1.1, 0.4)]:
@@ -227,3 +233,41 @@ def test_compiled_jacobian_math_error_is_domain_error():
     circle = CircleSystem(SQ, sheets=1, v_re=parse("log(x)"), v_im=parse("y"))
     with pytest.raises(DomainError):
         circle.residual_vector(0.0, 0.5)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_punctured_plane_components_match_high_precision_roots(degree):
+    # c_0/c_n and prod_{i<j} (w_i - w_j)^2 from the resultant expression,
+    # against the roots of the same polynomial to 60 digits
+    rng = random.Random(degree)
+    for _ in range(10):
+        c = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+             for _ in range(degree + 1)]
+        sys = PuncturedPlaneSystem(SQ, degree_w=degree, coeffs=tuple(
+            (parse(repr(v.real)), parse(repr(v.imag))) for v in c))
+        c0_re, c0_im, d_re, d_im = sys.component_values(0.3, -0.7)
+        with mpmath.workdps(60):
+            roots = mpmath.polyroots([mpmath.mpc(v.real, v.imag)
+                                      for v in c[::-1]], maxsteps=200,
+                                     extraprec=200)
+            ref = complex(mpmath.fprod((roots[i] - roots[j]) ** 2
+                                       for i in range(degree)
+                                       for j in range(i + 1, degree)))
+        assert abs(complex(d_re, d_im) - ref) <= 1e-13 * abs(ref)
+        assert complex(c0_re, c0_im) == pytest.approx(c[0] / c[-1],
+                                                      rel=1e-15)
+
+
+def test_gauss_newton_evaluates_each_point_once(monkeypatch):
+    points = []
+    residual = ProjectiveSystem.residual
+
+    def counted(self, x, y):
+        points.append((x, y))
+        return residual(self, x, y)
+
+    monkeypatch.setattr(ProjectiveSystem, "residual", counted)
+    x, y, res = _gauss_newton(lemon_system(), 0.05, -0.03)
+    assert res <= 1e-20 and math.hypot(x, y) < 1e-10
+    assert len(points) >= 3
+    assert len(points) == len(set(points))
