@@ -301,6 +301,21 @@ def test_golden_half_turn_circle_report(tmp_path):
     assert out.read_bytes() == golden
 
 
+@pytest.mark.parametrize("name, grid", [("lemon", 20),
+                                        ("three_web_constant", 10),
+                                        ("radial_circular", 12)])
+def test_golden_svg(tmp_path, name, grid):
+    # three_web_constant has a root at infinity and a zero root at every
+    # grid point; lemon and radial_circular have singular points
+    out = tmp_path / "web.svg"
+    assert main(["plot", str(PROBLEMS / f"{name}.json"), "-o", str(out),
+                 "--grid", str(grid)]) == 0
+    golden = (GOLDEN / f"{name}.grid{grid}.svg").read_bytes()
+    assert out.read_bytes() == golden
+    prob = load_problem(str(PROBLEMS / f"{name}.json"))
+    assert render_svg(prob, grid=grid).encode() == golden
+
+
 def test_analyze_three_web_no_singularities(tmp_path):
     out = tmp_path / "report.json"
     code = main(["analyze", str(PROBLEMS / "three_web_constant.json"),
