@@ -29,7 +29,7 @@ from . import __version__
 from .expr import DomainError, ParseError, parse
 from .fiber import (BinaryForm, CircleSystem, FiberError, FiberKind,
                     ProjectiveSystem, PuncturedPlaneSystem, Rect, SEP_FLOOR,
-                    SINGULAR_TOL, find_singularities, solve_fiber)
+                    SINGULAR_TOL, find_singularities)
 from .geometry import (GeometryError, SurfacePatch, WeightedPatch,
                        verify_index_theorem)
 from .index import IndexError_, PointIndexReport, index_report
@@ -72,7 +72,8 @@ def _need(obj, key, kind, where):
     if key not in obj:
         raise InputError(f"{where}: missing required key {key!r}")
     val = obj[key]
-    if not isinstance(val, kind):
+    # a JSON true/false is a Python bool, which is an int
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise InputError(f"{where}.{key}: expected {kind.__name__}")
     return val
 
@@ -88,10 +89,10 @@ def _finite(val):
     return val if math.isfinite(val) else None
 
 
-def _positive(obj, key, default, where):
-    val = _finite(obj.get(key, default))
+def _positive(val, where):
+    val = _finite(val)
     if val is None or val <= 0.0:
-        raise InputError(f"{where}.{key}: expected a finite positive number")
+        raise InputError(f"{where}: expected a finite positive number")
     return val
 
 
@@ -250,9 +251,10 @@ def load_problem(path: str) -> Problem:
     tol = doc.get("tolerances", {})
     if not isinstance(tol, dict):
         raise InputError(f"{path}: tolerances must be an object")
-    prob.singular_tol = _positive(tol, "singular", SINGULAR_TOL, "tolerances")
-    prob.sep_floor = _positive(tol, "separation_floor", SEP_FLOOR,
-                               "tolerances")
+    prob.singular_tol = _positive(tol.get("singular", SINGULAR_TOL),
+                                  "tolerances.singular")
+    prob.sep_floor = _positive(tol.get("separation_floor", SEP_FLOOR),
+                               "tolerances.separation_floor")
 
     if "grid_density" in doc:
         prob.grid_density = _need(doc, "grid_density", int, path)
@@ -262,10 +264,10 @@ def load_problem(path: str) -> Problem:
         raise InputError(f"{path}: loop must be an object")
     radius = loop.get("radius", "auto")
     if radius != "auto":
-        if not isinstance(radius, (int, float)) or radius <= 0:
+        radius = _finite(radius)
+        if radius is None or radius <= 0.0:
             raise InputError(f"{path}: loop.radius must be 'auto' or a "
-                             "positive number")
-        radius = float(radius)
+                             "finite positive number")
     prob.loop_radius = radius
     prob.samples = _integer(loop, "samples", 64, "loop")
     prob.max_depth = _integer(loop, "max_depth", 12, "loop")
@@ -499,6 +501,8 @@ def render_svg(prob: Problem, grid: int = 20, width: int = 640) -> str:
     sys_ = prob.system
     if sys_ is None or sys_.kind is not FiberKind.PROJECTIVE:
         raise InputError("plot needs a projective system")
+    if grid < 1:
+        raise InputError(f"plot grid must be a positive integer, got {grid}")
     dom = sys_.domain
     spanx = dom.xmax - dom.xmin
     spany = dom.ymax - dom.ymin
@@ -513,16 +517,14 @@ def render_svg(prob: Problem, grid: int = 20, width: int = 640) -> str:
     half = 0.35 * cell
     lines = []
     for i in range(grid):
-        for j in range(grid):
-            x = dom.xmin + (i + 0.5) * spanx / grid
-            y = dom.ymin + (j + 0.5) * spany / grid
-            try:
-                roots = solve_fiber(sys_, (x, y),
-                                    singular_tol=prob.singular_tol,
-                                    sep_floor=prob.sep_floor)
-            except (FiberError, DomainError):
-                continue
-            for r in roots:
+        # one batched solve per column keeps the batch small
+        x = dom.xmin + (i + 0.5) * spanx / grid
+        ys = [dom.ymin + (j + 0.5) * spany / grid for j in range(grid)]
+        column = sys_.solve_many([(x, y) for y in ys],
+                                 singular_tol=prob.singular_tol,
+                                 sep_floor=prob.sep_floor)
+        for y, roots in zip(ys, column):
+            for r in roots or ():
                 dx = half * math.cos(r.phi)
                 dy = half * math.sin(r.phi)
                 x1, y1 = to_px(x - dx, y - dy)
@@ -596,7 +598,8 @@ def main(argv=None) -> int:
     try:
         prob = load_problem(args.problem)
         if args.tol_singular is not None:
-            prob.singular_tol = args.tol_singular
+            prob.singular_tol = _positive(args.tol_singular,
+                                          "--tol-singular")
         if args.samples is not None:
             prob.samples = args.samples
 

@@ -11,11 +11,13 @@ Three concrete fiber variants are supported:
 
 Away from the singular set the fiber over a base point is a fixed finite
 set of roots; ``solve_fiber`` returns it, ``find_singularities`` locates
-and certifies the points where it degenerates.  Extending to other fiber
-types means adding a subclass with a ``solve`` hook and the expression
-``components`` whose common zeros are the singular set; the residual, its
-grid scan and its exact Jacobian come from the base class, and nothing
-else in the package depends on the variant internals.
+and certifies the points where it degenerates, and
+``ProjectiveSystem.solve_many`` solves many base points in one batch (for
+plotting) with the same roots as one ``solve`` per point.  Extending to
+other fiber types means adding a subclass with a ``solve`` hook and the
+expression ``components`` whose common zeros are the singular set; the
+residual, its grid scan and its exact Jacobian come from the base class,
+and nothing else in the package depends on the variant internals.
 
 System values are immutable after construction and all operations are
 re-entrant (the cached compiled evaluators are memoized under the GIL),
@@ -342,6 +344,32 @@ class ProjectiveSystem(FiberSystem):
         avals = self.component_values(x, y)
         return _projective_roots(avals, singular_tol, sep_floor)
 
+    def solve_many(self, points, singular_tol=SINGULAR_TOL,
+                   sep_floor=SEP_FLOOR):
+        """``solve`` at each (x, y) of ``points``, batched: a list with the
+        root tuple of each point, or None where ``solve`` raises FiberError
+        or DomainError.  The roots equal ``solve``'s bit for bit: generic
+        points share the eigenvalue solves and the Newton polish of
+        ``_projective_roots_many``, and every other point is handed to
+        ``solve`` itself."""
+        nan_row = (math.nan,) * (self.form.degree + 1)
+        avals = []
+        for x, y in points:
+            try:
+                avals.append(self.component_values(x, y))
+            except DomainError:
+                avals.append(nan_row)
+        out = _projective_roots_many(
+            np.array(avals, dtype=float).reshape(-1, len(nan_row)),
+            singular_tol, sep_floor)
+        for k, (x, y) in enumerate(points):
+            if out[k] is None:
+                try:
+                    out[k] = self.solve(x, y, singular_tol, sep_floor)
+                except (FiberError, DomainError):
+                    pass
+        return out
+
 
 @dataclass(frozen=True)
 class CircleSystem(FiberSystem):
@@ -595,6 +623,120 @@ def _projective_roots(avals, singular_tol, sep_floor):
         raise IllConditioned(
             f"projective roots closer than the separation floor {sep_floor}")
     return roots
+
+
+# Batched projective root solving.  Each step repeats the floating-point
+# operations of the scalar code above in the same order, so the roots are
+# equal bit for bit: np.cos, np.sin and np.fmod agree with math here, and
+# np.float_power calls pow() as Python's ** does (np.power with a scalar
+# exponent may square instead).  math.atan2 stays scalar: np.arctan2 can
+# differ in the last bit.
+
+
+def _mod_array(a, period):
+    r = np.fmod(a, period)
+    return np.where(r < 0.0, r + period, r)
+
+
+def _poly_angle_values(A, phi):
+    """``_poly_angle_value`` for each row of coefficients A at the angle
+    of the same index in phi."""
+    n = A.shape[1] - 1
+    c, s = np.cos(phi), np.sin(phi)
+    cp = [np.float_power(c, np.full_like(c, k)) for k in range(n + 1)]
+    sp = [np.float_power(s, np.full_like(s, k)) for k in range(n + 1)]
+    g = np.zeros_like(phi)
+    dg = np.zeros_like(phi)
+    for i in range(n + 1):
+        a = A[:, i]
+        g = g + a * cp[n - i] * sp[i]
+        t1 = 0.0 if i == n else (n - i) * cp[n - i - 1] * sp[i + 1]
+        t2 = 0.0 if i == 0 else i * cp[n - i + 1] * sp[i - 1]
+        dg = dg + a * (t2 - t1)
+    return g, dg
+
+
+def _polish_angles(A, phi, iters=4):
+    """``_polish_angle`` for each row of A; each angle stops where the
+    scalar loop would stop."""
+    live = np.ones(phi.shape, dtype=bool)
+    for _ in range(iters):
+        g, dg = _poly_angle_values(A, phi)
+        live &= dg != 0.0
+        step = g / dg
+        phi = np.where(live, phi - step, phi)
+        live &= ~(np.abs(step) < 1e-15)
+        if not live.any():
+            break
+    return phi
+
+
+def _projective_roots_many(A, singular_tol, sep_floor):
+    """``_projective_roots`` for each row of coefficients A, as a list of
+    root tuples.  A row gets None where the scalar code leaves its generic
+    branch (a singular or non-finite row, complex roots, a root rejected
+    after polishing, a dedupe, a separation failure); the caller solves
+    those rows one at a time.
+
+    Rows are grouped by the number of leading chart coefficients dropped
+    as roots at infinity and of trailing zeros (roots at zero).  Each group
+    shares one eigvals call on the stacked companion matrices that np.roots
+    builds, so the chart roots are those of np.roots."""
+    k, n = A.shape[0], A.shape[1] - 1
+    with np.errstate(all="ignore"):
+        sq = A[:, 0] * A[:, 0]
+        for i in range(1, n + 1):      # the order of sum(), not np.sum
+            sq = sq + A[:, i] * A[:, i]
+        absA = np.abs(A)
+        scale = absA.max(axis=1)
+        use_a = absA[:, -1] >= absA[:, 0]
+        C = np.where(use_a[:, None], A[:, ::-1], A)   # descending, by chart
+        lead = np.cumprod(np.abs(C) <= 1e-13 * scale[:, None],
+                          axis=1).sum(axis=1)
+        trail = np.cumprod(C[:, ::-1] == 0.0, axis=1).sum(axis=1)
+        ok = (np.isfinite(A).all(axis=1) & (sq > singular_tol)
+              & (lead + trail <= n))
+
+        t = np.zeros((k, n))   # chart roots from column lead on
+        for l, z in set(zip(lead[ok].tolist(), trail[ok].tolist())):
+            m = n - l - z
+            if m == 0:
+                continue
+            rows = np.flatnonzero(ok & (lead == l) & (trail == z))
+            P = C[rows, l:n + 1 - z]
+            comp = np.zeros((len(rows), m, m))
+            comp[:, 0, :] = -P[:, 1:] / P[:, :1]
+            comp[:, 1:, :-1] = np.eye(m - 1)
+            try:
+                ev = np.linalg.eigvals(comp)
+            except np.linalg.LinAlgError:
+                ok[rows] = False
+                continue
+            cplx = np.abs(ev.imag) > 1e-6 * (1.0 + np.abs(ev.real))
+            ok[rows[cplx.any(axis=1)]] = False
+            t[rows, l:l + m] = ev.real
+
+        rows, cols = np.nonzero(ok[:, None] & (np.arange(n) >= lead[:, None]))
+        phi = np.array([math.atan2(v, 1.0) if a else math.atan2(1.0, v)
+                        for v, a in zip(t[rows, cols].tolist(),
+                                        use_a[rows].tolist())])
+        phi = _polish_angles(A[rows], phi)
+        g, _ = _poly_angle_values(A[rows], phi)
+        ok[rows[~(np.isfinite(phi) & (np.abs(g) <= 1e-8 * scale[rows]))]] = \
+            False
+
+        angles = np.repeat(np.where(use_a, math.pi / 2, 0.0)[:, None], n,
+                           axis=1)
+        angles[rows, cols] = phi
+        angles = np.sort(_mod_array(angles, math.pi), axis=1)
+        if n > 1:
+            i, j = np.triu_indices(n, 1)
+            d = np.abs(_mod_array(angles[:, i], math.pi)
+                       - _mod_array(angles[:, j], math.pi))
+            sep = np.minimum(d, math.pi - d).min(axis=1)
+            ok &= (sep > 1e-11) & (sep >= sep_floor)
+    return [tuple(map(RP1Angle, row)) if good else None
+            for row, good in zip(angles.tolist(), ok.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -304,15 +304,11 @@ def test_golden_half_turn_circle_report(tmp_path):
 @pytest.mark.parametrize("name, grid", [("lemon", 20),
                                         ("three_web_constant", 10),
                                         ("radial_circular", 12)])
-def test_golden_svg(tmp_path, name, grid):
+def test_golden_svg(name, grid):
     # three_web_constant has a root at infinity and a zero root at every
     # grid point; lemon and radial_circular have singular points
-    out = tmp_path / "web.svg"
-    assert main(["plot", str(PROBLEMS / f"{name}.json"), "-o", str(out),
-                 "--grid", str(grid)]) == 0
-    golden = (GOLDEN / f"{name}.grid{grid}.svg").read_bytes()
-    assert out.read_bytes() == golden
     prob = load_problem(str(PROBLEMS / f"{name}.json"))
+    golden = (GOLDEN / f"{name}.grid{grid}.svg").read_bytes()
     assert render_svg(prob, grid=grid).encode() == golden
 
 
@@ -431,6 +427,12 @@ def _lemon_coefficient(src):
     return doc
 
 
+def _half_turn_with_sheets(sheets):
+    doc = _read(PROBLEMS / "half_turn_circle.json")
+    doc["system"]["sheets"] = sheets
+    return doc
+
+
 def _ellipsoid_with_order(order):
     doc = _read(PROBLEMS / "ellipsoid_321.json")
     doc["quadrature"]["order"] = order
@@ -456,12 +458,17 @@ def _ellipsoid_with_order(order):
     ("analyze", _lemon_with(singular_points=[[0, "0"]])),
     ("analyze", _lemon_with(singular_points=[[0, 0, 0]])),
     ("analyze", _lemon_with(singular_points=0)),
+    ("analyze", _lemon_with(system={"type": "projective", "degree": True,
+                                    "coefficients": ["y", "-2*x"]})),
+    ("analyze", _half_turn_with_sheets(True)),
+    ("analyze", _lemon_with(loop__radius=True)),
 ], ids=["literal_1e999", "parens_200", "chain_3000", "singular_negative",
         "singular_string", "separation_floor_inf", "domain_minus_inf",
         "domain_nan", "samples_string", "samples_float", "max_depth_bool",
         "quadrature_order_string", "quadrature_order_zero",
         "declared_outside_domain", "declared_nan", "declared_string",
-        "declared_three_coordinates", "declared_not_a_list"])
+        "declared_three_coordinates", "declared_not_a_list",
+        "degree_bool", "sheets_bool", "loop_radius_bool"])
 def test_bad_input_exits_1(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -471,3 +478,33 @@ def test_bad_input_exits_1(tmp_path, capsys, command, doc):
     assert "monoweb: input error" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_plot_grid_must_be_positive(tmp_path, capsys, grid):
+    out = tmp_path / "web.svg"
+    assert main(["plot", str(PROBLEMS / "lemon.json"), "-o", str(out),
+                 "--grid", grid]) == 1
+    err = capsys.readouterr().err
+    assert "monoweb: input error" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+def test_tol_singular_override_must_be_finite_positive(tmp_path, capsys,
+                                                        tol):
+    out = tmp_path / "report.json"
+    assert main(["--tol-singular", tol, "analyze",
+                 str(PROBLEMS / "lemon.json"), "-o", str(out)]) == 1
+    assert "monoweb: input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tol_singular_override_applies(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["--tol-singular", "1e-12", "analyze",
+                 str(PROBLEMS / "lemon.json"), "-o", str(out)]) == 0
+    report = _read(out)
+    assert report["parameters"]["singular_tolerance"] == "1e-12"
+    assert report["singular_point_count"] == 1
