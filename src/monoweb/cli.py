@@ -431,7 +431,7 @@ def run_analyze(prob: Problem, seed: int = 0):
                                    singular_tol=prob.singular_tol,
                                    sep_floor=prob.sep_floor)
             except ValueError as e:
-                # loop parameters incompatible with the certified isolation
+                # loop parameters incompatible with the probed isolation
                 raise InputError(str(e)) from None
             points_json.append(_point_report_json(rep, sp))
     except NUMERICAL_ERRORS as e:
@@ -497,7 +497,8 @@ def run_verify_theorem(prob: Problem, seed: int = 0):
 def render_svg(prob: Problem, grid: int = 20, width: int = 640) -> str:
     """Direction-web plot: short segments along each fiber root direction
     at grid points, singular points marked.  Deterministic for fixed
-    inputs; solve failures leave gaps."""
+    inputs; solve failures leave gaps.  A numerical failure of the
+    singular-point search propagates, so ``plot`` exits 2."""
     sys_ = prob.system
     if sys_ is None or sys_.kind is not FiberKind.PROJECTIVE:
         raise InputError("plot needs a projective system")
@@ -533,12 +534,9 @@ def render_svg(prob: Problem, grid: int = 20, width: int = 640) -> str:
                     f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" '
                     f'y2="{y2:.3f}"/>')
     marks = []
-    try:
-        points = find_singularities(sys_, grid_density=prob.grid_density,
-                                    tol=prob.singular_tol,
-                                    sep_floor=prob.sep_floor)
-    except NUMERICAL_ERRORS:
-        points = []
+    points = find_singularities(sys_, grid_density=prob.grid_density,
+                                tol=prob.singular_tol,
+                                sep_floor=prob.sep_floor)
     for sp in points:
         cx, cy = to_px(sp.x, sp.y)
         marks.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="4" '

@@ -16,6 +16,7 @@ Under ``eval_grad``, non-smooth points of ``abs``/``sqrt`` raise
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,7 +86,7 @@ class NonDifferentiable(ExprError):
 class Expr:
     """Base node.  Instances are immutable and safe to share across threads."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)   # the intern table refers to nodes weakly
 
     def __str__(self) -> str:
         return to_source(self)
@@ -180,6 +181,28 @@ def _as_expr(v) -> Expr:
 
 # Folding constructors.  Used by diff() and by programmatic assembly so that
 # derivative trees stay compact; parse() builds nodes directly.
+#
+# The constructors of interior nodes intern them: building the same
+# operation on the same children again returns the node built before, so
+# an expression that diff() rebuilds many times is one shared object.  The
+# key is the node type plus each child's id(), or for a literal child the
+# repr() of its value, which is also the text the code generator emits
+# (so 0.0 and -0.0 stay apart).  Keying on the nodes themselves would call
+# the dataclass __hash__, which recurses through the whole subtree.  The
+# table holds nodes weakly, so it keeps no tree alive; while a node is in
+# it, the node keeps its children alive, so their ids are not reused.
+_NODES = weakref.WeakValueDictionary()
+
+
+def _binary(cls, a: Expr, b: Expr) -> Expr:
+    """The interned node ``cls(a, b)``, without folding."""
+    key = (cls, repr(a.value) if type(a) is Num else id(a),
+           repr(b.value) if type(b) is Num else id(b))
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = cls(a, b)
+    return node
+
 
 def num(v) -> Num:
     return Num(float(v))
@@ -196,7 +219,7 @@ def add(a: Expr, b: Expr) -> Expr:
         return a
     if isinstance(a, Num) and isinstance(b, Num):
         return Num(a.value + b.value)
-    return Add(a, b)
+    return _binary(Add, a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -206,7 +229,7 @@ def sub(a: Expr, b: Expr) -> Expr:
         return Num(a.value - b.value)
     if isinstance(a, Num) and a.value == 0.0:
         return neg(b)
-    return Sub(a, b)
+    return _binary(Sub, a, b)
 
 
 def neg(a: Expr) -> Expr:
@@ -214,7 +237,11 @@ def neg(a: Expr) -> Expr:
         return Num(-a.value)
     if isinstance(a, Neg):
         return a.a
-    return Neg(a)
+    key = (Neg, id(a))
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = Neg(a)
+    return node
 
 
 def mul(a: Expr, b: Expr) -> Expr:
@@ -234,7 +261,7 @@ def mul(a: Expr, b: Expr) -> Expr:
             return a
         if b.value == -1.0:
             return neg(a)
-    return Mul(a, b)
+    return _binary(Mul, a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
@@ -242,7 +269,7 @@ def div(a: Expr, b: Expr) -> Expr:
         return Num(0.0)
     if isinstance(b, Num) and b.value == 1.0:
         return a
-    return Div(a, b)
+    return _binary(Div, a, b)
 
 
 def call(fn: str, *args: Expr) -> Expr:
@@ -250,7 +277,12 @@ def call(fn: str, *args: Expr) -> Expr:
         raise ValueError(f"unknown function {fn!r}")
     if len(args) != FUNCTION_ARITY[fn]:
         raise ValueError(f"{fn} takes {FUNCTION_ARITY[fn]} argument(s)")
-    return Call(fn, tuple(args))
+    key = (Call, fn, *(repr(a.value) if type(a) is Num else id(a)
+                       for a in args))
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = Call(fn, args)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +810,8 @@ def diff(e: Expr, wrt: str, _memo=None) -> Expr:
         if isinstance(db, Num) and db.value == 0.0:
             d = div(da, e.b)
         else:
-            d = div(sub(mul(da, e.b), mul(e.a, db)), Pow(e.b, Num(2.0)))
+            d = div(sub(mul(da, e.b), mul(e.a, db)),
+                    _binary(Pow, e.b, Num(2.0)))
     elif isinstance(e, Pow):
         db = diff(e.base, wrt, _memo)
         de = diff(e.exponent, wrt, _memo)
@@ -786,13 +819,15 @@ def diff(e: Expr, wrt: str, _memo=None) -> Expr:
             # c * u^(c-1) * u'
             if isinstance(e.exponent, Num):
                 c = e.exponent.value
-                d = mul(mul(Num(c), Pow(e.base, Num(c - 1.0))), db)
+                d = mul(mul(Num(c), _binary(Pow, e.base, Num(c - 1.0))),
+                        db)
             else:
                 d = mul(mul(e.exponent,
-                            Pow(e.base, sub(e.exponent, Num(1.0)))), db)
+                            _binary(Pow, e.base, sub(e.exponent, Num(1.0)))),
+                        db)
         else:
             # u^v * (v' log u + v u'/u)
-            d = mul(e, add(mul(de, Call("log", (e.base,))),
+            d = mul(e, add(mul(de, call("log", e.base)),
                            mul(e.exponent, div(db, e.base))))
     elif isinstance(e, Call):
         d = _diff_call(e, wrt, _memo)
@@ -807,24 +842,24 @@ def _diff_call(e: Call, wrt: str, memo) -> Expr:
     if fn == "atan2":
         a, b = e.args  # atan2(a, b), d = (b a' - a b') / (a^2 + b^2)
         da, db = diff(a, wrt, memo), diff(b, wrt, memo)
-        denom = add(Pow(a, Num(2.0)), Pow(b, Num(2.0)))
+        denom = add(_binary(Pow, a, Num(2.0)), _binary(Pow, b, Num(2.0)))
         return div(sub(mul(b, da), mul(a, db)), denom)
     u = e.args[0]
     du = diff(u, wrt, memo)
     if isinstance(du, Num) and du.value == 0.0:
         return Num(0.0)
     if fn == "sqrt":
-        return div(du, mul(Num(2.0), Call("sqrt", (u,))))
+        return div(du, mul(Num(2.0), call("sqrt", u)))
     if fn == "sin":
-        return mul(Call("cos", (u,)), du)
+        return mul(call("cos", u), du)
     if fn == "cos":
-        return neg(mul(Call("sin", (u,)), du))
+        return neg(mul(call("sin", u), du))
     if fn == "exp":
-        return mul(Call("exp", (u,)), du)
+        return mul(call("exp", u), du)
     if fn == "log":
         return div(du, u)
     if fn == "abs":
-        return mul(Call("sign", (u,)), du)
+        return mul(call("sign", u), du)
     if fn == "sign":
         return Num(0.0)
     raise TypeError(f"unknown function {fn!r}")

@@ -11,7 +11,7 @@ Three concrete fiber variants are supported:
 
 Away from the singular set the fiber over a base point is a fixed finite
 set of roots; ``solve_fiber`` returns it, ``find_singularities`` locates
-and certifies the points where it degenerates, and
+the points where it degenerates and probes their isolation, and
 ``ProjectiveSystem.solve_many`` solves many base points in one batch (for
 plotting) with the same roots as one ``solve`` per point.  Extending to
 other fiber types means adding a subclass with a ``solve`` hook and the
@@ -342,6 +342,9 @@ class ProjectiveSystem(FiberSystem):
 
     def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
         avals = self.component_values(x, y)
+        if not all(map(math.isfinite, avals)):
+            raise DomainError(
+                f"coefficient evaluation is not finite at ({x}, {y})")
         return _projective_roots(avals, singular_tol, sep_floor)
 
     def solve_many(self, points, singular_tol=SINGULAR_TOL,
@@ -870,11 +873,11 @@ def _certify_isolation(sys, x, y, others, tol, sep_floor, probe_angles=64):
 def find_singularities(sys: FiberSystem, grid_density: int = 48,
                        tol: float = SINGULAR_TOL,
                        sep_floor: float = SEP_FLOOR):
-    """Locate and certify the isolated points of the singular set.
+    """Locate the isolated points of the singular set.
 
     Scans the domain grid for local minima of the squared residual,
     refines candidates by damped Gauss-Newton, merges duplicates (and
-    residual-flat plateaus around one zero), and certifies isolation by
+    residual-flat plateaus around one zero), and checks isolation by
     probing a surrounding circle.  Declared singular points of the system
     are verified and take precedence over refined candidates they merge
     with.

@@ -59,6 +59,10 @@ class SingularPointOnPatchBoundary(GeometryError):
     tracking loop."""
 
 
+# Points per side of the grid that seeds the nearest-point search.
+SEED_GRID = 8
+
+
 def _dot(a, b) -> Expr:
     return add(add(mul(a[0], b[0]), mul(a[1], b[1])), mul(a[2], b[2]))
 
@@ -130,8 +134,17 @@ class SurfacePatch:
         return compile_value(*self.coords, variables=self.variables)
 
     @cached_property
-    def _position_vec_fn(self):
-        return compile_value_vec(*self.coords, variables=self.variables)
+    def _seed_grid(self):
+        """Meshgrid U, V and the positions on it that seed
+        ``locate_on_patch``."""
+        U, V = self.domain.grid(SEED_GRID)
+        UU, VV = np.meshgrid(U, V, indexing="ij")
+        fn = compile_value_vec(*self.coords, variables=self.variables)
+        with np.errstate(all="ignore"):
+            px = np.stack([np.broadcast_to(np.asarray(t, dtype=float),
+                                           UU.shape)
+                           for t in fn(UU, VV)])
+        return UU, VV, px
 
     @cached_property
     def _chart_fn(self):
@@ -291,22 +304,18 @@ class WeightedPatch:
                                  variables=self.patch.variables)
 
 
-def locate_on_patch(patch: SurfacePatch, point3, seed_grid: int = 8,
-                    max_iter: int = 40):
+def locate_on_patch(patch: SurfacePatch, point3, max_iter: int = 40):
     """Nearest parameter point of ``patch`` to a 3D point.
 
     Clamped Gauss-Newton on |r(u,v) - p|^2 seeded from a coarse grid;
     returns (u, v, distance).  Iterates are clamped into the rectangle,
     so points whose true preimage lies outside it report the boundary
-    distance.
+    distance.  The iteration stops at a fixed point of the clamped step,
+    where every further iteration would repeat it.
     """
     p = np.asarray(point3, dtype=float)
     dom = patch.domain
-    U, V = dom.grid(seed_grid)
-    UU, VV = np.meshgrid(U, V, indexing="ij")
-    with np.errstate(all="ignore"):
-        px = np.stack([np.broadcast_to(np.asarray(t, dtype=float), UU.shape)
-                       for t in patch._position_vec_fn(UU, VV)])
+    UU, VV, px = patch._seed_grid
     d2 = ((px - p.reshape(3, 1, 1)) ** 2).sum(axis=0)
     i, j = np.unravel_index(np.nanargmin(d2), d2.shape)
     u, v = float(UU[i, j]), float(VV[i, j])
@@ -321,9 +330,11 @@ def locate_on_patch(patch: SurfacePatch, point3, seed_grid: int = 8,
             break
         if not np.all(np.isfinite(step)):
             break
+        prev = (u, v)
         u = min(max(u + step[0], dom.xmin), dom.xmax)
         v = min(max(v + step[1], dom.ymin), dom.ymax)
-        if np.hypot(*step) < 1e-14 * (1.0 + abs(u) + abs(v)):
+        if ((u, v) == prev
+                or np.hypot(*step) < 1e-14 * (1.0 + abs(u) + abs(v))):
             break
     dist = float(np.linalg.norm(patch.position(u, v) - p))
     return u, v, dist

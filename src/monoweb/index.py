@@ -141,7 +141,7 @@ def index_report(sys: FiberSystem, sp: SingularPoint,
 
     With no explicit loop, a counterclockwise circle of radius
     isolation_radius/2 is used.  An explicit loop must be centered at the
-    point with radius below the certified isolation radius.
+    point with radius below the probed isolation radius.
     """
     if loop is None:
         loop = LoopSpec(center=sp.position, radius=sp.isolation_radius / 2.0)

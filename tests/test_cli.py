@@ -508,3 +508,23 @@ def test_tol_singular_override_applies(tmp_path):
     report = _read(out)
     assert report["parameters"]["singular_tolerance"] == "1e-12"
     assert report["singular_point_count"] == 1
+
+
+@pytest.mark.parametrize("doc", [
+    # the coefficients vanish on the whole line x = 0
+    _lemon_with(system={"type": "projective", "degree": 2,
+                        "coefficients": ["x", "-x", "0"]}),
+    # a NaN coefficient everywhere: the plot's solves leave gaps, and the
+    # singular-point search finds no finite residual
+    _lemon_coefficient("x*1e300*1e300 - x*1e300*1e300 + y"),
+], ids=["singular_line", "nan_coefficient"])
+def test_plot_numerical_failure_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "-o", str(tmp_path / "r.json")]) == 2
+    capsys.readouterr()
+    assert main(["plot", str(path), "-o", str(tmp_path / "web.svg"),
+                 "--grid", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "monoweb: numerical failure" in err
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -339,3 +340,58 @@ def test_compiled_vectorized_bundle():
     prod, const = f(U, U)
     assert np.array_equal(prod, U * U)
     assert const == 2.0
+
+
+def test_constructors_intern_nodes():
+    x, y = ex.var("x"), ex.var("y")
+    assert ex.add(x, y) is ex.add(x, y)
+    assert ex.mul(ex.add(x, y), x) is ex.mul(ex.add(x, y), x)
+    assert ex.sub(x, y) is ex.sub(x, y)
+    assert ex.div(x, y) is ex.div(x, y)
+    assert ex.neg(x) is ex.neg(x)
+    assert ex.call("atan2", x, y) is ex.call("atan2", x, y)
+    # a literal child is keyed on its value, not on the Num object
+    assert ex.mul(ex.num(2), x) is ex.mul(ex.num(2.0), x)
+    assert ex.add(x, y) is not ex.add(y, x)
+    assert ex.add(x, y) is not ex.sub(x, y)
+    assert ex.add(x, y) is not ex.add(x, ex.var("y"))
+
+
+def test_signed_zero_children_stay_distinct():
+    x = ex.var("x")
+    pos = ex.call("atan2", ex.num(0.0), x)
+    neg = ex.call("atan2", ex.num(-0.0), x)
+    assert pos is not neg
+    assert compile_value(pos, neg)(-1.0, 0.0) == (math.pi, -math.pi)
+    assert ex.div(x, ex.num(0.0)) is not ex.div(x, ex.num(-0.0))
+
+
+def test_intern_table_keeps_no_dropped_tree_alive():
+    gc.collect()
+    before = len(ex._NODES)
+    x = ex.var("x")
+    tree = x
+    for k in range(50):
+        tree = ex.add(ex.mul(tree, ex.call("sin", x)), ex.num(k + 1))
+    d = diff(tree, "x")
+    assert len(ex._NODES) > before + 100
+    del tree, d
+    gc.collect()
+    assert len(ex._NODES) == before
+
+
+def _unshared(e):
+    """``e`` rebuilt without interning: every occurrence of an interior
+    subtree is a separate object."""
+    if isinstance(e, (ex.Num, ex.Var)):
+        return e
+    if isinstance(e, ex.Call):
+        return ex.Call(e.fn, tuple(_unshared(a) for a in e.args))
+    return type(e)(*(_unshared(getattr(e, f)) for f in e.__slots__))
+
+
+def test_straight_line_code_does_not_depend_on_sharing():
+    e = parse("sin(x*y)^2/(1 + x^2) + atan2(y, x)*sqrt(1 + y^2)")
+    exprs = [diff(e, "x"), diff(diff(e, "x"), "y"), diff(e, "y")]
+    assert ex._straight_line(exprs) == ex._straight_line(
+        [_unshared(d) for d in exprs])

@@ -271,3 +271,17 @@ def test_gauss_newton_evaluates_each_point_once(monkeypatch):
     assert res <= 1e-20 and math.hypot(x, y) < 1e-10
     assert len(points) >= 3
     assert len(points) == len(set(points))
+
+
+@pytest.mark.parametrize("coeffs", [
+    ["x*1e300*1e300 - x*1e300*1e300 + y", "-2*x", "-y"],
+    ["1e300*x*1e300", "1"],
+    ["-1e300*x*1e300", "1"],
+], ids=["nan", "inf", "minus_inf"])
+def test_non_finite_coefficients_rejected(coeffs):
+    sys = ProjectiveSystem(SQ, form=BinaryForm.from_strings(coeffs))
+    with pytest.raises(DomainError, match="not finite"):
+        sys.solve(2.0, 0.5)
+    # the batch leaves those points empty and solves the finite one
+    assert sys.solve_many([(2.0, 0.5), (1.0, 1.0), (0.0, 0.5)]) == [
+        None, None, sys.solve(0.0, 0.5)]

@@ -1,23 +1,29 @@
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from monoweb.expr import parse
+from monoweb import geometry
+from monoweb.cli import load_problem
+from monoweb.expr import call_compiled, compile_value_vec, parse
 from monoweb.fiber import NonIsolatedZero, Rect, find_singularities
 from monoweb.fiber import ProjectiveSystem
 from monoweb.geometry import (
     DegenerateImmersion, SurfacePatch, WeightedPatch, WeightsNotPartition,
     curvature_line_bde, fundamental_forms, gaussian_curvature_brioschi,
-    integrate_gauss_curvature, locate_on_patch, verify_index_theorem,
+    check_partition_of_unity, integrate_gauss_curvature, locate_on_patch,
+    verify_index_theorem,
 )
 from monoweb.index import index_report
 
 from surfaces import (cube_face_ellipsoid, constant_web_forms,
                       ellipsoid_umbilics, meridian_field_forms,
                       stereographic_sphere, torus_patch)
+
+PROBLEMS = pathlib.Path(__file__).parent.parent / "problems"
 
 
 def test_sphere_curvature_one():
@@ -163,6 +169,76 @@ def test_locate_on_patch_roundtrip():
     u, v, dist = locate_on_patch(sphere[1].patch, p3)
     assert dist < 1e-9
     assert np.allclose(sphere[1].patch.position(u, v), p3, atol=1e-9)
+
+
+def _locate_reference(patch, point3, seed_grid=8, max_iter=40):
+    """Reference for ``locate_on_patch``: the same clamped Gauss-Newton
+    search without the fixed-point stop and the cached seed grid, so it
+    runs until the step is tiny or ``max_iter`` is spent."""
+    p = np.asarray(point3, dtype=float)
+    dom = patch.domain
+    U, V = dom.grid(seed_grid)
+    UU, VV = np.meshgrid(U, V, indexing="ij")
+    fn = compile_value_vec(*patch.coords, variables=patch.variables)
+    with np.errstate(all="ignore"):
+        px = np.stack([np.broadcast_to(np.asarray(t, dtype=float), UU.shape)
+                       for t in fn(UU, VV)])
+    d2 = ((px - p.reshape(3, 1, 1)) ** 2).sum(axis=0)
+    i, j = np.unravel_index(np.nanargmin(d2), d2.shape)
+    u, v = float(UU[i, j]), float(VV[i, j])
+
+    for _ in range(max_iter):
+        r, su, sv = np.array(call_compiled(patch._chart_fn, u, v,
+                                           "patch evaluation")).reshape(3, 3)
+        J = np.column_stack([su, sv])
+        try:
+            step, *_ = np.linalg.lstsq(J, p - r, rcond=None)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        u = min(max(u + step[0], dom.xmin), dom.xmax)
+        v = min(max(v + step[1], dom.ymin), dom.ymax)
+        if np.hypot(*step) < 1e-14 * (1.0 + abs(u) + abs(v)):
+            break
+    dist = float(np.linalg.norm(patch.position(u, v) - p))
+    return u, v, dist
+
+
+def _partition_check_locates(monkeypatch):
+    """Every (patch, probe point, result) of ``locate_on_patch`` in the
+    partition-of-unity check of ellipsoid_321, and the lstsq call count."""
+    surface = load_problem(str(PROBLEMS / "ellipsoid_321.json")).surface
+    calls, solves = [], [0]
+    locate, lstsq = geometry.locate_on_patch, np.linalg.lstsq
+
+    def record(patch, point3):
+        out = locate(patch, point3)
+        calls.append((patch, np.array(point3), out))
+        return out
+
+    def count(*args, **kwargs):
+        solves[0] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "locate_on_patch", record)
+    monkeypatch.setattr(np.linalg, "lstsq", count)
+    check_partition_of_unity(surface)
+    return calls, solves[0]
+
+
+def test_locate_on_patch_matches_the_full_iteration(monkeypatch):
+    calls, _ = _partition_check_locates(monkeypatch)
+    assert len(calls) == 6 * 8 * 6
+    for patch, p3, got in calls:
+        assert [t.hex() for t in got] == [
+            t.hex() for t in _locate_reference(patch, p3)]
+
+
+def test_locate_on_patch_stops_at_the_clamped_fixed_point(monkeypatch):
+    # 9,833 lstsq calls when every off-patch search ran all 40 iterations
+    _, solves = _partition_check_locates(monkeypatch)
+    assert solves <= 3200
 
 
 def test_sphere_two_patch_integral():
