@@ -48,6 +48,10 @@ class InputError(Exception):
     """Problem-file or command-line input is unusable."""
 
 
+# every initial loop sample is solved up front, so the count is bounded
+MAX_SAMPLES = 65536
+
+
 # ---------------------------------------------------------------------------
 # Problem files
 
@@ -93,6 +97,15 @@ def _positive(val, where):
     val = _finite(val)
     if val is None or val <= 0.0:
         raise InputError(f"{where}: expected a finite positive number")
+    return val
+
+
+def _samples(val, where):
+    """A loop sample count: an integer from 32 to MAX_SAMPLES."""
+    if (isinstance(val, bool) or not isinstance(val, int)
+            or not 32 <= val <= MAX_SAMPLES):
+        raise InputError(f"{where}: expected an integer from 32 to "
+                         f"{MAX_SAMPLES}")
     return val
 
 
@@ -269,10 +282,8 @@ def load_problem(path: str) -> Problem:
             raise InputError(f"{path}: loop.radius must be 'auto' or a "
                              "finite positive number")
     prob.loop_radius = radius
-    prob.samples = _integer(loop, "samples", 64, "loop")
+    prob.samples = _samples(loop.get("samples", 64), "loop.samples")
     prob.max_depth = _integer(loop, "max_depth", 12, "loop")
-    if prob.samples < 32:
-        raise InputError(f"{path}: loop.samples must be >= 32")
     if prob.max_depth < 0:
         raise InputError(f"{path}: loop.max_depth must be >= 0")
     if prob.grid_density < 8:
@@ -599,7 +610,7 @@ def main(argv=None) -> int:
             prob.singular_tol = _positive(args.tol_singular,
                                           "--tol-singular")
         if args.samples is not None:
-            prob.samples = args.samples
+            prob.samples = _samples(args.samples, "--samples")
 
         if args.command == "analyze":
             report, code = run_analyze(prob, seed=args.seed)

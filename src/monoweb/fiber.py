@@ -10,14 +10,16 @@ Three concrete fiber variants are supported:
   w in C \\ {0} (fiber C*).
 
 Away from the singular set the fiber over a base point is a fixed finite
-set of roots; ``solve_fiber`` returns it, ``find_singularities`` locates
-the points where it degenerates and probes their isolation, and
-``ProjectiveSystem.solve_many`` solves many base points in one batch (for
-plotting) with the same roots as one ``solve`` per point.  Extending to
-other fiber types means adding a subclass with a ``solve`` hook and the
+set of roots; ``solve_fiber`` returns it, and ``find_singularities``
+locates the points where it degenerates and probes their isolation.
+``FiberSystem.solve_many`` solves many base points in one batch with the
+same roots as one ``solve`` per point; it serves loop tracking, the
+isolation probes and plotting, for every variant.  Extending to other
+fiber types means adding a subclass with a ``solve`` hook and the
 expression ``components`` whose common zeros are the singular set; the
-residual, its grid scan and its exact Jacobian come from the base class,
-and nothing else in the package depends on the variant internals.
+residual, its grid scan, its exact Jacobian and the batching come from the
+base class (a variant may add a stacked root kernel, ``_roots_many``), and
+nothing else in the package depends on the variant internals.
 
 System values are immutable after construction and all operations are
 re-entrant (the cached compiled evaluators are memoized under the GIL),
@@ -279,6 +281,50 @@ class FiberSystem:
     def component_values(self, x, y, what="coefficient evaluation"):
         return call_compiled(self._component_fn, x, y, what)
 
+    @property
+    def _solve_fn(self):
+        """The compiled function whose values ``solve`` reads; one row of
+        them per point is the input of ``_roots_many``."""
+        return self._component_fn
+
+    def _roots_many(self, A, singular_tol, sep_floor):
+        """The variant's stacked root kernel: for each row of ``_solve_fn``
+        values in A, the root tuple of ``solve`` bit for bit, or None where
+        the row leaves the generic branch (``solve_many`` then hands that
+        point to ``solve``).  Without a kernel every point goes to
+        ``solve``."""
+        return [None] * len(A)
+
+    def solve_many(self, points, singular_tol=SINGULAR_TOL,
+                   sep_floor=SEP_FLOOR):
+        """``solve`` at each (x, y) of ``points``, batched: a list with the
+        root tuple of each point, or None where ``solve`` raises FiberError
+        or DomainError.  The roots equal ``solve``'s bit for bit: the
+        points whose evaluation succeeds share one call of the variant's
+        ``_roots_many``, and every point it leaves as None is handed to
+        ``solve`` itself."""
+        out = [None] * len(points)
+        rows, where = [], []
+        for k, (x, y) in enumerate(points):
+            try:
+                rows.append(call_compiled(self._solve_fn, x, y,
+                                          "evaluation"))
+            except DomainError:
+                continue
+            where.append(k)
+        if rows:
+            batch = self._roots_many(np.array(rows, dtype=float),
+                                     singular_tol, sep_floor)
+            for k, roots in zip(where, batch):
+                out[k] = roots
+        for k, (x, y) in enumerate(points):
+            if out[k] is None:
+                try:
+                    out[k] = self.solve(x, y, singular_tol, sep_floor)
+                except (FiberError, DomainError):
+                    pass
+        return out
+
     def residual(self, x, y) -> float:
         """Sum of squared components: smooth, nonnegative and zero exactly
         on the singular set; used by the grid scan."""
@@ -347,31 +393,8 @@ class ProjectiveSystem(FiberSystem):
                 f"coefficient evaluation is not finite at ({x}, {y})")
         return _projective_roots(avals, singular_tol, sep_floor)
 
-    def solve_many(self, points, singular_tol=SINGULAR_TOL,
-                   sep_floor=SEP_FLOOR):
-        """``solve`` at each (x, y) of ``points``, batched: a list with the
-        root tuple of each point, or None where ``solve`` raises FiberError
-        or DomainError.  The roots equal ``solve``'s bit for bit: generic
-        points share the eigenvalue solves and the Newton polish of
-        ``_projective_roots_many``, and every other point is handed to
-        ``solve`` itself."""
-        nan_row = (math.nan,) * (self.form.degree + 1)
-        avals = []
-        for x, y in points:
-            try:
-                avals.append(self.component_values(x, y))
-            except DomainError:
-                avals.append(nan_row)
-        out = _projective_roots_many(
-            np.array(avals, dtype=float).reshape(-1, len(nan_row)),
-            singular_tol, sep_floor)
-        for k, (x, y) in enumerate(points):
-            if out[k] is None:
-                try:
-                    out[k] = self.solve(x, y, singular_tol, sep_floor)
-                except (FiberError, DomainError):
-                    pass
-        return out
+    def _roots_many(self, A, singular_tol, sep_floor):
+        return _projective_roots_many(A, singular_tol, sep_floor)
 
 
 @dataclass(frozen=True)
@@ -399,12 +422,18 @@ class CircleSystem(FiberSystem):
 
     def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
         vre, vim = self.component_values(x, y, "relation evaluation")
+        if not (math.isfinite(vre) and math.isfinite(vim)):
+            raise DomainError(
+                f"relation evaluation is not finite at ({x}, {y})")
         if vre * vre + vim * vim <= singular_tol:
             raise SingularFiber(f"defining data vanishes at ({x}, {y})")
         base = math.atan2(vim, vre)
         m = self.sheets
         return tuple(CircleAngle(_mod((base + _TWO_PI * k) / m, _TWO_PI))
                      for k in range(m))
+
+    def _roots_many(self, A, singular_tol, sep_floor):
+        return _circle_roots_many(A, self.sheets, singular_tol)
 
 
 @dataclass(frozen=True)
@@ -444,16 +473,19 @@ class PuncturedPlaneSystem(FiberSystem):
         return (*_cdiv(c[0], c[n]), *_cdiv(res, lead))
 
     @cached_property
-    def _value_fn(self):
+    def _solve_fn(self):
         return compile_value(*(e for pair in self.coeffs for e in pair),
                              variables=self.variables)
 
     def coeff_values(self, x, y):
-        vals = call_compiled(self._value_fn, x, y, "coefficient evaluation")
+        vals = call_compiled(self._solve_fn, x, y, "coefficient evaluation")
         return [complex(re, im) for re, im in zip(vals[::2], vals[1::2])]
 
     def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
         c = self.coeff_values(x, y)
+        if not all(map(cmath.isfinite, c)):
+            raise DomainError(
+                f"coefficient evaluation is not finite at ({x}, {y})")
         scale = max(abs(v) for v in c)
         if scale * scale <= singular_tol:
             raise SingularFiber(f"all coefficients vanish at ({x}, {y})")
@@ -467,18 +499,14 @@ class PuncturedPlaneSystem(FiberSystem):
                 "a root collapses to the puncture")
         poly = np.array(c[::-1], dtype=complex)
         roots = np.roots(poly)
-        roots = [_polish_complex(poly, w) for w in roots]
-        if any(abs(w) <= sep_floor for w in roots):
-            raise SingularFiber(
-                f"a root lies within the separation floor of the puncture "
-                f"at ({x}, {y})")
-        pts = tuple(ComplexPoint(w.real, w.imag)
-                    for w in sorted(roots, key=lambda w: (_mod(
-                        cmath.phase(w), _TWO_PI), abs(w))))
-        if min_root_separation(pts) < sep_floor:
-            raise IllConditioned(
-                f"fiber roots closer than {sep_floor} at ({x}, {y})")
-        return pts
+        try:
+            return _punctured_fiber(
+                [_polish_complex(poly, w) for w in roots], sep_floor)
+        except FiberError as e:
+            raise type(e)(f"{e} at ({x}, {y})") from None
+
+    def _roots_many(self, A, singular_tol, sep_floor):
+        return _punctured_roots_many(A, singular_tol, sep_floor)
 
 
 # Complex arithmetic on (re, im) expression pairs
@@ -522,6 +550,21 @@ def _determinant(rows):
             re, im = step(re, t_re), step(im, t_im)
         return re, im
     return minor(tuple(range(len(rows))))
+
+
+def _punctured_fiber(roots, sep_floor):
+    """The C* fiber of polished roots, ordered by (arg mod 2 pi, modulus);
+    raises when a root nears the puncture or two roots nearly meet (the
+    caller adds the base point to the message)."""
+    if any(abs(w) <= sep_floor for w in roots):
+        raise SingularFiber(
+            "a root lies within the separation floor of the puncture")
+    pts = tuple(ComplexPoint(w.real, w.imag)
+                for w in sorted(roots, key=lambda w: (_mod(
+                    cmath.phase(w), _TWO_PI), abs(w))))
+    if min_root_separation(pts) < sep_floor:
+        raise IllConditioned(f"fiber roots closer than {sep_floor}")
+    return pts
 
 
 def _polish_complex(poly, w, iters=3):
@@ -628,12 +671,12 @@ def _projective_roots(avals, singular_tol, sep_floor):
     return roots
 
 
-# Batched projective root solving.  Each step repeats the floating-point
-# operations of the scalar code above in the same order, so the roots are
-# equal bit for bit: np.cos, np.sin and np.fmod agree with math here, and
-# np.float_power calls pow() as Python's ** does (np.power with a scalar
-# exponent may square instead).  math.atan2 stays scalar: np.arctan2 can
-# differ in the last bit.
+# Batched root solving, one kernel per variant.  Each step repeats the
+# floating-point operations of the scalar code in the same order, so the
+# roots are equal bit for bit: np.cos, np.sin and np.fmod agree with math
+# here, and np.float_power calls pow() as Python's ** does (np.power with a
+# scalar exponent may square instead).  math.atan2 stays scalar:
+# np.arctan2 can differ in the last bit.
 
 
 def _mod_array(a, period):
@@ -742,6 +785,79 @@ def _projective_roots_many(A, singular_tol, sep_floor):
             for row, good in zip(angles.tolist(), ok.tolist())]
 
 
+def _circle_roots_many(V, m, singular_tol):
+    """``CircleSystem.solve`` for each row (Re v, Im v) of V: the m-th
+    roots of v/|v|, or None for a non-finite or singular row."""
+    with np.errstate(all="ignore"):
+        ok = (np.isfinite(V).all(axis=1)
+              & (V[:, 0] * V[:, 0] + V[:, 1] * V[:, 1] > singular_tol))
+        base = np.array([math.atan2(im, re) for re, im in V.tolist()])
+        psi = _mod_array((base[:, None] + _TWO_PI * np.arange(m)) / m,
+                         _TWO_PI)
+    return [tuple(map(CircleAngle, row)) if good else None
+            for row, good in zip(psi.tolist(), ok.tolist())]
+
+
+def _horner(P, W):
+    """``np.polyval`` of row i of P at each entry of row i of W."""
+    y = np.zeros_like(W)
+    for i in range(P.shape[1]):
+        y = y * W + P[:, i:i + 1]
+    return y
+
+
+def _punctured_roots_many(A, singular_tol, sep_floor):
+    """``PuncturedPlaneSystem.solve`` for each row of A, the (re, im)
+    pairs of c_0 .. c_n, as a list of root tuples, or None where the row
+    is not finite or ``solve`` would raise.
+
+    The rows that pass the coefficient checks share one eigvals call on
+    the stacked companion matrices that np.roots builds, and
+    ``_polish_complex`` runs on all their roots at once, each root
+    stopping where the scalar loop would.  Complex moduli are np.hypot,
+    which equals abs() of a complex scalar (np.abs of a complex array
+    can differ in the last bit).  The ordering and the separation checks
+    are those of ``solve``."""
+    n = A.shape[1] // 2 - 1
+    out = [None] * A.shape[0]
+    with np.errstate(all="ignore"):
+        mod = np.hypot(A[:, 0::2], A[:, 1::2])
+        scale = mod.max(axis=1)
+        ok = (np.isfinite(A).all(axis=1) & (scale * scale > singular_tol)
+              & (mod[:, -1] > 1e-13 * scale)
+              & (mod[:, 0] * mod[:, 0] > singular_tol * scale * scale))
+        rows = np.flatnonzero(ok)
+        if not len(rows):
+            return out
+        P = np.empty((len(rows), n + 1), dtype=complex)   # descending in w
+        P.real = A[rows, -2::-2]
+        P.imag = A[rows, -1::-2]
+        comp = np.zeros((len(rows), n, n), dtype=complex)
+        comp[:, 0, :] = -P[:, 1:] / P[:, :1]
+        comp[:, 1:, :-1] = np.eye(n - 1)
+        try:
+            W = np.linalg.eigvals(comp)
+        except np.linalg.LinAlgError:
+            return out
+        dP = P[:, :-1] * np.arange(n, 0, -1)
+        live = np.ones(W.shape, dtype=bool)
+        for _ in range(3):
+            y, dy = _horner(P, W), _horner(dP, W)
+            live &= dy != 0
+            step = y / dy
+            W = np.where(live, W - step, W)
+            live &= ~(np.hypot(step.real, step.imag)
+                      < 1e-15 * (1.0 + np.hypot(W.real, W.imag)))
+            if not live.any():
+                break
+    for r, roots in zip(rows.tolist(), W):
+        try:
+            out[r] = _punctured_fiber(list(roots), sep_floor)
+        except FiberError:
+            pass
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 
@@ -807,28 +923,19 @@ def _safe_residual(sys, x, y):
 
 
 def _grid_local_minima(R):
-    """Indices of grid cells that are <= all existing neighbours."""
+    """Indices of grid cells that are <= all existing neighbours, in
+    row-major order.  A non-finite cell is never a minimum; a NaN
+    neighbour never disqualifies one."""
     n0, n1 = R.shape
-    out = []
-    for i in range(n0):
-        for j in range(n1):
-            v = R[i, j]
-            if not math.isfinite(v):
-                continue
-            ok = True
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == 0 and dj == 0:
-                        continue
-                    a, b = i + di, j + dj
-                    if 0 <= a < n0 and 0 <= b < n1 and R[a, b] < v:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append((i, j))
-    return out
+    padded = np.full((n0 + 2, n1 + 2), math.inf)
+    padded[1:-1, 1:-1] = R
+    keep = np.isfinite(R)
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            if (di, dj) != (1, 1):
+                keep &= ~(padded[di:di + n0, dj:dj + n1] < R)
+    i, j = np.nonzero(keep)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def _segment_max_residual(sys, p, q, samples=17):
@@ -850,18 +957,13 @@ def _certify_isolation(sys, x, y, others, tol, sep_floor, probe_angles=64):
     if r0 <= 0.0:
         raise NonIsolatedZero(
             f"cannot probe isolation of ({x}, {y}): no room inside domain")
+    angles = [_TWO_PI * k / probe_angles for k in range(probe_angles)]
     r = r0
     for _ in range(10):
-        ok = True
-        for k in range(probe_angles):
-            th = _TWO_PI * k / probe_angles
-            try:
-                sys.solve(x + r * math.cos(th), y + r * math.sin(th),
-                          singular_tol=tol, sep_floor=sep_floor)
-            except (FiberError, DomainError):
-                ok = False
-                break
-        if ok:
+        ring = [(x + r * math.cos(th), y + r * math.sin(th))
+                for th in angles]
+        if all(roots is not None for roots in sys.solve_many(
+                ring, singular_tol=tol, sep_floor=sep_floor)):
             return r
         r *= 0.5
         if r < 1e-8:

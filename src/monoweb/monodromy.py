@@ -7,6 +7,11 @@ root moves less than half the local minimum root separation, which makes
 the nearest-neighbour matching the unique one realised by continuous
 continuation; otherwise the step is bisected (up to a depth cap).
 
+The initial samples are solved in one batch (``FiberSystem.solve_many``)
+before matching starts.  A sample whose batched solve fails is solved
+again when matching reaches it, so the error names its loop parameter;
+bisection midpoints are solved one at a time.
+
 One full traversal in the positive (counterclockwise) direction induces
 the permutation of the fiber that generates the local monodromy group;
 its cycles are the orbits.  ``orbit_lift`` concatenates the per-root
@@ -181,21 +186,30 @@ def _advance_lift(kind, lift, prev_root, new_root):
 
 
 class _Tracker:
-    """Adaptive continuation of a full ordered fiber along a base path."""
+    """Adaptive continuation of a full ordered fiber along a base path.
+
+    ``presolved`` maps a path parameter t to the roots of a batched solve
+    at t, or None where that solve failed."""
 
     def __init__(self, sys: FiberSystem, path_fn, singular_tol, sep_floor,
-                 max_depth):
+                 max_depth, presolved):
         self.sys = sys
         self.path_fn = path_fn
         self.singular_tol = singular_tol
         self.sep_floor = sep_floor
         self.max_depth = max_depth
+        self.presolved = presolved
         self.solves = 0
         self.depth_reached = 0
 
     def solve_at(self, t: float):
-        p = self.path_fn(t)
         self.solves += 1
+        roots = self.presolved.get(t)
+        if roots is not None:
+            return roots
+        # a bisection midpoint, or a sample whose batched solve failed:
+        # the scalar solve raises the error that names t
+        p = self.path_fn(t)
         try:
             return solve_fiber(self.sys, p, singular_tol=self.singular_tol,
                                sep_floor=self.sep_floor)
@@ -206,13 +220,13 @@ class _Tracker:
             raise SingularOnLoop(
                 f"fiber solve failed at t={t:.6g}, point {p}: {e}") from e
 
-    def match(self, prev, new):
-        """Match ordered prev roots to unordered new roots.
+    def match(self, prev, new, sep):
+        """Match ordered prev roots to unordered new roots, ``sep`` being
+        the smaller minimum root separation of the two.
 
         Returns the permuted new roots (aligned with prev) or None when
         the no-swap movement bound fails and the step must be bisected.
         """
-        sep = min(min_root_separation(prev), min_root_separation(new))
         bound = 0.5 * sep if math.isfinite(sep) else math.inf
         chosen = []
         used = set()
@@ -232,37 +246,45 @@ class _Tracker:
             chosen.append(new[k0])
         return tuple(chosen)
 
-    def advance(self, t0, roots0, t1, depth, out):
+    def advance(self, t0, roots0, sep0, t1, depth, out):
         """Continue the ordered fiber from t0 to t1, appending accepted
-        samples (t, roots) to out."""
+        samples (t, roots) to out.  ``sep0`` is the minimum root
+        separation at t0; returns the roots at t1 and theirs."""
         self.depth_reached = max(self.depth_reached,
                                  self.max_depth - depth)
         roots1 = self.solve_at(t1)
-        matched = self.match(roots0, roots1)
+        sep1 = min_root_separation(roots1)
+        matched = self.match(roots0, roots1, min(sep0, sep1))
         if matched is not None:
             out.append((t1, matched))
-            return matched
+            return matched, sep1
         if depth <= 0:
             raise StepCollapse(
                 f"step {t0:.6g} -> {t1:.6g} could not be refined further; "
                 "the path passes too close to a fiber degeneracy")
         tm = 0.5 * (t0 + t1)
-        mid = self.advance(t0, roots0, tm, depth - 1, out)
-        return self.advance(tm, mid, t1, depth - 1, out)
+        mid, sep_mid = self.advance(t0, roots0, sep0, tm, depth - 1, out)
+        return self.advance(tm, mid, sep_mid, t1, depth - 1, out)
 
 
 def _run_track(sys, path_fn, samples, max_depth, singular_tol, sep_floor):
     """Track the whole fiber along path_fn over [0, 1].
 
+    The samples t = j/samples are solved in one batch first; only
+    bisection midpoints are solved one at a time.
     Returns (sample_ts, per_sample_ordered_roots, tracker).
     """
-    tracker = _Tracker(sys, path_fn, singular_tol, sep_floor, max_depth)
+    ts = [j / samples for j in range(samples + 1)]
+    presolved = dict(zip(ts, sys.solve_many([path_fn(t) for t in ts],
+                                            singular_tol, sep_floor)))
+    tracker = _Tracker(sys, path_fn, singular_tol, sep_floor, max_depth,
+                       presolved)
     roots = tracker.solve_at(0.0)
     roots = tuple(sorted(roots, key=_sort_key))
     out = [(0.0, roots)]
-    cur = roots
-    for j in range(1, samples + 1):
-        cur = tracker.advance(out[-1][0], cur, j / samples, max_depth, out)
+    cur, sep = roots, min_root_separation(roots)
+    for t in ts[1:]:
+        cur, sep = tracker.advance(out[-1][0], cur, sep, t, max_depth, out)
     return out, tracker
 
 

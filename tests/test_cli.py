@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import monoweb
+from monoweb import cli
 from monoweb.cli import InputError, load_problem, main, render_svg
 
 PROBLEMS = pathlib.Path(__file__).parent.parent / "problems"
@@ -450,6 +451,9 @@ def _ellipsoid_with_order(order):
     ("analyze", _lemon_with(domain__y=[-1, float("nan")])),
     ("analyze", _lemon_with(loop__samples="many")),
     ("analyze", _lemon_with(loop__samples=64.0)),
+    ("analyze", _lemon_with(loop__samples=31)),
+    ("analyze", _lemon_with(loop__samples=65537)),
+    ("analyze", _lemon_with(loop__samples=10 ** 20)),
     ("analyze", _lemon_with(loop__max_depth=True)),
     ("verify-theorem", _ellipsoid_with_order("32")),
     ("verify-theorem", _ellipsoid_with_order(0)),
@@ -464,12 +468,14 @@ def _ellipsoid_with_order(order):
     ("analyze", _lemon_with(loop__radius=True)),
 ], ids=["literal_1e999", "parens_200", "chain_3000", "singular_negative",
         "singular_string", "separation_floor_inf", "domain_minus_inf",
-        "domain_nan", "samples_string", "samples_float", "max_depth_bool",
+        "domain_nan", "samples_string", "samples_float", "samples_31",
+        "samples_65537", "samples_1e20", "max_depth_bool",
         "quadrature_order_string", "quadrature_order_zero",
         "declared_outside_domain", "declared_nan", "declared_string",
         "declared_three_coordinates", "declared_not_a_list",
         "degree_bool", "sheets_bool", "loop_radius_bool"])
-def test_bad_input_exits_1(tmp_path, capsys, command, doc):
+def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, doc):
+    _refuse_to_run(monkeypatch)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "report.json"
@@ -478,6 +484,43 @@ def test_bad_input_exits_1(tmp_path, capsys, command, doc):
     assert "monoweb: input error" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _refuse_to_run(monkeypatch):
+    """Make any command that gets past input checking fail the test
+    at once, instead of running it (possibly for a very long time)."""
+    def ran(*args, **kwargs):
+        pytest.fail("the input was accepted and the command ran")
+    for name in ("run_analyze", "run_verify_theorem", "render_svg"):
+        monkeypatch.setattr(cli, name, ran)
+
+
+@pytest.mark.parametrize("samples", ["8", "31", "65537",
+                                     "100000000000000000000"])
+def test_samples_override_is_bounded(tmp_path, capsys, monkeypatch, samples):
+    _refuse_to_run(monkeypatch)
+    out = tmp_path / "report.json"
+    assert main(["--samples", samples, "analyze",
+                 str(PROBLEMS / "lemon.json"), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "monoweb: input error: --samples" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_samples_override_applies(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["--samples", "40", "analyze",
+                 str(PROBLEMS / "lemon.json"), "-o", str(out)]) == 0
+    [point] = _read(out)["singular_points"]
+    assert point["loop"]["initial_samples"] == 40
+
+
+def test_samples_bounds_are_inclusive(tmp_path):
+    for samples in (32, 65536):
+        path = tmp_path / f"lemon_{samples}.json"
+        path.write_text(json.dumps(_lemon_with(loop__samples=samples)))
+        assert load_problem(str(path)).samples == samples
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])

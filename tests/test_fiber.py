@@ -2,6 +2,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from monoweb.expr import DomainError, eval_grad, parse
@@ -9,7 +10,8 @@ from monoweb.fiber import (
     BinaryForm, CircleAngle, CircleSystem, ComplexPoint, ComplexRoots,
     IllConditioned, MixedVariants, NonIsolatedZero, ProjectiveSystem,
     PuncturedPlaneSystem, Rect, RP1Angle, SingularFiber, fiber_distance,
-    _gauss_newton, find_singularities, min_root_separation, solve_fiber,
+    _gauss_newton, _grid_local_minima, find_singularities,
+    min_root_separation, solve_fiber,
 )
 
 SQ = Rect(-2.0, 2.0, -2.0, 2.0)
@@ -273,15 +275,73 @@ def test_gauss_newton_evaluates_each_point_once(monkeypatch):
     assert len(points) == len(set(points))
 
 
-@pytest.mark.parametrize("coeffs", [
-    ["x*1e300*1e300 - x*1e300*1e300 + y", "-2*x", "-y"],
-    ["1e300*x*1e300", "1"],
-    ["-1e300*x*1e300", "1"],
-], ids=["nan", "inf", "minus_inf"])
-def test_non_finite_coefficients_rejected(coeffs):
-    sys = ProjectiveSystem(SQ, form=BinaryForm.from_strings(coeffs))
+NAN = "x*1e300*1e300 - x*1e300*1e300"    # NaN wherever x != 0
+INF = "1e300*x*1e300"
+
+
+def _punctured(c0):
+    # c0 + w^2 = 0; c0 = 1 where x = 0
+    zero = parse("0")
+    return PuncturedPlaneSystem(SQ, degree_w=2, coeffs=(
+        (parse(c0), zero), (zero, zero), (parse("1"), zero)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProjectiveSystem(SQ, form=BinaryForm.from_strings(
+        [f"{NAN} + y", "-2*x", "-y"])),
+    lambda: ProjectiveSystem(SQ, form=BinaryForm.from_strings([INF, "1"])),
+    lambda: ProjectiveSystem(SQ, form=BinaryForm.from_strings(
+        [f"-{INF}", "1"])),
+    lambda: CircleSystem(SQ, sheets=2, v_re=parse(f"{NAN} + x"),
+                         v_im=parse("y")),
+    lambda: CircleSystem(SQ, sheets=2, v_re=parse(INF), v_im=parse("y")),
+    lambda: _punctured(f"{NAN} + 1"),
+    lambda: _punctured(f"{INF} + 1"),
+], ids=["nan", "inf", "minus_inf", "circle_nan", "circle_inf",
+        "punctured_nan", "punctured_inf"])
+def test_non_finite_coefficients_rejected(make):
+    sys = make()
     with pytest.raises(DomainError, match="not finite"):
         sys.solve(2.0, 0.5)
     # the batch leaves those points empty and solves the finite one
     assert sys.solve_many([(2.0, 0.5), (1.0, 1.0), (0.0, 0.5)]) == [
         None, None, sys.solve(0.0, 0.5)]
+
+
+def _grid_local_minima_reference(R):
+    """The cell-by-cell scan that ``_grid_local_minima`` replaces."""
+    n0, n1 = R.shape
+    out = []
+    for i in range(n0):
+        for j in range(n1):
+            v = R[i, j]
+            if not math.isfinite(v):
+                continue
+            ok = True
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    if di == 0 and dj == 0:
+                        continue
+                    a, b = i + di, j + dj
+                    if 0 <= a < n0 and 0 <= b < n1 and R[a, b] < v:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                out.append((i, j))
+    return out
+
+
+def test_grid_local_minima_matches_the_cell_scan():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        shape = tuple(rng.integers(1, 12, size=2))
+        # few distinct values, so ties and plateaus are common
+        R = rng.integers(0, 4, size=shape).astype(float)
+        R[rng.random(shape) < 0.1] = math.inf
+        R[rng.random(shape) < 0.1] = math.nan
+        R[rng.random(shape) < 0.03] = -math.inf
+        got = _grid_local_minima(R)
+        assert got == _grid_local_minima_reference(R)
+        assert all(type(i) is int and type(j) is int for i, j in got)

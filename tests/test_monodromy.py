@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from monoweb import monodromy
+from monoweb.fiber import BinaryForm, ProjectiveSystem, Rect
 from monoweb.monodromy import (
     LoopSpec, SingularOnLoop, StepCollapse,
     orbit_lift, track_loop, transport_fiber,
@@ -58,6 +60,28 @@ def test_bisection_engages_near_root_collision():
     assert res.depth_reached > 0
     assert res.samples_solved > 65
     assert res.is_identity()
+
+
+def _collision_system():
+    # the system of test_bisection_engages_near_root_collision
+    return ProjectiveSystem(Rect(-3, 3, -3, 3), form=BinaryForm.from_strings(
+        ["-((x-1)^2 + y^2 + 0.0001)", "0", "1"]))
+
+
+@pytest.mark.parametrize("make", [lemon_system, cusp_cover_system,
+                                  _collision_system])
+def test_each_sample_separation_is_computed_once(monkeypatch, make):
+    # matching reuses an accepted sample's separation at the next step,
+    # bisected steps included
+    calls = []
+
+    def counted(roots):
+        calls.append(roots)
+        return separation(roots)
+    separation = monodromy.min_root_separation
+    monkeypatch.setattr(monodromy, "min_root_separation", counted)
+    res = track_loop(make(), UNIT_LOOP)
+    assert len(calls) == res.samples_solved
 
 
 def test_orbit_lift_cusp_cover():
