@@ -282,8 +282,8 @@ def load_problem(path: str) -> Problem:
             raise InputError(f"{path}: loop.radius must be 'auto' or a "
                              "finite positive number")
     prob.loop_radius = radius
-    prob.samples = _samples(loop.get("samples", 64), "loop.samples")
-    prob.max_depth = _integer(loop, "max_depth", 12, "loop")
+    prob.samples = _samples(loop.get("samples", prob.samples), "loop.samples")
+    prob.max_depth = _integer(loop, "max_depth", prob.max_depth, "loop")
     if prob.max_depth < 0:
         raise InputError(f"{path}: loop.max_depth must be >= 0")
     if prob.grid_density < 8:
@@ -317,7 +317,8 @@ def load_problem(path: str) -> Problem:
         quad = doc.get("quadrature", {})
         if not isinstance(quad, dict):
             raise InputError(f"{path}: quadrature must be an object")
-        prob.quadrature_order = _integer(quad, "order", 48, "quadrature")
+        prob.quadrature_order = _integer(quad, "order", prob.quadrature_order,
+                                         "quadrature")
         if prob.quadrature_order < 4:
             raise InputError(f"{path}: quadrature.order must be >= 4")
         prob.surface, prob.bde_source = _parse_surface(

@@ -14,12 +14,16 @@ set of roots; ``solve_fiber`` returns it, and ``find_singularities``
 locates the points where it degenerates and probes their isolation.
 ``FiberSystem.solve_many`` solves many base points in one batch with the
 same roots as one ``solve`` per point; it serves loop tracking, the
-isolation probes and plotting, for every variant.  Extending to other
-fiber types means adding a subclass with a ``solve`` hook and the
-expression ``components`` whose common zeros are the singular set; the
-residual, its grid scan, its exact Jacobian and the batching come from the
-base class (a variant may add a stacked root kernel, ``_roots_many``), and
-nothing else in the package depends on the variant internals.
+isolation probes and plotting, for every variant.
+
+A variant supplies four things: the expression ``components`` whose
+common zeros are the singular set; ``solve``, which returns the fiber in
+its canonical order; optionally a stacked root kernel, ``_roots_many``,
+with the same roots in the same order; and a root class with
+``distance`` (the fiber metric) and ``angle`` (the coordinate a lift
+unwraps, modulo ``FiberKind.period``).  The residual, its grid scan, its
+exact Jacobian and the batching come from the base class, and nothing
+else in the package depends on the variant internals.
 
 System values are immutable after construction and all operations are
 re-entrant (the cached compiled evaluators are memoized under the GIL),
@@ -130,7 +134,8 @@ class Rect:
 
 
 # ---------------------------------------------------------------------------
-# Fiber roots
+# Fiber roots, with their metric and lift angle.  A solved fiber is in
+# canonical order: by phi, by psi, or by (arg mod 2 pi, modulus) on C*.
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,11 +143,25 @@ class RP1Angle:
     """A tangent line, as an angle canonical in [0, pi)."""
     phi: float
 
+    @property
+    def angle(self) -> float:
+        return self.phi
+
+    def distance(self, other) -> float:
+        return _angle_distance(self.phi, other.phi, math.pi)
+
 
 @dataclass(frozen=True, slots=True)
 class CircleAngle:
     """A unit vector, as an angle canonical in [0, 2*pi)."""
     psi: float
+
+    @property
+    def angle(self) -> float:
+        return self.psi
+
+    def distance(self, other) -> float:
+        return _angle_distance(self.psi, other.psi, _TWO_PI)
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,6 +178,11 @@ class ComplexPoint:
     def arg(self) -> float:
         return math.atan2(self.im, self.re)
 
+    angle = arg
+
+    def distance(self, other) -> float:
+        return math.hypot(self.re - other.re, self.im - other.im)
+
 
 def _mod(a: float, period: float) -> float:
     r = math.fmod(a, period)
@@ -167,26 +191,17 @@ def _mod(a: float, period: float) -> float:
     return r
 
 
-def rp1_distance(a: float, b: float) -> float:
-    d = abs(_mod(a, math.pi) - _mod(b, math.pi))
-    return min(d, math.pi - d)
-
-
-def circle_distance(a: float, b: float) -> float:
-    d = abs(_mod(a, _TWO_PI) - _mod(b, _TWO_PI))
-    return min(d, _TWO_PI - d)
+def _angle_distance(a: float, b: float, period: float) -> float:
+    d = abs(_mod(a, period) - _mod(b, period))
+    return min(d, period - d)
 
 
 def fiber_distance(a, b) -> float:
     """Distance between two fiber roots of the same variant."""
-    if isinstance(a, RP1Angle) and isinstance(b, RP1Angle):
-        return rp1_distance(a.phi, b.phi)
-    if isinstance(a, CircleAngle) and isinstance(b, CircleAngle):
-        return circle_distance(a.psi, b.psi)
-    if isinstance(a, ComplexPoint) and isinstance(b, ComplexPoint):
-        return math.hypot(a.re - b.re, a.im - b.im)
-    raise MixedVariants(f"cannot compare {type(a).__name__} "
-                        f"with {type(b).__name__}")
+    if type(a) is not type(b):
+        raise MixedVariants(f"cannot compare {type(a).__name__} "
+                            f"with {type(b).__name__}")
+    return a.distance(b)
 
 
 def min_root_separation(roots) -> float:
@@ -429,8 +444,8 @@ class CircleSystem(FiberSystem):
             raise SingularFiber(f"defining data vanishes at ({x}, {y})")
         base = math.atan2(vim, vre)
         m = self.sheets
-        return tuple(CircleAngle(_mod((base + _TWO_PI * k) / m, _TWO_PI))
-                     for k in range(m))
+        return tuple(map(CircleAngle, sorted(
+            _mod((base + _TWO_PI * k) / m, _TWO_PI) for k in range(m))))
 
     def _roots_many(self, A, singular_tol, sep_floor):
         return _circle_roots_many(A, self.sheets, singular_tol)
@@ -651,10 +666,11 @@ def _projective_roots(avals, singular_tol, sep_floor):
     # one real root); genuine roots this close fail the separation floor
     dedup = []
     for phi in canon:
-        if dedup and rp1_distance(dedup[-1], phi) <= 1e-11:
+        if dedup and _angle_distance(dedup[-1], phi, math.pi) <= 1e-11:
             continue
         dedup.append(phi)
-    if dedup and len(dedup) > 1 and rp1_distance(dedup[0], dedup[-1]) <= 1e-11:
+    if (len(dedup) > 1
+            and _angle_distance(dedup[0], dedup[-1], math.pi) <= 1e-11):
         dedup.pop()
 
     if len(dedup) < n:
@@ -787,13 +803,14 @@ def _projective_roots_many(A, singular_tol, sep_floor):
 
 def _circle_roots_many(V, m, singular_tol):
     """``CircleSystem.solve`` for each row (Re v, Im v) of V: the m-th
-    roots of v/|v|, or None for a non-finite or singular row."""
+    roots of v/|v| in increasing angle, or None for a non-finite or
+    singular row."""
     with np.errstate(all="ignore"):
         ok = (np.isfinite(V).all(axis=1)
               & (V[:, 0] * V[:, 0] + V[:, 1] * V[:, 1] > singular_tol))
         base = np.array([math.atan2(im, re) for re, im in V.tolist()])
-        psi = _mod_array((base[:, None] + _TWO_PI * np.arange(m)) / m,
-                         _TWO_PI)
+        psi = np.sort(_mod_array((base[:, None] + _TWO_PI * np.arange(m))
+                                 / m, _TWO_PI), axis=1)
     return [tuple(map(CircleAngle, row)) if good else None
             for row, good in zip(psi.tolist(), ok.tolist())]
 

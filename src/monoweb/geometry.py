@@ -153,10 +153,6 @@ class SurfacePatch:
                              variables=self.variables)
 
     @cached_property
-    def _frame_fn(self):
-        return compile_value(*self._frame_exprs, variables=self.variables)
-
-    @cached_property
     def _frame_vec_fn(self):
         return compile_value_vec(*self._frame_exprs, variables=self.variables)
 
@@ -177,11 +173,6 @@ class SurfacePatch:
     def position(self, u: float, v: float):
         return np.array(call_compiled(self._position_fn, u, v,
                                   "patch evaluation"))
-
-    def frame(self, u: float, v: float):
-        """First and second derivative vectors at a point."""
-        vals = call_compiled(self._frame_fn, u, v, "patch derivatives")
-        return tuple(np.array(vals[k:k + 3]) for k in range(0, 15, 3))
 
     def _frame_grids(self, U, V):
         """Fundamental-form ingredients on a meshgrid (vectorized)."""
@@ -222,19 +213,15 @@ class FundamentalForms:
 
 def fundamental_forms(patch: SurfacePatch, u: float, v: float
                       ) -> FundamentalForms:
-    """First and second fundamental forms and Gaussian curvature."""
-    su, sv, suu, suv, svv = patch.frame(u, v)
-    E = float(su @ su)
-    F = float(su @ sv)
-    G = float(sv @ sv)
-    n = np.cross(su, sv)
-    W2 = float(n @ n)
+    """First and second fundamental forms and Gaussian curvature, from the
+    grid code of the curvature quadrature on a 1 x 1 grid."""
+    g = {k: float(a[0, 0]) for k, a in
+         patch._frame_grids(np.array([u]), np.array([v])).items()}
+    E, F, G, W2 = g["E"], g["F"], g["G"], g["W2"]
     if W2 <= 0.0 or not math.isfinite(W2):
         raise DegenerateImmersion(f"EG - F^2 = {W2} at ({u}, {v})")
     W = math.sqrt(W2)
-    L = float(n @ suu) / W
-    M = float(n @ suv) / W
-    N = float(n @ svv) / W
+    L, M, N = g["Lt"] / W, g["Mt"] / W, g["Nt"] / W
     K = (L * N - M * M) / W2
     return FundamentalForms(E, F, G, L, M, N, K, W)
 

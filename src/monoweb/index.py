@@ -88,7 +88,6 @@ class PointIndexReport:
 @dataclass(frozen=True)
 class LineFieldNormalizations:
     classical_line_index: Fraction
-    s1tm_index: Fraction
     fukui_index: Fraction
 
 
@@ -166,8 +165,9 @@ def alternative_normalizations(report: OrbitIndexReport, degree: int
                                ) -> LineFieldNormalizations:
     """Derived normalizations of an RP^1 orbit index for a degree-n form.
 
-    The unit-tangent (S^1TM) reading halves the projective index; the
-    binary-n-form normalization divides the doubled-cover winding by 2n.
+    The classical line index counts the winding in half turns, m/(2k),
+    which is also the unit-tangent (S^1TM) reading; the binary-n-form
+    normalization divides the doubled-cover winding by 2n.
     All zero when the winding class is zero.
     """
     if report.kind is not FiberKind.PROJECTIVE:
@@ -176,5 +176,4 @@ def alternative_normalizations(report: OrbitIndexReport, degree: int
     m, k = report.winding, report.size
     return LineFieldNormalizations(
         classical_line_index=Fraction(m, 2 * k),
-        s1tm_index=Fraction(m, 2 * k),
         fukui_index=Fraction(m, 2 * degree))

@@ -2,10 +2,16 @@
 
 A loop around an isolated singular point is sampled, the fiber is solved
 at every sample, and roots are matched between consecutive samples by
-nearest neighbour in the fiber metric.  A step is accepted only when every
-root moves less than half the local minimum root separation, which makes
-the nearest-neighbour matching the unique one realised by continuous
-continuation; otherwise the step is bisected (up to a depth cap).
+nearest neighbour (``_match``).  A step is accepted only when every root
+moves less than half the local minimum root separation, which makes the
+nearest-neighbour matching the unique one realised by continuous
+continuation; otherwise the step is bisected (up to a depth cap).  The
+same matcher closes the loop and labels the end of ``transport_fiber``.
+
+Nothing here depends on the fiber variant.  The roots carry it: each
+root's ``distance`` is the fiber metric, its ``angle`` is the coordinate
+the lift unwraps (modulo ``FiberKind.period``), and ``solve`` returns the
+fiber in canonical order, which gives the labels.
 
 The initial samples are solved in one batch (``FiberSystem.solve_many``)
 before matching starts.  A sample whose batched solve fails is solved
@@ -27,10 +33,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fiber import (CircleAngle, ComplexPoint, FiberError, FiberKind,
-                    FiberSystem, RP1Angle, SEP_FLOOR, SINGULAR_TOL,
-                    SingularFiber, fiber_distance, min_root_separation,
-                    solve_fiber)
+from .fiber import (FiberError, FiberKind, FiberSystem, SEP_FLOOR,
+                    SINGULAR_TOL, SingularFiber, fiber_distance,
+                    min_root_separation, solve_fiber)
 
 __all__ = [
     "LoopSpec", "TrackedPath", "MonodromyResult",
@@ -157,7 +162,7 @@ class MonodromyResult:
 
 
 # ---------------------------------------------------------------------------
-# Lift bookkeeping per fiber variant
+# Core tracking engine
 
 
 def _wrap(d: float, period: float) -> float:
@@ -168,21 +173,27 @@ def _wrap(d: float, period: float) -> float:
     return w - period / 2.0
 
 
-def _root_coord(root):
-    if isinstance(root, RP1Angle):
-        return root.phi
-    if isinstance(root, CircleAngle):
-        return root.psi
-    return root.arg
+def _match(prev, new, bound):
+    """For each root of ``prev``, the index of its nearest root in ``new``.
 
-
-def _advance_lift(kind, lift, prev_root, new_root):
-    d = _root_coord(new_root) - _root_coord(prev_root)
-    return lift + _wrap(d, kind.period)
-
-
-# ---------------------------------------------------------------------------
-# Core tracking engine
+    None when a nearest distance reaches ``bound`` or two roots of prev
+    share a nearest root; AmbiguousMatching when the two nearest distances
+    of a root are within 1e-9.  The roots are checked in order, so the
+    first failure decides."""
+    out = []
+    for r in prev:
+        (d0, k0), *rest = sorted([(r.distance(s), k)
+                                  for k, s in enumerate(new)])
+        if d0 >= bound:
+            return None
+        if rest and rest[0][0] - d0 < 1e-9:
+            raise AmbiguousMatching(
+                f"two matches within 1e-9 while continuing a root "
+                f"(distances {d0:.3e} and {rest[0][0]:.3e})")
+        if k0 in out:
+            return None
+        out.append(k0)
+    return out
 
 
 class _Tracker:
@@ -220,32 +231,6 @@ class _Tracker:
             raise SingularOnLoop(
                 f"fiber solve failed at t={t:.6g}, point {p}: {e}") from e
 
-    def match(self, prev, new, sep):
-        """Match ordered prev roots to unordered new roots, ``sep`` being
-        the smaller minimum root separation of the two.
-
-        Returns the permuted new roots (aligned with prev) or None when
-        the no-swap movement bound fails and the step must be bisected.
-        """
-        bound = 0.5 * sep if math.isfinite(sep) else math.inf
-        chosen = []
-        used = set()
-        for r in prev:
-            dists = [(fiber_distance(r, s), k) for k, s in enumerate(new)]
-            dists.sort()
-            d0, k0 = dists[0]
-            if d0 >= bound:
-                return None
-            if len(dists) > 1 and dists[1][0] - d0 < 1e-9:
-                raise AmbiguousMatching(
-                    f"two matches within 1e-9 while continuing a root "
-                    f"(distances {d0:.3e} and {dists[1][0]:.3e})")
-            if k0 in used:
-                return None
-            used.add(k0)
-            chosen.append(new[k0])
-        return tuple(chosen)
-
     def advance(self, t0, roots0, sep0, t1, depth, out):
         """Continue the ordered fiber from t0 to t1, appending accepted
         samples (t, roots) to out.  ``sep0`` is the minimum root
@@ -254,8 +239,9 @@ class _Tracker:
                                  self.max_depth - depth)
         roots1 = self.solve_at(t1)
         sep1 = min_root_separation(roots1)
-        matched = self.match(roots0, roots1, min(sep0, sep1))
-        if matched is not None:
+        order = _match(roots0, roots1, 0.5 * min(sep0, sep1))
+        if order is not None:
+            matched = tuple(roots1[k] for k in order)
             out.append((t1, matched))
             return matched, sep1
         if depth <= 0:
@@ -271,8 +257,9 @@ def _run_track(sys, path_fn, samples, max_depth, singular_tol, sep_floor):
     """Track the whole fiber along path_fn over [0, 1].
 
     The samples t = j/samples are solved in one batch first; only
-    bisection midpoints are solved one at a time.
-    Returns (sample_ts, per_sample_ordered_roots, tracker).
+    bisection midpoints are solved one at a time.  Returns the accepted
+    (t, roots) samples, the roots ordered as the canonical fiber at t = 0,
+    and the tracker.
     """
     ts = [j / samples for j in range(samples + 1)]
     presolved = dict(zip(ts, sys.solve_many([path_fn(t) for t in ts],
@@ -280,22 +267,11 @@ def _run_track(sys, path_fn, samples, max_depth, singular_tol, sep_floor):
     tracker = _Tracker(sys, path_fn, singular_tol, sep_floor, max_depth,
                        presolved)
     roots = tracker.solve_at(0.0)
-    roots = tuple(sorted(roots, key=_sort_key))
     out = [(0.0, roots)]
     cur, sep = roots, min_root_separation(roots)
     for t in ts[1:]:
         cur, sep = tracker.advance(out[-1][0], cur, sep, t, max_depth, out)
     return out, tracker
-
-
-def _sort_key(root):
-    if isinstance(root, RP1Angle):
-        return (root.phi,)
-    if isinstance(root, CircleAngle):
-        return (root.psi,)
-    if isinstance(root, ComplexPoint):
-        return (root.arg % _TWO_PI, root.modulus)
-    raise TypeError(f"not a fiber root: {root!r}")
 
 
 def _build_paths(kind, samples):
@@ -305,9 +281,9 @@ def _build_paths(kind, samples):
     paths = []
     for i in range(n):
         roots = tuple(s[1][i] for s in samples)
-        lift = [_root_coord(roots[0])]
+        lift = [roots[0].angle]
         for a, b in zip(roots, roots[1:]):
-            lift.append(_advance_lift(kind, lift[-1], a, b))
+            lift.append(lift[-1] + _wrap(b.angle - a.angle, kind.period))
         logmod = None
         if kind is FiberKind.PUNCTURED_PLANE:
             logmod = tuple(math.log(r.modulus) for r in roots)
@@ -329,23 +305,11 @@ def track_loop(sys: FiberSystem, loop: LoopSpec,
     paths = _build_paths(sys.kind, samples)
 
     # match the final fiber back onto the initial one
-    final = samples[-1][1]
-    sigma = []
-    used = set()
-    for i in range(len(roots0)):
-        dists = sorted((fiber_distance(final[i], r0), j)
-                       for j, r0 in enumerate(roots0))
-        d0, j0 = dists[0]
-        if len(dists) > 1 and dists[1][0] - d0 < 1e-9:
-            raise AmbiguousMatching(
-                "closing the loop: two initial roots at indistinguishable "
-                f"distance from a tracked endpoint ({d0:.3e})")
-        if j0 in used:
-            raise AmbiguousMatching(
-                "closing the loop: two tracked endpoints map to the same "
-                "initial root")
-        used.add(j0)
-        sigma.append(j0)
+    sigma = _match(samples[-1][1], roots0, math.inf)
+    if sigma is None:
+        raise AmbiguousMatching(
+            "closing the loop: two tracked endpoints map to the same "
+            "initial root")
 
     orbits = _cycles(sigma)
     return MonodromyResult(
@@ -428,13 +392,9 @@ def transport_fiber(sys: FiberSystem, src, dst, samples: int = 32,
         return (src[0] + t * (dst[0] - src[0]),
                 src[1] + t * (dst[1] - src[1]))
 
-    samples_list, _ = _run_track(sys, seg, max(samples, 32), max_depth,
-                                 singular_tol, sep_floor)
-    end = samples_list[-1][1]
-    canonical = tuple(sorted(end, key=_sort_key))
-    mapping = []
-    for r in end:
-        dists = sorted((fiber_distance(r, c), j)
-                       for j, c in enumerate(canonical))
-        mapping.append(dists[0][1])
-    return tuple(mapping)
+    samples_list, tracker = _run_track(sys, seg, max(samples, 32), max_depth,
+                                       singular_tol, sep_floor)
+    # the tracked end fiber is the t = 1 solve, whose order is canonical,
+    # reordered along the paths; a finished track solved every sample
+    return tuple(_match(samples_list[-1][1], tracker.presolved[1.0],
+                        math.inf))

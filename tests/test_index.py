@@ -124,7 +124,6 @@ def test_alternative_normalizations_lemon():
     rep = index_report(lemon_system(), ORIGIN, UNIT_LOOP)
     norms = alternative_normalizations(rep.orbit_reports[0], degree=2)
     assert norms.classical_line_index == Fraction(1, 2)
-    assert norms.s1tm_index == Fraction(1, 2)
     assert norms.fukui_index == Fraction(1, 4)
 
 

@@ -3,9 +3,10 @@ import math
 import pytest
 
 from monoweb import monodromy
-from monoweb.fiber import BinaryForm, ProjectiveSystem, Rect
+from monoweb.fiber import (BinaryForm, ComplexPoint, ProjectiveSystem, Rect,
+                           RP1Angle)
 from monoweb.monodromy import (
-    LoopSpec, SingularOnLoop, StepCollapse,
+    AmbiguousMatching, LoopSpec, SingularOnLoop, StepCollapse, _match,
     orbit_lift, track_loop, transport_fiber,
 )
 
@@ -119,6 +120,41 @@ def test_orientation_reversal_inverts_permutation():
         t = track_loop(sys, loop_neg).sigma
         assert _compose(s, t) == tuple(range(len(s)))
         assert _compose(t, s) == tuple(range(len(s)))
+
+
+@pytest.mark.parametrize("make", [lemon_system, half_turn_circle_system,
+                                  cusp_cover_system])
+def test_transport_fiber_is_a_permutation(make):
+    sys = make()
+    there = transport_fiber(sys, (1.0, 0.5), (-0.5, -1.0))
+    back = transport_fiber(sys, (-0.5, -1.0), (1.0, 0.5))
+    assert sorted(there) == list(range(sys.sheet_count))
+    assert _compose(back, there) == tuple(range(sys.sheet_count))
+
+
+def test_match_follows_nearest_roots():
+    prev = [RP1Angle(0.1), RP1Angle(1.6)]
+    assert _match(prev, [RP1Angle(1.62), RP1Angle(0.11)], 0.5) == [1, 0]
+
+
+def test_match_near_tie_raises():
+    # distances 1 and 1 + 1e-12 from the one previous root
+    prev = [ComplexPoint(1.0, 0.0)]
+    new = [ComplexPoint(1.0, 1.0), ComplexPoint(1.0, -1.0 - 1e-12)]
+    with pytest.raises(AmbiguousMatching, match="within 1e-9"):
+        _match(prev, new, math.inf)
+
+
+def test_match_shared_nearest_root_is_none():
+    prev = [RP1Angle(0.1), RP1Angle(0.2)]
+    assert _match(prev, [RP1Angle(0.15), RP1Angle(1.5)], math.inf) is None
+
+
+def test_match_nearest_distance_at_bound_is_none():
+    prev = [RP1Angle(0.0)]
+    new = [RP1Angle(0.25), RP1Angle(1.5)]
+    assert _match(prev, new, 0.25) is None
+    assert _match(prev, new, math.nextafter(0.25, 1.0)) == [0]
 
 
 def test_radius_independence_after_transport():

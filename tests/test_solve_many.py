@@ -208,6 +208,17 @@ def test_circle_solve_many_matches_solve(m, v_re, v_im):
     _assert_matches_solve(sys, GRID)
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_circle_fiber_is_in_canonical_order(m):
+    # increasing psi at every point, from solve and from solve_many; the
+    # roots (arg v + 2 pi k)/m wrap past 2 pi where arg v < 0
+    sys = CircleSystem(SQ, sheets=m, v_re=parse("x"), v_im=parse("y - 0.1"))
+    for (x, y), batched in zip(GRID, sys.solve_many(GRID)):
+        for roots in (batched, sys.solve(x, y)):
+            psi = [r.psi for r in roots]
+            assert len(psi) == m and psi == sorted(psi)
+
+
 # --- the punctured plane ----------------------------------------------------
 
 def _punctured_const(row):
