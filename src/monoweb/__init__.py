@@ -14,7 +14,7 @@ The usual entry points:
 
 __version__ = "0.1.0"
 
-from .expr import Expr, eval_expr, eval_grad, parse  # noqa: F401
+from .expr import Expr, eval_expr, parse  # noqa: F401
 from .fiber import (BinaryForm, CircleSystem, FiberKind,  # noqa: F401
                     ProjectiveSystem, PuncturedPlaneSystem, Rect,
                     SingularPoint, find_singularities, min_root_separation,

@@ -6,11 +6,10 @@ default, ``u``/``v`` for surface patches), numeric literals, the operators
 ``sqrt, sin, cos, exp, log, atan2, abs`` plus the internal helper ``sign``
 (emitted by differentiation of ``abs``).  ``pi`` is a predefined constant.
 
-Derivatives come in two forms: :func:`diff` returns the derivative as a
-new expression (compiled for every Jacobian), and :func:`eval_grad` runs
-forward-mode accumulation, exact up to rounding, as an independent check.
-Under ``eval_grad``, non-smooth points of ``abs``/``sqrt`` raise
-:class:`NonDifferentiable` within ``SMOOTH_TOL`` of the kink.
+Expressions are evaluated only through compiled straight-line code
+(:func:`compile_value`, :func:`compile_value_vec`; :func:`eval_expr` is a
+checked one-off call of it).  Derivatives come only from :func:`diff`,
+which returns the derivative as a new expression, and its compilation.
 """
 
 from __future__ import annotations
@@ -22,15 +21,12 @@ from fractions import Fraction
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
-    "ExprError", "ParseError", "DomainError", "NonDifferentiable",
-    "parse", "to_source", "eval_expr", "eval_grad", "diff",
+    "ExprError", "ParseError", "DomainError",
+    "parse", "to_source", "eval_expr", "diff",
     "compile_value", "compile_value_vec", "call_compiled",
     "add", "sub", "mul", "div", "neg", "call", "num", "var",
-    "SMOOTH_TOL", "MAX_DEPTH",
+    "MAX_DEPTH",
 ]
-
-# |argument| at or below this counts as the singular locus of abs/sqrt.
-SMOOTH_TOL = 1e-12
 
 # Deepest expression the parser accepts; see ``_Parser``.
 MAX_DEPTH = 100
@@ -66,17 +62,6 @@ class DomainError(ExprError):
         if subexpr is not None:
             message = f"{message} in `{to_source(subexpr)}`"
         super().__init__(message)
-
-
-class NonDifferentiable(ExprError):
-    """Derivative requested at a non-smooth point of abs/sqrt."""
-
-    def __init__(self, subexpr: "Expr", at):
-        self.subexpr = subexpr
-        self.at = at
-        super().__init__(
-            f"`{to_source(subexpr)}` is not differentiable at {at} "
-            f"(argument within {SMOOTH_TOL} of the singular locus)")
 
 
 # ---------------------------------------------------------------------------
@@ -521,260 +506,6 @@ def to_source(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-
-
-def _sign(t: float) -> float:
-    if t > 0.0:
-        return 1.0
-    if t < 0.0:
-        return -1.0
-    return 0.0
-
-
-def eval_expr(e: Expr, x: float, y: float, variables=("x", "y")) -> float:
-    """Evaluate at (x, y); raises DomainError outside the real domain."""
-    env = {variables[0]: float(x), variables[1]: float(y)}
-    v = _eval(e, env)
-    if not math.isfinite(v):
-        raise DomainError("evaluation is not finite", e)
-    return v
-
-
-def _eval(e: Expr, env) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise DomainError(f"unbound variable {e.name!r}", e) from None
-    if isinstance(e, Neg):
-        return -_eval(e.a, env)
-    if isinstance(e, Add):
-        return _eval(e.a, env) + _eval(e.b, env)
-    if isinstance(e, Sub):
-        return _eval(e.a, env) - _eval(e.b, env)
-    if isinstance(e, Mul):
-        return _eval(e.a, env) * _eval(e.b, env)
-    if isinstance(e, Div):
-        denom = _eval(e.b, env)
-        if denom == 0.0:
-            raise DomainError("division by zero", e)
-        return _eval(e.a, env) / denom
-    if isinstance(e, Pow):
-        return _pow_value(e, _eval(e.base, env), _eval(e.exponent, env))
-    if isinstance(e, Call):
-        args = [_eval(a, env) for a in e.args]
-        return _call_value(e, args)
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def _pow_value(node: Pow, base: float, expo: float) -> float:
-    if expo == round(expo):
-        n = int(round(expo))
-        if base == 0.0 and n < 0:
-            raise DomainError("zero base with negative exponent", node)
-        try:
-            return float(base ** n)
-        except OverflowError:
-            raise DomainError("overflow", node) from None
-    if base <= 0.0:
-        raise DomainError("non-integer power of a nonpositive base", node)
-    try:
-        return math.exp(expo * math.log(base))
-    except OverflowError:
-        raise DomainError("overflow", node) from None
-
-
-def _call_value(node: Call, args) -> float:
-    fn = node.fn
-    try:
-        if fn == "sqrt":
-            if args[0] < 0.0:
-                raise DomainError("sqrt of a negative value", node)
-            return math.sqrt(args[0])
-        if fn == "sin":
-            return math.sin(args[0])
-        if fn == "cos":
-            return math.cos(args[0])
-        if fn == "exp":
-            return math.exp(args[0])
-        if fn == "log":
-            if args[0] <= 0.0:
-                raise DomainError("log of a nonpositive value", node)
-            return math.log(args[0])
-        if fn == "abs":
-            return abs(args[0])
-        if fn == "sign":
-            return _sign(args[0])
-        if fn == "atan2":
-            return math.atan2(args[0], args[1])
-    except OverflowError:
-        raise DomainError("overflow", node) from None
-    raise TypeError(f"unknown function {fn!r}")
-
-
-def eval_grad(e: Expr, x: float, y: float, variables=("x", "y")):
-    """Evaluate value and both partial derivatives at (x, y).
-
-    Forward-mode accumulation; exact up to floating-point rounding.
-    Raises NonDifferentiable when a derivative is requested within
-    SMOOTH_TOL of a kink of abs/sqrt, DomainError outside the domain.
-    """
-    env = {variables[0]: (float(x), 1.0, 0.0),
-           variables[1]: (float(y), 0.0, 1.0)}
-    v, dx, dy = _fwd(e, env)
-    if not (math.isfinite(v) and math.isfinite(dx) and math.isfinite(dy)):
-        raise DomainError("evaluation is not finite", e)
-    return (v, dx, dy)
-
-
-def _fwd(e: Expr, env):
-    if isinstance(e, Num):
-        return (e.value, 0.0, 0.0)
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise DomainError(f"unbound variable {e.name!r}", e) from None
-    if isinstance(e, Neg):
-        v, dx, dy = _fwd(e.a, env)
-        return (-v, -dx, -dy)
-    if isinstance(e, Add):
-        va, dxa, dya = _fwd(e.a, env)
-        vb, dxb, dyb = _fwd(e.b, env)
-        return (va + vb, dxa + dxb, dya + dyb)
-    if isinstance(e, Sub):
-        va, dxa, dya = _fwd(e.a, env)
-        vb, dxb, dyb = _fwd(e.b, env)
-        return (va - vb, dxa - dxb, dya - dyb)
-    if isinstance(e, Mul):
-        va, dxa, dya = _fwd(e.a, env)
-        vb, dxb, dyb = _fwd(e.b, env)
-        return (va * vb, dxa * vb + va * dxb, dya * vb + va * dyb)
-    if isinstance(e, Div):
-        va, dxa, dya = _fwd(e.a, env)
-        vb, dxb, dyb = _fwd(e.b, env)
-        if vb == 0.0:
-            raise DomainError("division by zero", e)
-        v = va / vb
-        return (v, (dxa - v * dxb) / vb, (dya - v * dyb) / vb)
-    if isinstance(e, Pow):
-        return _fwd_pow(e, env)
-    if isinstance(e, Call):
-        return _fwd_call(e, env)
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def _fwd_pow(e: Pow, env):
-    vb, dxb, dyb = _fwd(e.base, env)
-    ve, dxe, dye = _fwd(e.exponent, env)
-    if dxe == 0.0 and dye == 0.0:
-        # constant exponent
-        if ve == round(ve):
-            n = int(round(ve))
-            if n == 0:
-                return (1.0, 0.0, 0.0)
-            if vb == 0.0 and n < 0:
-                raise DomainError("zero base with negative exponent", e)
-            try:
-                v = float(vb ** n)
-                dfac = n * float(vb ** (n - 1)) if vb != 0.0 else (
-                    float(n) if n == 1 else 0.0)
-            except OverflowError:
-                raise DomainError("overflow", e) from None
-            return (v, dfac * dxb, dfac * dyb)
-        if vb <= SMOOTH_TOL:
-            if abs(vb) <= SMOOTH_TOL and _has_var(e.base):
-                raise NonDifferentiable(e, _point_of(env))
-            raise DomainError("non-integer power of a nonpositive base", e)
-        v = math.exp(ve * math.log(vb))
-        dfac = ve * v / vb
-        return (v, dfac * dxb, dfac * dyb)
-    if vb <= 0.0:
-        raise DomainError("non-integer power of a nonpositive base", e)
-    lv = math.log(vb)
-    v = math.exp(ve * lv)
-    return (v,
-            v * (dxe * lv + ve * dxb / vb),
-            v * (dye * lv + ve * dyb / vb))
-
-
-def _point_of(env):
-    vals = [t[0] for t in env.values()]
-    return tuple(vals)
-
-
-def _has_var(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Num):
-        return False
-    if isinstance(e, Neg):
-        return _has_var(e.a)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return _has_var(e.a) or _has_var(e.b)
-    if isinstance(e, Pow):
-        return _has_var(e.base) or _has_var(e.exponent)
-    if isinstance(e, Call):
-        return any(_has_var(a) for a in e.args)
-    return False
-
-
-def _fwd_call(e: Call, env):
-    fn = e.fn
-    if fn == "atan2":
-        vy, dxy, dyy = _fwd(e.args[0], env)
-        vx, dxx, dyx = _fwd(e.args[1], env)
-        r2 = vx * vx + vy * vy
-        if r2 == 0.0:
-            raise DomainError("atan2 derivative at the origin", e)
-        v = math.atan2(vy, vx)
-        return (v,
-                (vx * dxy - vy * dxx) / r2,
-                (vx * dyy - vy * dyx) / r2)
-    va, dxa, dya = _fwd(e.args[0], env)
-    live = _has_var(e.args[0])
-    try:
-        if fn == "sqrt":
-            if va < -SMOOTH_TOL:
-                raise DomainError("sqrt of a negative value", e)
-            if va <= SMOOTH_TOL:
-                if live:
-                    raise NonDifferentiable(e, _point_of(env))
-                if va < 0.0:
-                    raise DomainError("sqrt of a negative value", e)
-                return (math.sqrt(va), 0.0, 0.0)
-            v = math.sqrt(va)
-            dfac = 0.5 / v
-            return (v, dfac * dxa, dfac * dya)
-        if fn == "sin":
-            c = math.cos(va)
-            return (math.sin(va), c * dxa, c * dya)
-        if fn == "cos":
-            s = -math.sin(va)
-            return (math.cos(va), s * dxa, s * dya)
-        if fn == "exp":
-            v = math.exp(va)
-            return (v, v * dxa, v * dya)
-        if fn == "log":
-            if va <= 0.0:
-                raise DomainError("log of a nonpositive value", e)
-            return (math.log(va), dxa / va, dya / va)
-        if fn == "abs":
-            if abs(va) <= SMOOTH_TOL and live:
-                raise NonDifferentiable(e, _point_of(env))
-            s = _sign(va)
-            return (abs(va), s * dxa, s * dya)
-        if fn == "sign":
-            return (_sign(va), 0.0, 0.0)
-    except OverflowError:
-        raise DomainError("overflow", e) from None
-    raise TypeError(f"unknown function {fn!r}")
-
-
-# ---------------------------------------------------------------------------
 # Differentiation (AST level)
 
 
@@ -880,13 +611,13 @@ def _rhs(e: Expr, ops) -> str:
     if isinstance(e, Pow):
         expo = e.exponent
         if not (isinstance(expo, Num) and expo.value == round(expo.value)):
-            return f"_pow({ops[0]}, {ops[1]})"   # non-integer exponent
+            return f"_pow({ops[0]}, {ops[1]})"   # not an integer literal
     return _FORMAT[type(e)].format(*ops)
 
 
 def _straight_line(exprs):
-    """Assignment lines computing ``exprs``, and the name or literal that
-    holds each result.
+    """Assignment lines computing ``exprs``, the name or literal that holds
+    each result, and the node each line computes.
 
     Every operation gets a temporary keyed by its right-hand side, so a
     subexpression that occurs again (shared or rebuilt) is computed once.
@@ -894,7 +625,8 @@ def _straight_line(exprs):
     operand first, so each value and the first failing operation are
     those of evaluating the expressions one after another.
     """
-    lines, temps, text = [], {}, {}   # text: id(node) -> name or literal
+    lines, nodes = [], []
+    temps, text = {}, {}   # text: id(node) -> name or literal
     for root in exprs:
         todo = [(root, False)]
         while todo:
@@ -919,12 +651,26 @@ def _straight_line(exprs):
             if rhs not in temps:
                 temps[rhs] = f"_t{len(temps)}"
                 lines.append(f"    {temps[rhs]} = {rhs}")
+                nodes.append(e)
             text[id(e)] = temps[rhs]
-    return lines, [text[id(e)] for e in exprs]
+    return lines, [text[id(e)] for e in exprs], nodes
 
 
+def _sign(t: float) -> float:
+    if t > 0.0:
+        return 1.0
+    if t < 0.0:
+        return -1.0
+    return 0.0
+
+
+# A power whose exponent is not an integer literal goes through ``_pow``:
+# an integer-valued exponent follows repeated-multiplication rules, as
+# ``**`` does for the literals, and any other needs a positive base.
 def _scalar_namespace():
     def _pow(b, c):
+        if c == round(c):
+            return b ** c
         if b <= 0.0:
             raise DomainError("non-integer power of a nonpositive base")
         return math.exp(c * math.log(b))
@@ -940,7 +686,10 @@ def _vector_namespace():
     import numpy as np
 
     def _pow(b, c):
-        return np.exp(c * np.log(b))
+        # each branch sees harmless operands where the other one is taken
+        whole = c == np.round(c)
+        return np.where(whole, b ** np.where(whole, c, 0.0),
+                        np.exp(c * np.log(np.where(whole, 1.0, b))))[()]
 
     return {
         "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos,
@@ -950,12 +699,14 @@ def _vector_namespace():
 
 
 def _compile(exprs, variables, namespace):
-    lines, results = _straight_line(exprs)
+    """The compiled function, and the node computed on each line of its
+    body; body line i is line i + 2 of the ``<expr>`` source."""
+    lines, results, nodes = _straight_line(exprs)
     src = "\n".join([f"def _f({variables[0]}, {variables[1]}):", *lines,
                      f"    return {', '.join(results)}"])
     ns = dict(namespace)
     exec(compile(src, "<expr>", "exec"), ns)
-    return ns["_f"]
+    return ns["_f"], nodes
 
 
 def compile_value(*exprs: Expr, variables=("x", "y")):
@@ -967,14 +718,14 @@ def compile_value(*exprs: Expr, variables=("x", "y")):
     once.  Exceptions from math functions (ValueError, ZeroDivisionError,
     OverflowError) propagate raw; ``call_compiled`` converts them.
     """
-    return _compile(exprs, variables, _scalar_namespace())
+    return _compile(exprs, variables, _scalar_namespace())[0]
 
 
 def compile_value_vec(*exprs: Expr, variables=("x", "y")):
     """Compile to a numpy-vectorized callable f(X, Y), returning what
     ``compile_value`` returns with arrays for floats.  A result that does
     not depend on the variables stays a scalar."""
-    return _compile(exprs, variables, _vector_namespace())
+    return _compile(exprs, variables, _vector_namespace())[0]
 
 
 def call_compiled(fn, x, y, what: str):
@@ -984,3 +735,27 @@ def call_compiled(fn, x, y, what: str):
         return fn(x, y)
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise DomainError(f"{what} failed at ({x}, {y}): {e}") from None
+
+
+def eval_expr(e: Expr, x: float, y: float, variables=("x", "y")) -> float:
+    """Evaluate at (x, y) through the compiled code.
+
+    A math error or an unbound variable raises DomainError naming the
+    operation that failed first; a non-finite value names ``e``.
+    """
+    f, nodes = _compile([e], variables, _scalar_namespace())
+    x, y = float(x), float(y)
+    try:
+        v = f(x, y)
+    except (ArithmeticError, ValueError, DomainError, NameError) as err:
+        tb = err.__traceback__
+        while tb.tb_frame.f_code.co_filename != "<expr>":
+            tb = tb.tb_next
+        line = tb.tb_lineno - 2
+        message = (f"unbound variable {err.name!r}"
+                   if isinstance(err, NameError) else str(err))
+        raise DomainError(message, nodes[line] if line < len(nodes)
+                          else e) from None
+    if not math.isfinite(v):
+        raise DomainError("evaluation is not finite", e)
+    return v

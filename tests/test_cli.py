@@ -33,6 +33,27 @@ def test_analyze_lemon(tmp_path):
         [{"num": 1, "den": 2}, {"num": 1, "den": 2}]
 
 
+def test_analyze_lemon_times_negative_integer_power(tmp_path):
+    # (x-3)^(-2) > 0 on the domain scales every coefficient without
+    # changing the line field; its base is negative everywhere there
+    doc = _read(PROBLEMS / "lemon.json")
+    doc["system"]["coefficients"] = [
+        f"({c})*(x-3)^(-2)" for c in doc["system"]["coefficients"]]
+    prob = tmp_path / "scaled.json"
+    prob.write_text(json.dumps(doc))
+    reports = []
+    for path, name in [(PROBLEMS / "lemon.json", "lemon"), (prob, "scaled")]:
+        out = tmp_path / f"{name}.report.json"
+        assert main(["analyze", str(path), "-o", str(out)]) == 0
+        reports.append(_read(out))
+    for report in reports:
+        assert report["singular_point_count"] == 1
+        point = report["singular_points"][0]
+        assert [round(float(t), 9) for t in point["position"]] == [0.0, 0.0]
+    assert reports[1]["singular_points"][0]["total_index"] == \
+        reports[0]["singular_points"][0]["total_index"]
+
+
 def test_analyze_cusp_cover(tmp_path):
     out = tmp_path / "report.json"
     code = main(["analyze", str(PROBLEMS / "cusp_cover.json"),
