@@ -666,13 +666,14 @@ def _sign(t: float) -> float:
 
 # A power whose exponent is not an integer literal goes through ``_pow``:
 # an integer-valued exponent follows repeated-multiplication rules, as
-# ``**`` does for the literals, and any other needs a positive base.
+# ``**`` does for the literals, and any other needs a positive base (else
+# a ValueError, as math raises, which ``call_compiled`` converts).
 def _scalar_namespace():
     def _pow(b, c):
         if c == round(c):
             return b ** c
         if b <= 0.0:
-            raise DomainError("non-integer power of a nonpositive base")
+            raise ValueError("non-integer power of a nonpositive base")
         return math.exp(c * math.log(b))
 
     return {
@@ -747,7 +748,7 @@ def eval_expr(e: Expr, x: float, y: float, variables=("x", "y")) -> float:
     x, y = float(x), float(y)
     try:
         v = f(x, y)
-    except (ArithmeticError, ValueError, DomainError, NameError) as err:
+    except (ArithmeticError, ValueError, NameError) as err:
         tb = err.__traceback__
         while tb.tb_frame.f_code.co_filename != "<expr>":
             tb = tb.tb_next

@@ -12,18 +12,19 @@ Three concrete fiber variants are supported:
 Away from the singular set the fiber over a base point is a fixed finite
 set of roots; ``solve_fiber`` returns it, and ``find_singularities``
 locates the points where it degenerates and probes their isolation.
-``FiberSystem.solve_many`` solves many base points in one batch with the
-same roots as one ``solve`` per point; it serves loop tracking, the
-isolation probes and plotting, for every variant.
+``FiberSystem.solve`` solves one base point and ``solve_many`` many in
+one batch (loop tracking, the isolation probes and plotting); both run
+the variant's root kernel, so a point has the same roots either way.
 
-A variant supplies four things: the expression ``components`` whose
-common zeros are the singular set; ``solve``, which returns the fiber in
-its canonical order; optionally a stacked root kernel, ``_roots_many``,
-with the same roots in the same order; and a root class with
-``distance`` (the fiber metric) and ``angle`` (the coordinate a lift
-unwraps, modulo ``FiberKind.period``).  The residual, its grid scan, its
-exact Jacobian and the batching come from the base class, and nothing
-else in the package depends on the variant internals.
+A variant supplies three things: the expression ``components`` whose
+common zeros are the singular set; a stacked root kernel,
+``_roots_many``, which gives each row of coefficient values its fiber in
+canonical order or the FiberError that explains why there is none; and a
+root class with ``distance`` (the fiber metric) and ``angle`` (the
+coordinate a lift unwraps, modulo ``FiberKind.period``).  The residual,
+its grid scan, its exact Jacobian, ``solve`` and ``solve_many`` come from
+the base class, and nothing else in the package depends on the variant
+internals.
 
 System values are immutable after construction and all operations are
 re-entrant (the cached compiled evaluators are memoized under the GIL),
@@ -257,10 +258,11 @@ class BinaryForm:
 
 @dataclass(frozen=True)
 class FiberSystem:
-    """Base class.  A concrete system implements ``solve`` and declares
-    ``components``: expressions in its ``variables`` that vanish together
-    exactly on the singular set.  The residual, its grid scan and its
-    Jacobian are computed here from the compiled components."""
+    """Base class.  A concrete system declares ``components``, expressions
+    in its ``variables`` that vanish together exactly on the singular set,
+    and implements the root kernel ``_roots_many``.  The residual, its grid
+    scan and its Jacobian are computed here from the compiled components,
+    and ``solve`` and ``solve_many`` from the kernel."""
     domain: Rect
     declared_singular: tuple = ()
 
@@ -268,9 +270,6 @@ class FiberSystem:
 
     @property
     def sheet_count(self) -> int:
-        raise NotImplementedError
-
-    def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
         raise NotImplementedError
 
     @property
@@ -293,52 +292,68 @@ class FiberSystem:
                                for d in (e, diff(e, u), diff(e, v))),
                              variables=self.variables)
 
-    def component_values(self, x, y, what="coefficient evaluation"):
-        return call_compiled(self._component_fn, x, y, what)
+    def component_values(self, x, y):
+        return call_compiled(self._component_fn, x, y,
+                             "coefficient evaluation")
 
     @property
     def _solve_fn(self):
-        """The compiled function whose values ``solve`` reads; one row of
-        them per point is the input of ``_roots_many``."""
+        """The compiled function whose values the root kernel reads, one
+        row of them per point."""
         return self._component_fn
 
     def _roots_many(self, A, singular_tol, sep_floor):
-        """The variant's stacked root kernel: for each row of ``_solve_fn``
-        values in A, the root tuple of ``solve`` bit for bit, or None where
-        the row leaves the generic branch (``solve_many`` then hands that
-        point to ``solve``).  Without a kernel every point goes to
-        ``solve``."""
-        return [None] * len(A)
+        """The variant's stacked root kernel: for each finite row of
+        ``_solve_fn`` values in A, the fiber in canonical order, or the
+        FiberError that explains why there is none."""
+        raise NotImplementedError
+
+    def _fibers(self, points, singular_tol, sep_floor):
+        """For each (x, y) of ``points``, its fiber or the error ``solve``
+        raises there: a DomainError where the evaluation fails or is not
+        finite, else what the kernel gives, with the point named.  The
+        rows of all the points share one call of ``_roots_many``."""
+        out = [None] * len(points)
+        fn, rows, where = self._solve_fn, [], []
+        for k, (x, y) in enumerate(points):
+            try:
+                rows.append(call_compiled(fn, x, y, "coefficient evaluation"))
+            except DomainError as e:
+                out[k] = e
+                continue
+            where.append(k)
+        if not rows:
+            return out
+        A = np.array(rows, dtype=float)
+        finite = np.isfinite(A).all(axis=1)
+        if not finite.all():
+            for k in np.array(where)[~finite].tolist():
+                x, y = points[k]
+                out[k] = DomainError(
+                    f"coefficient evaluation is not finite at ({x}, {y})")
+            A, where = A[finite], np.array(where)[finite].tolist()
+        batch = self._roots_many(A, singular_tol, sep_floor) if where else []
+        for k, roots in zip(where, batch):
+            if isinstance(roots, FiberError):
+                x, y = points[k]
+                roots = type(roots)(f"{roots} at ({x}, {y})")
+            out[k] = roots
+        return out
+
+    def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
+        """The fiber over (x, y) in canonical order.  Raises the variant's
+        FiberError, or DomainError where the evaluation fails."""
+        [roots] = self._fibers([(x, y)], singular_tol, sep_floor)
+        if isinstance(roots, Exception):
+            raise roots
+        return roots
 
     def solve_many(self, points, singular_tol=SINGULAR_TOL,
                    sep_floor=SEP_FLOOR):
-        """``solve`` at each (x, y) of ``points``, batched: a list with the
-        root tuple of each point, or None where ``solve`` raises FiberError
-        or DomainError.  The roots equal ``solve``'s bit for bit: the
-        points whose evaluation succeeds share one call of the variant's
-        ``_roots_many``, and every point it leaves as None is handed to
-        ``solve`` itself."""
-        out = [None] * len(points)
-        rows, where = [], []
-        for k, (x, y) in enumerate(points):
-            try:
-                rows.append(call_compiled(self._solve_fn, x, y,
-                                          "evaluation"))
-            except DomainError:
-                continue
-            where.append(k)
-        if rows:
-            batch = self._roots_many(np.array(rows, dtype=float),
-                                     singular_tol, sep_floor)
-            for k, roots in zip(where, batch):
-                out[k] = roots
-        for k, (x, y) in enumerate(points):
-            if out[k] is None:
-                try:
-                    out[k] = self.solve(x, y, singular_tol, sep_floor)
-                except (FiberError, DomainError):
-                    pass
-        return out
+        """``solve`` at each (x, y) of ``points`` in one batch: a list with
+        the fiber of each point, or None where ``solve`` raises."""
+        return [None if isinstance(roots, Exception) else roots
+                for roots in self._fibers(points, singular_tol, sep_floor)]
 
     def residual(self, x, y) -> float:
         """Sum of squared components: smooth, nonnegative and zero exactly
@@ -401,13 +416,6 @@ class ProjectiveSystem(FiberSystem):
     def components(self) -> tuple:
         return self.form.coeffs
 
-    def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
-        avals = self.component_values(x, y)
-        if not all(map(math.isfinite, avals)):
-            raise DomainError(
-                f"coefficient evaluation is not finite at ({x}, {y})")
-        return _projective_roots(avals, singular_tol, sep_floor)
-
     def _roots_many(self, A, singular_tol, sep_floor):
         return _projective_roots_many(A, singular_tol, sep_floor)
 
@@ -434,18 +442,6 @@ class CircleSystem(FiberSystem):
     @property
     def components(self) -> tuple:
         return (self.v_re, self.v_im)
-
-    def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
-        vre, vim = self.component_values(x, y, "relation evaluation")
-        if not (math.isfinite(vre) and math.isfinite(vim)):
-            raise DomainError(
-                f"relation evaluation is not finite at ({x}, {y})")
-        if vre * vre + vim * vim <= singular_tol:
-            raise SingularFiber(f"defining data vanishes at ({x}, {y})")
-        base = math.atan2(vim, vre)
-        m = self.sheets
-        return tuple(map(CircleAngle, sorted(
-            _mod((base + _TWO_PI * k) / m, _TWO_PI) for k in range(m))))
 
     def _roots_many(self, A, singular_tol, sep_floor):
         return _circle_roots_many(A, self.sheets, singular_tol)
@@ -491,34 +487,6 @@ class PuncturedPlaneSystem(FiberSystem):
     def _solve_fn(self):
         return compile_value(*(e for pair in self.coeffs for e in pair),
                              variables=self.variables)
-
-    def coeff_values(self, x, y):
-        vals = call_compiled(self._solve_fn, x, y, "coefficient evaluation")
-        return [complex(re, im) for re, im in zip(vals[::2], vals[1::2])]
-
-    def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
-        c = self.coeff_values(x, y)
-        if not all(map(cmath.isfinite, c)):
-            raise DomainError(
-                f"coefficient evaluation is not finite at ({x}, {y})")
-        scale = max(abs(v) for v in c)
-        if scale * scale <= singular_tol:
-            raise SingularFiber(f"all coefficients vanish at ({x}, {y})")
-        if abs(c[-1]) <= 1e-13 * scale:
-            raise SingularFiber(
-                f"leading coefficient vanishes at ({x}, {y}); "
-                "a root escapes to infinity")
-        if abs(c[0]) * abs(c[0]) <= singular_tol * scale * scale:
-            raise SingularFiber(
-                f"constant coefficient vanishes at ({x}, {y}); "
-                "a root collapses to the puncture")
-        poly = np.array(c[::-1], dtype=complex)
-        roots = np.roots(poly)
-        try:
-            return _punctured_fiber(
-                [_polish_complex(poly, w) for w in roots], sep_floor)
-        except FiberError as e:
-            raise type(e)(f"{e} at ({x}, {y})") from None
 
     def _roots_many(self, A, singular_tol, sep_floor):
         return _punctured_roots_many(A, singular_tol, sep_floor)
@@ -582,117 +550,12 @@ def _punctured_fiber(roots, sep_floor):
     return pts
 
 
-def _polish_complex(poly, w, iters=3):
-    dpoly = np.polyder(poly)
-    for _ in range(iters):
-        p = np.polyval(poly, w)
-        dp = np.polyval(dpoly, w)
-        if dp == 0:
-            break
-        step = p / dp
-        w = w - step
-        if abs(step) < 1e-15 * (1.0 + abs(w)):
-            break
-    return w
-
-
 # ---------------------------------------------------------------------------
-# Projective root solving
-
-
-def _poly_angle_value(avals, phi):
-    n = len(avals) - 1
-    c, s = math.cos(phi), math.sin(phi)
-    g = 0.0
-    dg = 0.0
-    for i, a in enumerate(avals):
-        g += a * c ** (n - i) * s ** i
-        t1 = 0.0 if i == n else (n - i) * c ** (n - i - 1) * s ** (i + 1)
-        t2 = 0.0 if i == 0 else i * c ** (n - i + 1) * s ** (i - 1)
-        dg += a * (t2 - t1)
-    return g, dg
-
-
-def _polish_angle(avals, phi, iters=4):
-    for _ in range(iters):
-        g, dg = _poly_angle_value(avals, phi)
-        if dg == 0.0:
-            break
-        step = g / dg
-        phi -= step
-        if abs(step) < 1e-15:
-            break
-    return phi
-
-
-def _projective_roots(avals, singular_tol, sep_floor):
-    """All real projective roots of sum a_i p^(n-i) q^i, as RP1Angle."""
-    n = len(avals) - 1
-    if sum(a * a for a in avals) <= singular_tol:
-        raise SingularFiber("all form coefficients vanish within tolerance")
-    scale = max(abs(a) for a in avals)
-    drop_tol = 1e-13 * scale
-
-    # chart A solves in t = q/p (leading a_n, infinity = [0:1], phi = pi/2);
-    # chart B solves in s = p/q (leading a_0, infinity = [1:0], phi = 0).
-    use_a = abs(avals[-1]) >= abs(avals[0])
-    if use_a:
-        coeffs = list(avals[::-1])   # descending in t
-        inf_angle = math.pi / 2
-        to_angle = lambda t: math.atan2(t, 1.0)
-    else:
-        coeffs = list(avals)         # descending in s
-        inf_angle = 0.0
-        to_angle = lambda s: math.atan2(1.0, s)
-
-    at_infinity = 0
-    while coeffs and abs(coeffs[0]) <= drop_tol:
-        coeffs.pop(0)
-        at_infinity += 1
-
-    angles = [inf_angle] * at_infinity
-    if len(coeffs) > 1:
-        for r in np.roots(np.array(coeffs, dtype=float)):
-            if abs(r.imag) > 1e-6 * (1.0 + abs(r.real)):
-                continue
-            phi = _polish_angle(avals, to_angle(r.real))
-            g, _ = _poly_angle_value(avals, phi)
-            if abs(g) > 1e-8 * scale:
-                continue
-            angles.append(phi)
-
-    canon = sorted(_mod(phi, math.pi) for phi in angles)
-    # dedupe near-machine duplicates (conjugate pairs that collapsed onto
-    # one real root); genuine roots this close fail the separation floor
-    dedup = []
-    for phi in canon:
-        if dedup and _angle_distance(dedup[-1], phi, math.pi) <= 1e-11:
-            continue
-        dedup.append(phi)
-    if (len(dedup) > 1
-            and _angle_distance(dedup[0], dedup[-1], math.pi) <= 1e-11):
-        dedup.pop()
-
-    if len(dedup) < n:
-        raise ComplexRoots(
-            f"only {len(dedup)} real projective roots of a degree-{n} form")
-    if len(dedup) > n:
-        # over-collection can only come from the real filter being too lax
-        raise IllConditioned("root identification ambiguous")
-
-    roots = tuple(RP1Angle(phi) for phi in dedup)
-    if n > 1 and min_root_separation(roots) < sep_floor:
-        raise IllConditioned(
-            f"projective roots closer than the separation floor {sep_floor}")
-    return roots
-
-
-# Batched root solving, one kernel per variant.  Each step repeats the
-# floating-point operations of the scalar code in the same order, so the
-# roots are equal bit for bit: np.cos, np.sin and np.fmod agree with math
-# here, and np.float_power calls pow() as Python's ** does (np.power with a
-# scalar exponent may square instead).  math.atan2 stays scalar:
-# np.arctan2 can differ in the last bit.
+# Root kernels, one per variant.  A kernel solves a stack of rows, and each
+# row's roots depend on that row alone.  The golden reports pin the roots to
+# the bit, which fixes two choices below: np.float_power, which calls pow()
+# as Python's ** does (np.power with a scalar exponent may square instead),
+# and a scalar math.atan2 (np.arctan2 can differ in the last bit).
 
 
 def _mod_array(a, period):
@@ -700,9 +563,19 @@ def _mod_array(a, period):
     return np.where(r < 0.0, r + period, r)
 
 
+def _reject(out, ok, rows, error):
+    """Give ``error`` to each of the row indices ``rows`` that passed every
+    earlier check, and mark them all failed: a row reports the first check
+    it fails."""
+    if len(rows):
+        for r in rows[ok[rows]].tolist():
+            out[r] = error
+        ok[rows] = False
+
+
 def _poly_angle_values(A, phi):
-    """``_poly_angle_value`` for each row of coefficients A at the angle
-    of the same index in phi."""
+    """g(phi) = sum_i a_i cos^(n-i) phi sin^i phi and dg/dphi for each row
+    of coefficients A at the angle of the same index in phi."""
     n = A.shape[1] - 1
     c, s = np.cos(phi), np.sin(phi)
     cp = [np.float_power(c, np.full_like(c, k)) for k in range(n + 1)]
@@ -719,8 +592,8 @@ def _poly_angle_values(A, phi):
 
 
 def _polish_angles(A, phi, iters=4):
-    """``_polish_angle`` for each row of A; each angle stops where the
-    scalar loop would stop."""
+    """Newton steps on g for each row of A; an angle stops once dg/dphi
+    vanishes or its step falls below 1e-15."""
     live = np.ones(phi.shape, dtype=bool)
     for _ in range(iters):
         g, dg = _poly_angle_values(A, phi)
@@ -734,20 +607,26 @@ def _polish_angles(A, phi, iters=4):
 
 
 def _projective_roots_many(A, singular_tol, sep_floor):
-    """``_projective_roots`` for each row of coefficients A, as a list of
-    root tuples.  A row gets None where the scalar code leaves its generic
-    branch (a singular or non-finite row, complex roots, a root rejected
-    after polishing, a dedupe, a separation failure); the caller solves
-    those rows one at a time.
+    """The real projective roots of sum_i a_i p^(n-i) q^i for each row of
+    coefficients A, as RP1Angle tuples in increasing phi, or the FiberError
+    of a row that has no fiber.
 
-    Rows are grouped by the number of leading chart coefficients dropped
-    as roots at infinity and of trailing zeros (roots at zero).  Each group
-    shares one eigvals call on the stacked companion matrices that np.roots
-    builds, so the chart roots are those of np.roots."""
+    Each row is solved in one chart: in t = q/p (leading a_n; infinity is
+    [0:1], phi = pi/2) when |a_n| >= |a_0|, else in s = p/q (leading a_0;
+    infinity is [1:0], phi = 0).  Leading chart coefficients within 1e-13
+    of the largest are roots at infinity, and trailing zeros are roots at
+    zero.  Rows are grouped by those two counts, and each group shares one
+    eigvals call on the stacked companion matrices that np.roots builds.
+    The real chart roots are polished on the angle.  A row whose chart
+    root is complex, fails to polish or lies within 1e-11 of another root
+    has fewer than n real roots."""
     k, n = A.shape[0], A.shape[1] - 1
+    out = [None] * k
+    ok = np.ones(k, dtype=bool)
+    fewer = ComplexRoots(f"fewer than {n} distinct real projective roots")
     with np.errstate(all="ignore"):
         sq = A[:, 0] * A[:, 0]
-        for i in range(1, n + 1):      # the order of sum(), not np.sum
+        for i in range(1, n + 1):      # in the order of residual's sum()
             sq = sq + A[:, i] * A[:, i]
         absA = np.abs(A)
         scale = absA.max(axis=1)
@@ -756,8 +635,10 @@ def _projective_roots_many(A, singular_tol, sep_floor):
         lead = np.cumprod(np.abs(C) <= 1e-13 * scale[:, None],
                           axis=1).sum(axis=1)
         trail = np.cumprod(C[:, ::-1] == 0.0, axis=1).sum(axis=1)
-        ok = (np.isfinite(A).all(axis=1) & (sq > singular_tol)
-              & (lead + trail <= n))
+        _reject(out, ok, np.flatnonzero((sq <= singular_tol)
+                                        | (lead + trail > n)),
+                SingularFiber("all form coefficients vanish within "
+                              "tolerance"))
 
         t = np.zeros((k, n))   # chart roots from column lead on
         for l, z in set(zip(lead[ok].tolist(), trail[ok].tolist())):
@@ -771,11 +652,12 @@ def _projective_roots_many(A, singular_tol, sep_floor):
             comp[:, 1:, :-1] = np.eye(m - 1)
             try:
                 ev = np.linalg.eigvals(comp)
-            except np.linalg.LinAlgError:
-                ok[rows] = False
+            except np.linalg.LinAlgError as e:
+                _reject(out, ok, rows,
+                        FiberError(f"eigenvalues failed: {e}"))
                 continue
             cplx = np.abs(ev.imag) > 1e-6 * (1.0 + np.abs(ev.real))
-            ok[rows[cplx.any(axis=1)]] = False
+            _reject(out, ok, rows[cplx.any(axis=1)], fewer)
             t[rows, l:l + m] = ev.real
 
         rows, cols = np.nonzero(ok[:, None] & (np.arange(n) >= lead[:, None]))
@@ -784,8 +666,8 @@ def _projective_roots_many(A, singular_tol, sep_floor):
                                         use_a[rows].tolist())])
         phi = _polish_angles(A[rows], phi)
         g, _ = _poly_angle_values(A[rows], phi)
-        ok[rows[~(np.isfinite(phi) & (np.abs(g) <= 1e-8 * scale[rows]))]] = \
-            False
+        # a NaN g (the polish overflowed) fails the test too
+        _reject(out, ok, rows[~(np.abs(g) <= 1e-8 * scale[rows])], fewer)
 
         angles = np.repeat(np.where(use_a, math.pi / 2, 0.0)[:, None], n,
                            axis=1)
@@ -796,22 +678,25 @@ def _projective_roots_many(A, singular_tol, sep_floor):
             d = np.abs(_mod_array(angles[:, i], math.pi)
                        - _mod_array(angles[:, j], math.pi))
             sep = np.minimum(d, math.pi - d).min(axis=1)
-            ok &= (sep > 1e-11) & (sep >= sep_floor)
-    return [tuple(map(RP1Angle, row)) if good else None
-            for row, good in zip(angles.tolist(), ok.tolist())]
+            _reject(out, ok, np.flatnonzero(sep <= 1e-11), fewer)
+            _reject(out, ok, np.flatnonzero(sep < sep_floor), IllConditioned(
+                f"projective roots closer than the separation floor "
+                f"{sep_floor}"))
+    return [tuple(map(RP1Angle, row)) if good else error
+            for row, good, error in zip(angles.tolist(), ok.tolist(), out)]
 
 
 def _circle_roots_many(V, m, singular_tol):
-    """``CircleSystem.solve`` for each row (Re v, Im v) of V: the m-th
-    roots of v/|v| in increasing angle, or None for a non-finite or
-    singular row."""
+    """The m-th roots of v/|v| for each row (Re v, Im v) of V, as
+    CircleAngle tuples in increasing psi, or SingularFiber where v
+    vanishes."""
     with np.errstate(all="ignore"):
-        ok = (np.isfinite(V).all(axis=1)
-              & (V[:, 0] * V[:, 0] + V[:, 1] * V[:, 1] > singular_tol))
-        base = np.array([math.atan2(im, re) for re, im in V.tolist()])
-        psi = np.sort(_mod_array((base[:, None] + _TWO_PI * np.arange(m))
-                                 / m, _TWO_PI), axis=1)
-    return [tuple(map(CircleAngle, row)) if good else None
+        ok = V[:, 0] * V[:, 0] + V[:, 1] * V[:, 1] > singular_tol
+    base = np.array([math.atan2(im, re) for re, im in V.tolist()])
+    psi = np.sort(_mod_array((base[:, None] + _TWO_PI * np.arange(m)) / m,
+                             _TWO_PI), axis=1)
+    singular = SingularFiber("defining data vanishes")
+    return [tuple(map(CircleAngle, row)) if good else singular
             for row, good in zip(psi.tolist(), ok.tolist())]
 
 
@@ -824,25 +709,30 @@ def _horner(P, W):
 
 
 def _punctured_roots_many(A, singular_tol, sep_floor):
-    """``PuncturedPlaneSystem.solve`` for each row of A, the (re, im)
-    pairs of c_0 .. c_n, as a list of root tuples, or None where the row
-    is not finite or ``solve`` would raise.
+    """The roots in C* of sum_k c_k w^k for each row of A, the (re, im)
+    pairs of c_0 .. c_n, as ComplexPoint tuples in canonical order, or the
+    FiberError of a row that has no fiber.
 
     The rows that pass the coefficient checks share one eigvals call on
-    the stacked companion matrices that np.roots builds, and
-    ``_polish_complex`` runs on all their roots at once, each root
-    stopping where the scalar loop would.  Complex moduli are np.hypot,
+    the stacked companion matrices that np.roots builds, and three Newton
+    steps polish all their roots at once, each root stopping once its
+    step is below 1e-15 of its modulus.  Complex moduli are np.hypot,
     which equals abs() of a complex scalar (np.abs of a complex array
-    can differ in the last bit).  The ordering and the separation checks
-    are those of ``solve``."""
-    n = A.shape[1] // 2 - 1
-    out = [None] * A.shape[0]
+    can differ in the last bit)."""
+    k, n = A.shape[0], A.shape[1] // 2 - 1
+    out = [None] * k
+    ok = np.ones(k, dtype=bool)
     with np.errstate(all="ignore"):
         mod = np.hypot(A[:, 0::2], A[:, 1::2])
         scale = mod.max(axis=1)
-        ok = (np.isfinite(A).all(axis=1) & (scale * scale > singular_tol)
-              & (mod[:, -1] > 1e-13 * scale)
-              & (mod[:, 0] * mod[:, 0] > singular_tol * scale * scale))
+        for fails, why in (
+                (scale * scale <= singular_tol, "all coefficients vanish"),
+                (mod[:, -1] <= 1e-13 * scale, "a root escapes to infinity: "
+                 "the leading coefficient vanishes"),
+                (mod[:, 0] * mod[:, 0] <= singular_tol * scale * scale,
+                 "a root collapses to the puncture: the constant "
+                 "coefficient vanishes")):
+            _reject(out, ok, np.flatnonzero(fails), SingularFiber(why))
         rows = np.flatnonzero(ok)
         if not len(rows):
             return out
@@ -854,7 +744,8 @@ def _punctured_roots_many(A, singular_tol, sep_floor):
         comp[:, 1:, :-1] = np.eye(n - 1)
         try:
             W = np.linalg.eigvals(comp)
-        except np.linalg.LinAlgError:
+        except np.linalg.LinAlgError as e:
+            _reject(out, ok, rows, FiberError(f"eigenvalues failed: {e}"))
             return out
         dP = P[:, :-1] * np.arange(n, 0, -1)
         live = np.ones(W.shape, dtype=bool)
@@ -870,8 +761,8 @@ def _punctured_roots_many(A, singular_tol, sep_floor):
     for r, roots in zip(rows.tolist(), W):
         try:
             out[r] = _punctured_fiber(list(roots), sep_floor)
-        except FiberError:
-            pass
+        except FiberError as e:
+            out[r] = e
     return out
 
 

@@ -219,7 +219,7 @@ class _Tracker:
         if roots is not None:
             return roots
         # a bisection midpoint, or a sample whose batched solve failed:
-        # the scalar solve raises the error that names t
+        # solving the point alone raises the error, here named with t
         p = self.path_fn(t)
         try:
             return solve_fiber(self.sys, p, singular_tol=self.singular_tol,

@@ -8,9 +8,9 @@ import pytest
 from monoweb.expr import DomainError, parse
 from monoweb.fiber import (
     BinaryForm, CircleAngle, CircleSystem, ComplexPoint, ComplexRoots,
-    IllConditioned, MixedVariants, NonIsolatedZero, ProjectiveSystem,
-    PuncturedPlaneSystem, Rect, RP1Angle, SingularFiber, fiber_distance,
-    _gauss_newton, _grid_local_minima, find_singularities,
+    FiberError, IllConditioned, MixedVariants, NonIsolatedZero,
+    ProjectiveSystem, PuncturedPlaneSystem, Rect, RP1Angle, SingularFiber,
+    fiber_distance, _gauss_newton, _grid_local_minima, find_singularities,
     min_root_separation, solve_fiber,
 )
 
@@ -349,3 +349,65 @@ def test_grid_local_minima_matches_the_cell_scan():
         got = _grid_local_minima(R)
         assert got == _grid_local_minima_reference(R)
         assert all(type(i) is int and type(j) is int for i, j in got)
+
+
+def _form(*coeffs):
+    return ProjectiveSystem(SQ, form=BinaryForm.from_strings(coeffs))
+
+
+def _pairs(*coeffs):
+    """C* system whose coefficients c_0 .. c_n are the given constants."""
+    return PuncturedPlaneSystem(SQ, degree_w=len(coeffs) - 1, coeffs=tuple(
+        (parse(repr(c.real)), parse(repr(c.imag))) for c in map(complex,
+                                                                coeffs)))
+
+
+# one row per way a fiber solve fails: (system, point, tolerance, floor,
+# the error solve raises)
+FAILURES = [
+    (_form("0", "0", "0"), (0.3, 0.2), 1e-10, 1e-6, SingularFiber),
+    (_form("1", "0", "1"), (0.3, 0.2), 1e-10, 1e-6, ComplexRoots),
+    # (dx - dy)(dx - (1 + 1e-7) dy): two real roots 5e-8 apart
+    (_form("1", "-(2 + 1e-7)", "1 + 1e-7"), (0.3, 0.2), 1e-10, 1e-6,
+     IllConditioned),
+    # (dx - dy)^2: one double root, below any floor
+    (_form("1", "-2", "1"), (0.3, 0.2), 1e-10, 1e-13, ComplexRoots),
+    (_form("1/x", "0", "-1"), (0.0, 0.5), 1e-10, 1e-6, DomainError),
+    (CircleSystem(SQ, sheets=2, v_re=parse("0"), v_im=parse("0")),
+     (0.3, 0.2), 1e-10, 1e-6, SingularFiber),
+    (_pairs(0, 0, 0), (0.3, 0.2), 1e-10, 1e-6, SingularFiber),
+    (_pairs(1, 1, 0), (0.3, 0.2), 1e-10, 1e-6, SingularFiber),
+    (_pairs(0, 1, 1), (0.3, 0.2), 1e-10, 1e-6, SingularFiber),
+    # (w - 1e-7)(w - 1): a root inside the floor around the puncture
+    (_pairs(1e-7, -(1 + 1e-7), 1), (0.3, 0.2), 1e-30, 1e-6,
+     SingularFiber),
+    (_pairs(1, -2, 1), (0.3, 0.2), 1e-10, 1e-6, IllConditioned),
+]
+
+
+@pytest.mark.parametrize("sys, point, tol, floor, error", FAILURES,
+                         ids=["all_zero", "complex", "near_double",
+                              "double", "domain", "circle_zero", "punctured_zero",
+                              "leading_zero", "constant_zero",
+                              "near_puncture", "double_root"])
+def test_each_failure_raises_its_error_class(sys, point, tol, floor, error):
+    with pytest.raises(error) as exc:
+        sys.solve(*point, tol, floor)
+    assert type(exc.value) is error
+    assert f"at ({point[0]}, {point[1]})" in str(exc.value)
+    assert sys.solve_many([point], tol, floor) == [None]
+
+
+def test_solve_never_returns_nan_roots():
+    # the Newton polish overflows to NaN angles on this constant form
+    sys = _form("1.7e308", "1.7e308", "-1.7e308", "-1.7e308")
+    with pytest.raises(FiberError):
+        sys.solve(0.0, 0.0)
+    assert sys.solve_many([(0.0, 0.0)]) == [None]
+
+
+def test_power_domain_failure_names_the_point():
+    circle = CircleSystem(SQ, sheets=1, v_re=parse("x^0.5"), v_im=parse("1"))
+    for call in (circle.residual_vector, circle.solve):
+        with pytest.raises(DomainError, match=r"at \(-1\.0, 0\.5\)"):
+            call(-1.0, 0.5)
