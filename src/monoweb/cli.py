@@ -25,6 +25,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .expr import DomainError, ParseError, parse
 from .fiber import (BinaryForm, CircleSystem, FiberError, FiberKind,
@@ -50,6 +52,10 @@ class InputError(Exception):
 
 # every initial loop sample is solved up front, so the count is bounded
 MAX_SAMPLES = 65536
+# a plot at the largest grid already holds 2-3 million segments
+MAX_GRID = 1024
+# points per root-kernel call of a plot, in whole columns
+PLOT_BATCH = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +106,11 @@ def _positive(val, where):
     return val
 
 
-def _samples(val, where):
-    """A loop sample count: an integer from 32 to MAX_SAMPLES."""
+def _count(val, lo, hi, where):
+    """A bounded count: an integer from lo to hi."""
     if (isinstance(val, bool) or not isinstance(val, int)
-            or not 32 <= val <= MAX_SAMPLES):
-        raise InputError(f"{where}: expected an integer from 32 to "
-                         f"{MAX_SAMPLES}")
+            or not lo <= val <= hi):
+        raise InputError(f"{where}: expected an integer from {lo} to {hi}")
     return val
 
 
@@ -282,7 +287,8 @@ def load_problem(path: str) -> Problem:
             raise InputError(f"{path}: loop.radius must be 'auto' or a "
                              "finite positive number")
     prob.loop_radius = radius
-    prob.samples = _samples(loop.get("samples", prob.samples), "loop.samples")
+    prob.samples = _count(loop.get("samples", prob.samples), 32,
+                          MAX_SAMPLES, "loop.samples")
     prob.max_depth = _integer(loop, "max_depth", prob.max_depth, "loop")
     if prob.max_depth < 0:
         raise InputError(f"{path}: loop.max_depth must be >= 0")
@@ -508,56 +514,57 @@ def run_verify_theorem(prob: Problem, seed: int = 0):
 
 def render_svg(prob: Problem, grid: int = 20, width: int = 640) -> str:
     """Direction-web plot: short segments along each fiber root direction
-    at grid points, singular points marked.  Deterministic for fixed
-    inputs; solve failures leave gaps.  A numerical failure of the
-    singular-point search propagates, so ``plot`` exits 2."""
+    at the cell centres of a grid x grid grid, singular points marked.
+    The centres are solved in blocks of whole columns (PLOT_BATCH points,
+    or one column), each formatted from its root arrays in one call.
+    Deterministic for fixed inputs; solve failures leave gaps.  A
+    numerical failure of the singular-point search propagates, so
+    ``plot`` exits 2."""
     sys_ = prob.system
     if sys_ is None or sys_.kind is not FiberKind.PROJECTIVE:
         raise InputError("plot needs a projective system")
-    if grid < 1:
-        raise InputError(f"plot grid must be a positive integer, got {grid}")
+    grid = _count(grid, 1, MAX_GRID, "plot grid")
     dom = sys_.domain
     spanx = dom.xmax - dom.xmin
     spany = dom.ymax - dom.ymin
     height = int(round(width * spany / spanx))
     sx = width / spanx
     sy = height / spany
-
-    def to_px(x, y):
-        return ((x - dom.xmin) * sx, (dom.ymax - y) * sy)
-
-    cell = min(spanx, spany) / grid
-    half = 0.35 * cell
-    lines = []
-    for i in range(grid):
-        # one batched solve per column keeps the batch small
-        x = dom.xmin + (i + 0.5) * spanx / grid
-        ys = [dom.ymin + (j + 0.5) * spany / grid for j in range(grid)]
-        column = sys_.solve_many([(x, y) for y in ys],
-                                 singular_tol=prob.singular_tol,
-                                 sep_floor=prob.sep_floor)
-        for y, roots in zip(ys, column):
-            for r in roots or ():
-                dx = half * math.cos(r.phi)
-                dy = half * math.sin(r.phi)
-                x1, y1 = to_px(x - dx, y - dy)
-                x2, y2 = to_px(x + dx, y + dy)
-                lines.append(
-                    f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" '
-                    f'y2="{y2:.3f}"/>')
-    marks = []
+    half = 0.35 * (min(spanx, spany) / grid)
+    xs = [dom.xmin + (i + 0.5) * spanx / grid for i in range(grid)]
+    ys = [dom.ymin + (j + 0.5) * spany / grid for j in range(grid)]
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+             f'height="{height}" viewBox="0 0 {width} {height}">\n'
+             '<g stroke="#1f3b57" stroke-width="1.1">\n']
+    cols = max(1, PLOT_BATCH // grid)
+    for block in (xs[i:i + cols] for i in range(0, grid, cols)):
+        phi, errors = sys_._fibers([(x, y) for x in block for y in ys],
+                                   prob.singular_tol, prob.sep_floor)
+        good = [k for k, e in enumerate(errors) if e is None]
+        x = np.repeat(block, grid)[good, None]
+        y = np.tile(ys, len(block))[good, None]
+        phi = phi[good]
+        flat = phi.ravel().tolist()
+        # math.cos/sin as the scalar plot had them; np.cos can differ in
+        # the last bit
+        dx = half * np.array(list(map(math.cos, flat))).reshape(phi.shape)
+        dy = half * np.array(list(map(math.sin, flat))).reshape(phi.shape)
+        ends = np.stack([((x - dx) - dom.xmin) * sx,
+                         (dom.ymax - (y - dy)) * sy,
+                         ((x + dx) - dom.xmin) * sx,
+                         (dom.ymax - (y + dy)) * sy], axis=-1)
+        parts.append('<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f"/>\n'
+                     * (ends.size // 4) % tuple(ends.ravel().tolist()))
     points = find_singularities(sys_, grid_density=prob.grid_density,
                                 tol=prob.singular_tol,
                                 sep_floor=prob.sep_floor)
-    for sp in points:
-        cx, cy = to_px(sp.x, sp.y)
-        marks.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="4" '
-                     'fill="#c0392b"/>')
-    body = "\n".join(lines + marks)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">\n'
-            '<g stroke="#1f3b57" stroke-width="1.1">\n'
-            f"{body}\n</g>\n</svg>\n")
+    parts += [f'<circle cx="{(sp.x - dom.xmin) * sx:.3f}" '
+              f'cy="{(dom.ymax - sp.y) * sy:.3f}" r="4" fill="#c0392b"/>\n'
+              for sp in points]
+    if not any(parts[1:]):
+        parts.append("\n")   # an empty body is a blank line
+    parts.append("</g>\n</svg>\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +618,7 @@ def main(argv=None) -> int:
             prob.singular_tol = _positive(args.tol_singular,
                                           "--tol-singular")
         if args.samples is not None:
-            prob.samples = _samples(args.samples, "--samples")
+            prob.samples = _count(args.samples, 32, MAX_SAMPLES, "--samples")
 
         if args.command == "analyze":
             report, code = run_analyze(prob, seed=args.seed)
@@ -626,7 +633,7 @@ def main(argv=None) -> int:
             log.info("report written to %s", out)
             return code
         if args.command == "plot":
-            svg = render_svg(prob, grid=args.grid)
+            svg = render_svg(prob, _count(args.grid, 1, MAX_GRID, "--grid"))
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(svg)
             return 0

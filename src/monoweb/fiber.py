@@ -18,13 +18,15 @@ the variant's root kernel, so a point has the same roots either way.
 
 A variant supplies three things: the expression ``components`` whose
 common zeros are the singular set; a stacked root kernel,
-``_roots_many``, which gives each row of coefficient values its fiber in
-canonical order or the FiberError that explains why there is none; and a
-root class with ``distance`` (the fiber metric) and ``angle`` (the
-coordinate a lift unwraps, modulo ``FiberKind.period``).  The residual,
-its grid scan, its exact Jacobian, ``solve`` and ``solve_many`` come from
-the base class, and nothing else in the package depends on the variant
-internals.
+``_roots_many``, which returns ``(roots, errors)`` for a stack of rows
+of coefficient values: the fibers in canonical order as a (k, n) array
+(phi on RP^1, psi on S^1, complex w on C*), and for each row None or the
+FiberError that explains why it has no fiber; and a root class with
+``distance`` (the fiber metric) and ``angle`` (the coordinate a lift
+unwraps, modulo ``FiberKind.period``).  The residual, its grid scan, its
+exact Jacobian, ``solve`` and ``solve_many`` (the only makers of root
+objects) come from the base class, and nothing else in the package
+depends on the variant internals.
 
 System values are immutable after construction and all operations are
 re-entrant (the cached compiled evaluators are memoized under the GIL),
@@ -89,7 +91,8 @@ class NonIsolatedZero(FiberError):
 
 
 class NoConvergence(FiberError):
-    """Refinement failed to certify a singular-point candidate."""
+    """Refinement did not bring a singular-point candidate below the
+    residual tolerance."""
 
 
 class FiberKind(Enum):
@@ -260,9 +263,10 @@ class BinaryForm:
 class FiberSystem:
     """Base class.  A concrete system declares ``components``, expressions
     in its ``variables`` that vanish together exactly on the singular set,
-    and implements the root kernel ``_roots_many``.  The residual, its grid
-    scan and its Jacobian are computed here from the compiled components,
-    and ``solve`` and ``solve_many`` from the kernel."""
+    the root kernel ``_roots_many`` and ``_root``, the root object of one
+    kernel entry.  The residual, its grid scan and its Jacobian are
+    computed here from the compiled components, and ``solve`` and
+    ``solve_many`` from the kernel."""
     domain: Rect
     declared_singular: tuple = ()
 
@@ -303,57 +307,61 @@ class FiberSystem:
         return self._component_fn
 
     def _roots_many(self, A, singular_tol, sep_floor):
-        """The variant's stacked root kernel: for each finite row of
-        ``_solve_fn`` values in A, the fiber in canonical order, or the
-        FiberError that explains why there is none."""
+        """The variant's stacked root kernel on the finite rows of
+        ``_solve_fn`` values in A: ``(roots, errors)``, row i of ``roots``
+        the fiber of row i unless ``errors[i]`` is a FiberError."""
         raise NotImplementedError
 
     def _fibers(self, points, singular_tol, sep_floor):
-        """For each (x, y) of ``points``, its fiber or the error ``solve``
-        raises there: a DomainError where the evaluation fails or is not
-        finite, else what the kernel gives, with the point named.  The
-        rows of all the points share one call of ``_roots_many``."""
-        out = [None] * len(points)
+        """``(roots, errors)`` for the (x, y) of ``points``, as from the
+        kernel: ``errors[k]`` is None or the error ``solve`` raises at
+        point k, a DomainError where the evaluation fails or is not
+        finite, else the kernel's, with the point named.  The rows of all
+        the points share one call of ``_roots_many``."""
+        errors = [None] * len(points)
         fn, rows, where = self._solve_fn, [], []
         for k, (x, y) in enumerate(points):
             try:
                 rows.append(call_compiled(fn, x, y, "coefficient evaluation"))
             except DomainError as e:
-                out[k] = e
+                errors[k] = e
                 continue
             where.append(k)
-        if not rows:
-            return out
         A = np.array(rows, dtype=float)
-        finite = np.isfinite(A).all(axis=1)
-        if not finite.all():
+        finite = np.isfinite(A).all(axis=1) if rows else []
+        if not np.all(finite):
             for k in np.array(where)[~finite].tolist():
                 x, y = points[k]
-                out[k] = DomainError(
+                errors[k] = DomainError(
                     f"coefficient evaluation is not finite at ({x}, {y})")
             A, where = A[finite], np.array(where)[finite].tolist()
-        batch = self._roots_many(A, singular_tol, sep_floor) if where else []
-        for k, roots in zip(where, batch):
-            if isinstance(roots, FiberError):
+        if not where:
+            return np.zeros((len(points), self.sheet_count)), errors
+        batch, batch_errors = self._roots_many(A, singular_tol, sep_floor)
+        roots = np.zeros((len(points), batch.shape[1]), batch.dtype)
+        roots[where] = batch
+        for k, e in zip(where, batch_errors):
+            if e is not None:
                 x, y = points[k]
-                roots = type(roots)(f"{roots} at ({x}, {y})")
-            out[k] = roots
-        return out
+                errors[k] = type(e)(f"{e} at ({x}, {y})")
+        return roots, errors
 
+    # root objects are made only here, from .tolist() rows (Python floats)
     def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
         """The fiber over (x, y) in canonical order.  Raises the variant's
         FiberError, or DomainError where the evaluation fails."""
-        [roots] = self._fibers([(x, y)], singular_tol, sep_floor)
-        if isinstance(roots, Exception):
-            raise roots
-        return roots
+        roots, [error] = self._fibers([(x, y)], singular_tol, sep_floor)
+        if error is not None:
+            raise error
+        return tuple(map(self._root, roots.tolist()[0]))
 
     def solve_many(self, points, singular_tol=SINGULAR_TOL,
                    sep_floor=SEP_FLOOR):
         """``solve`` at each (x, y) of ``points`` in one batch: a list with
         the fiber of each point, or None where ``solve`` raises."""
-        return [None if isinstance(roots, Exception) else roots
-                for roots in self._fibers(points, singular_tol, sep_floor)]
+        roots, errors = self._fibers(points, singular_tol, sep_floor)
+        return [tuple(map(self._root, row)) if error is None else None
+                for row, error in zip(roots.tolist(), errors)]
 
     def residual(self, x, y) -> float:
         """Sum of squared components: smooth, nonnegative and zero exactly
@@ -399,6 +407,7 @@ class ProjectiveSystem(FiberSystem):
     form: BinaryForm = None
 
     kind: ClassVar[FiberKind] = FiberKind.PROJECTIVE
+    _root: ClassVar = RP1Angle
 
     def __post_init__(self):
         if self.form is None:
@@ -430,6 +439,7 @@ class CircleSystem(FiberSystem):
     variables: tuple = ("x", "y")
 
     kind: ClassVar[FiberKind] = FiberKind.CIRCLE
+    _root: ClassVar = CircleAngle
 
     def __post_init__(self):
         if self.sheets < 1 or self.v_re is None or self.v_im is None:
@@ -459,6 +469,7 @@ class PuncturedPlaneSystem(FiberSystem):
     variables: tuple = ("x", "y")
 
     kind: ClassVar[FiberKind] = FiberKind.PUNCTURED_PLANE
+    _root: ClassVar = staticmethod(lambda w: ComplexPoint(w.real, w.imag))
 
     def __post_init__(self):
         if self.degree_w < 1:
@@ -536,18 +547,18 @@ def _determinant(rows):
 
 
 def _punctured_fiber(roots, sep_floor):
-    """The C* fiber of polished roots, ordered by (arg mod 2 pi, modulus);
+    """Polished complex C* roots, ordered by (arg mod 2 pi, modulus);
     raises when a root nears the puncture or two roots nearly meet (the
     caller adds the base point to the message)."""
     if any(abs(w) <= sep_floor for w in roots):
         raise SingularFiber(
             "a root lies within the separation floor of the puncture")
-    pts = tuple(ComplexPoint(w.real, w.imag)
-                for w in sorted(roots, key=lambda w: (_mod(
-                    cmath.phase(w), _TWO_PI), abs(w))))
-    if min_root_separation(pts) < sep_floor:
+    roots = sorted(roots, key=lambda w: (_mod(cmath.phase(w), _TWO_PI),
+                                         abs(w)))
+    if any(math.hypot(a.real - b.real, a.imag - b.imag) < sep_floor
+           for i, a in enumerate(roots) for b in roots[i + 1:]):
         raise IllConditioned(f"fiber roots closer than {sep_floor}")
-    return pts
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +574,13 @@ def _mod_array(a, period):
     return np.where(r < 0.0, r + period, r)
 
 
-def _reject(out, ok, rows, error):
+def _reject(errors, ok, rows, error):
     """Give ``error`` to each of the row indices ``rows`` that passed every
     earlier check, and mark them all failed: a row reports the first check
     it fails."""
     if len(rows):
         for r in rows[ok[rows]].tolist():
-            out[r] = error
+            errors[r] = error
         ok[rows] = False
 
 
@@ -608,8 +619,8 @@ def _polish_angles(A, phi, iters=4):
 
 def _projective_roots_many(A, singular_tol, sep_floor):
     """The real projective roots of sum_i a_i p^(n-i) q^i for each row of
-    coefficients A, as RP1Angle tuples in increasing phi, or the FiberError
-    of a row that has no fiber.
+    coefficients A, as ``(phi, errors)``: the angles in [0, pi), in
+    increasing order, and the FiberError of each row that has no fiber.
 
     Each row is solved in one chart: in t = q/p (leading a_n; infinity is
     [0:1], phi = pi/2) when |a_n| >= |a_0|, else in s = p/q (leading a_0;
@@ -621,7 +632,7 @@ def _projective_roots_many(A, singular_tol, sep_floor):
     root is complex, fails to polish or lies within 1e-11 of another root
     has fewer than n real roots."""
     k, n = A.shape[0], A.shape[1] - 1
-    out = [None] * k
+    errors = [None] * k
     ok = np.ones(k, dtype=bool)
     fewer = ComplexRoots(f"fewer than {n} distinct real projective roots")
     with np.errstate(all="ignore"):
@@ -635,7 +646,7 @@ def _projective_roots_many(A, singular_tol, sep_floor):
         lead = np.cumprod(np.abs(C) <= 1e-13 * scale[:, None],
                           axis=1).sum(axis=1)
         trail = np.cumprod(C[:, ::-1] == 0.0, axis=1).sum(axis=1)
-        _reject(out, ok, np.flatnonzero((sq <= singular_tol)
+        _reject(errors, ok, np.flatnonzero((sq <= singular_tol)
                                         | (lead + trail > n)),
                 SingularFiber("all form coefficients vanish within "
                               "tolerance"))
@@ -653,11 +664,11 @@ def _projective_roots_many(A, singular_tol, sep_floor):
             try:
                 ev = np.linalg.eigvals(comp)
             except np.linalg.LinAlgError as e:
-                _reject(out, ok, rows,
+                _reject(errors, ok, rows,
                         FiberError(f"eigenvalues failed: {e}"))
                 continue
             cplx = np.abs(ev.imag) > 1e-6 * (1.0 + np.abs(ev.real))
-            _reject(out, ok, rows[cplx.any(axis=1)], fewer)
+            _reject(errors, ok, rows[cplx.any(axis=1)], fewer)
             t[rows, l:l + m] = ev.real
 
         rows, cols = np.nonzero(ok[:, None] & (np.arange(n) >= lead[:, None]))
@@ -667,7 +678,7 @@ def _projective_roots_many(A, singular_tol, sep_floor):
         phi = _polish_angles(A[rows], phi)
         g, _ = _poly_angle_values(A[rows], phi)
         # a NaN g (the polish overflowed) fails the test too
-        _reject(out, ok, rows[~(np.abs(g) <= 1e-8 * scale[rows])], fewer)
+        _reject(errors, ok, rows[~(np.abs(g) <= 1e-8 * scale[rows])], fewer)
 
         angles = np.repeat(np.where(use_a, math.pi / 2, 0.0)[:, None], n,
                            axis=1)
@@ -678,26 +689,25 @@ def _projective_roots_many(A, singular_tol, sep_floor):
             d = np.abs(_mod_array(angles[:, i], math.pi)
                        - _mod_array(angles[:, j], math.pi))
             sep = np.minimum(d, math.pi - d).min(axis=1)
-            _reject(out, ok, np.flatnonzero(sep <= 1e-11), fewer)
-            _reject(out, ok, np.flatnonzero(sep < sep_floor), IllConditioned(
-                f"projective roots closer than the separation floor "
-                f"{sep_floor}"))
-    return [tuple(map(RP1Angle, row)) if good else error
-            for row, good, error in zip(angles.tolist(), ok.tolist(), out)]
+            _reject(errors, ok, np.flatnonzero(sep <= 1e-11), fewer)
+            _reject(errors, ok, np.flatnonzero(sep < sep_floor),
+                    IllConditioned(f"projective roots closer than the "
+                                   f"separation floor {sep_floor}"))
+    return angles, errors
 
 
 def _circle_roots_many(V, m, singular_tol):
     """The m-th roots of v/|v| for each row (Re v, Im v) of V, as
-    CircleAngle tuples in increasing psi, or SingularFiber where v
-    vanishes."""
+    ``(psi, errors)``: the angles in [0, 2 pi), in increasing order, and
+    SingularFiber for each row where v vanishes."""
     with np.errstate(all="ignore"):
         ok = V[:, 0] * V[:, 0] + V[:, 1] * V[:, 1] > singular_tol
     base = np.array([math.atan2(im, re) for re, im in V.tolist()])
-    psi = np.sort(_mod_array((base[:, None] + _TWO_PI * np.arange(m)) / m,
-                             _TWO_PI), axis=1)
+    psi = _mod_array((base[:, None] + _TWO_PI * np.arange(m)) / m, _TWO_PI)
+    # a root just below 0 rounds up to 2 pi, which is canonically 0
+    psi = np.sort(np.where(psi < _TWO_PI, psi, 0.0), axis=1)
     singular = SingularFiber("defining data vanishes")
-    return [tuple(map(CircleAngle, row)) if good else singular
-            for row, good in zip(psi.tolist(), ok.tolist())]
+    return psi, [None if good else singular for good in ok.tolist()]
 
 
 def _horner(P, W):
@@ -710,8 +720,8 @@ def _horner(P, W):
 
 def _punctured_roots_many(A, singular_tol, sep_floor):
     """The roots in C* of sum_k c_k w^k for each row of A, the (re, im)
-    pairs of c_0 .. c_n, as ComplexPoint tuples in canonical order, or the
-    FiberError of a row that has no fiber.
+    pairs of c_0 .. c_n, as ``(W, errors)``: the complex roots in
+    canonical order, and the FiberError of each row that has no fiber.
 
     The rows that pass the coefficient checks share one eigvals call on
     the stacked companion matrices that np.roots builds, and three Newton
@@ -720,8 +730,9 @@ def _punctured_roots_many(A, singular_tol, sep_floor):
     which equals abs() of a complex scalar (np.abs of a complex array
     can differ in the last bit)."""
     k, n = A.shape[0], A.shape[1] // 2 - 1
-    out = [None] * k
+    errors = [None] * k
     ok = np.ones(k, dtype=bool)
+    out = np.zeros((k, n), dtype=complex)
     with np.errstate(all="ignore"):
         mod = np.hypot(A[:, 0::2], A[:, 1::2])
         scale = mod.max(axis=1)
@@ -729,13 +740,14 @@ def _punctured_roots_many(A, singular_tol, sep_floor):
                 (scale * scale <= singular_tol, "all coefficients vanish"),
                 (mod[:, -1] <= 1e-13 * scale, "a root escapes to infinity: "
                  "the leading coefficient vanishes"),
-                (mod[:, 0] * mod[:, 0] <= singular_tol * scale * scale,
+                # divided by scale first: scale * scale overflows from 1.3e154
+                ((mod[:, 0] / scale) ** 2 <= singular_tol,
                  "a root collapses to the puncture: the constant "
                  "coefficient vanishes")):
-            _reject(out, ok, np.flatnonzero(fails), SingularFiber(why))
+            _reject(errors, ok, np.flatnonzero(fails), SingularFiber(why))
         rows = np.flatnonzero(ok)
         if not len(rows):
-            return out
+            return out, errors
         P = np.empty((len(rows), n + 1), dtype=complex)   # descending in w
         P.real = A[rows, -2::-2]
         P.imag = A[rows, -1::-2]
@@ -745,8 +757,8 @@ def _punctured_roots_many(A, singular_tol, sep_floor):
         try:
             W = np.linalg.eigvals(comp)
         except np.linalg.LinAlgError as e:
-            _reject(out, ok, rows, FiberError(f"eigenvalues failed: {e}"))
-            return out
+            _reject(errors, ok, rows, FiberError(f"eigenvalues failed: {e}"))
+            return out, errors
         dP = P[:, :-1] * np.arange(n, 0, -1)
         live = np.ones(W.shape, dtype=bool)
         for _ in range(3):
@@ -758,12 +770,12 @@ def _punctured_roots_many(A, singular_tol, sep_floor):
                       < 1e-15 * (1.0 + np.hypot(W.real, W.imag)))
             if not live.any():
                 break
-    for r, roots in zip(rows.tolist(), W):
+    for r, roots in zip(rows.tolist(), W.tolist()):
         try:
-            out[r] = _punctured_fiber(list(roots), sep_floor)
+            out[r] = _punctured_fiber(roots, sep_floor)
         except FiberError as e:
-            out[r] = e
-    return out
+            errors[r] = e
+    return out, errors
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +889,7 @@ def _certify_isolation(sys, x, y, others, tol, sep_floor, probe_angles=64):
         if r < 1e-8:
             break
     raise NonIsolatedZero(
-        f"could not certify isolation of the zero near ({x}, {y})")
+        f"isolation probe failed for the zero near ({x}, {y})")
 
 
 def find_singularities(sys: FiberSystem, grid_density: int = 48,

@@ -149,7 +149,7 @@ def index_report(sys: FiberSystem, sp: SingularPoint,
             raise ValueError("loop is not centered at the singular point")
         if loop.radius >= sp.isolation_radius:
             raise ValueError(
-                f"loop radius {loop.radius} is not below the certified "
+                f"loop radius {loop.radius} is not below the probed "
                 f"isolation radius {sp.isolation_radius}")
     result = track_loop(sys, loop, **track_kwargs)
     reports = tuple(orbit_index(result, orbit) for orbit in result.orbits)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -10,6 +11,8 @@ import pytest
 import monoweb
 from monoweb import cli
 from monoweb.cli import InputError, load_problem, main, render_svg
+from monoweb.expr import DomainError
+from monoweb.fiber import FiberError, ProjectiveSystem, find_singularities
 
 PROBLEMS = pathlib.Path(__file__).parent.parent / "problems"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -334,6 +337,97 @@ def test_golden_svg(name, grid):
     assert render_svg(prob, grid=grid).encode() == golden
 
 
+def _reference_svg(prob, grid, width=640):
+    """The plot built one point at a time: ``solve`` at each cell centre,
+    one f-string per segment, the body joined by newlines."""
+    sys_ = prob.system
+    dom = sys_.domain
+    spanx = dom.xmax - dom.xmin
+    spany = dom.ymax - dom.ymin
+    height = int(round(width * spany / spanx))
+    sx = width / spanx
+    sy = height / spany
+
+    def to_px(x, y):
+        return ((x - dom.xmin) * sx, (dom.ymax - y) * sy)
+
+    cell = min(spanx, spany) / grid
+    half = 0.35 * cell
+    items = []
+    for i in range(grid):
+        x = dom.xmin + (i + 0.5) * spanx / grid
+        for j in range(grid):
+            y = dom.ymin + (j + 0.5) * spany / grid
+            try:
+                roots = sys_.solve(x, y, prob.singular_tol, prob.sep_floor)
+            except (FiberError, DomainError):
+                continue
+            for r in roots:
+                dx = half * math.cos(r.phi)
+                dy = half * math.sin(r.phi)
+                x1, y1 = to_px(x - dx, y - dy)
+                x2, y2 = to_px(x + dx, y + dy)
+                items.append(f'<line x1="{x1:.3f}" y1="{y1:.3f}" '
+                             f'x2="{x2:.3f}" y2="{y2:.3f}"/>')
+    for sp in find_singularities(sys_, grid_density=prob.grid_density,
+                                 tol=prob.singular_tol,
+                                 sep_floor=prob.sep_floor):
+        cx, cy = to_px(sp.x, sp.y)
+        items.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="4" '
+                     'fill="#c0392b"/>')
+    body = "\n".join(items)
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}">\n'
+            '<g stroke="#1f3b57" stroke-width="1.1">\n'
+            f"{body}\n</g>\n</svg>\n")
+
+
+@pytest.mark.parametrize("grid", [1, 45, 46, 47])
+@pytest.mark.parametrize("name, coefficients", [
+    ("lemon", None),            # the singular centre leaves a gap
+    ("three_web_constant", None),   # roots at infinity and zero roots
+    ("radial_circular", None),
+    # 1/x fails along the centre column at odd grids
+    ("lemon", ["1/x", "-2*x", "-y"]),
+    # complex roots at every point and no singular point: an empty body
+    ("lemon", ["1", "0", "1"]),
+], ids=["lemon", "three_web_constant", "radial_circular", "reciprocal_x",
+        "no_real_roots"])
+def test_svg_matches_pointwise_reference(tmp_path, name, coefficients,
+                                         grid):
+    # 46 and 47 columns of 46 and 47 points span two blocks of whole
+    # columns, the last one partial
+    doc = _read(PROBLEMS / f"{name}.json")
+    if coefficients:
+        doc["system"]["coefficients"] = coefficients
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps(doc))
+    prob = load_problem(str(path))
+    want = _reference_svg(prob, grid)
+    assert render_svg(prob, grid=grid) == want
+    if coefficients == ["1", "0", "1"]:
+        assert "<line" not in want and "<circle" not in want
+
+
+@pytest.mark.parametrize("grid, calls", [(100, 5), (20, 1)])
+def test_plot_solves_blocks_of_whole_columns(monkeypatch, grid, calls):
+    # ceil(grid / (PLOT_BATCH // grid)) kernel calls; the singular-point
+    # search is stubbed out, so only the plot's solves are counted
+    rows = []
+    kernel = ProjectiveSystem._roots_many
+
+    def counted(self, A, *args):
+        rows.append(len(A))
+        return kernel(self, A, *args)
+
+    monkeypatch.setattr(ProjectiveSystem, "_roots_many", counted)
+    monkeypatch.setattr(cli, "find_singularities", lambda *a, **k: [])
+    render_svg(load_problem(str(PROBLEMS / "radial_circular.json")),
+               grid=grid)
+    assert len(rows) == calls
+    assert sum(rows) == grid * grid
+
+
 def test_analyze_three_web_no_singularities(tmp_path):
     out = tmp_path / "report.json"
     code = main(["analyze", str(PROBLEMS / "three_web_constant.json"),
@@ -487,6 +581,7 @@ def _ellipsoid_with_order(order):
                                     "coefficients": ["y", "-2*x"]})),
     ("analyze", _half_turn_with_sheets(True)),
     ("analyze", _lemon_with(loop__radius=True)),
+    ("plot --grid 1025", _lemon_with()),
 ], ids=["literal_1e999", "parens_200", "chain_3000", "singular_negative",
         "singular_string", "separation_floor_inf", "domain_minus_inf",
         "domain_nan", "samples_string", "samples_float", "samples_31",
@@ -494,13 +589,14 @@ def _ellipsoid_with_order(order):
         "quadrature_order_string", "quadrature_order_zero",
         "declared_outside_domain", "declared_nan", "declared_string",
         "declared_three_coordinates", "declared_not_a_list",
-        "degree_bool", "sheets_bool", "loop_radius_bool"])
+        "degree_bool", "sheets_bool", "loop_radius_bool", "plot_grid_1025"])
 def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, doc):
     _refuse_to_run(monkeypatch)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "report.json"
-    assert main([command, str(path), "-o", str(out)]) == 1
+    command, *options = command.split()
+    assert main([command, str(path), "-o", str(out), *options]) == 1
     err = capsys.readouterr().err
     assert "monoweb: input error" in err
     assert "Traceback" not in err

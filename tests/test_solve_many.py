@@ -57,6 +57,15 @@ def _bits(roots):
                  for v in dataclasses.astuple(r))
 
 
+def _kernel_rows(system_cls, output):
+    """A kernel's ``(roots, errors)`` as one entry per row: the row's
+    error, or its roots as the variant's root objects."""
+    roots, errors = output
+    assert roots.ndim == 2 and len(roots) == len(errors)
+    return [tuple(map(system_cls._root, row)) if error is None else error
+            for row, error in zip(roots.tolist(), errors)]
+
+
 def _solve_or_none(sys, x, y, tol, floor):
     try:
         return sys.solve(x, y, tol, floor)
@@ -172,7 +181,7 @@ def _projective_reference(row):
             try:
                 ts = mpmath.polyroots(a[hi:lo - 1 if lo else None:-1],
                                       maxsteps=400, extraprec=400)
-            except mpmath.NoConvergence:
+            except mpmath.libmp.NoConvergence:
                 return sq, None
             phis += [mpmath.atan(t) for t in ts]
         return sq, [complex(float(mpmath.re(p) % mpmath.pi),
@@ -210,7 +219,8 @@ def _check_projective_row(row, roots, tol, floor):
 @given(st.one_of(random_rows, factored_rows()),
        st.sampled_from([1e-10, 1e-30]), st.sampled_from([1e-6, 1e-12]))
 def test_batched_rows_are_none_or_the_scalar_roots(rows, tol, floor):
-    got = _projective_roots_many(np.array(rows, dtype=float), tol, floor)
+    got = _kernel_rows(ProjectiveSystem, _projective_roots_many(
+        np.array(rows, dtype=float), tol, floor))
     for row, roots in zip(rows, got):
         _check_projective_row(row, roots, tol, floor)
 
@@ -220,7 +230,8 @@ def test_generic_rows_take_the_batched_path():
     # plain quadratic: each gives its roots, in increasing phi
     rows = [[0.0, 1.0, 0.0], [0.0, -1.0, 1.0, 0.0], [1.0, -3.0, 2.0]]
     for row in rows:
-        [roots] = _projective_roots_many(np.array([row]), 1e-10, 1e-6)
+        [roots] = _kernel_rows(ProjectiveSystem, _projective_roots_many(
+            np.array([row]), 1e-10, 1e-6))
         assert not isinstance(roots, FiberError)
         _check_projective_row(row, roots, 1e-10, 1e-6)
 
@@ -299,7 +310,8 @@ small = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-4.0, 4.0),
        st.sampled_from([1e-10, 1e-30]))
 def test_circle_rows_are_none_or_the_scalar_roots(m, rows, tol):
     # the m-th roots (arg v + 2 pi k)/m of v/|v|, in closed form
-    got = _circle_roots_many(np.array(rows), m, tol)
+    got = _kernel_rows(CircleSystem,
+                       _circle_roots_many(np.array(rows), m, tol))
     for (re, im), roots in zip(rows, got):
         _check_invariants(roots, m, 0.0)
         with mpmath.workdps(DIGITS):
@@ -321,6 +333,14 @@ def test_circle_rows_are_none_or_the_scalar_roots(m, rows, tol):
 def test_circle_solve_many_matches_solve(m, v_re, v_im):
     sys = CircleSystem(SQ, sheets=m, v_re=parse(v_re), v_im=parse(v_im))
     _assert_matches_solve(sys, GRID)
+
+
+def test_circle_root_a_rounding_error_below_zero_is_zero():
+    # arg v = -7e-131 puts a root just below 0, and adding 2 pi to it
+    # rounds to 2 pi itself, outside [0, 2 pi)
+    [roots] = _kernel_rows(CircleSystem, _circle_roots_many(
+        np.array([[1.0, -7.1e-131]]), 2, 1e-10))
+    assert [r.psi for r in roots] == [0.0, math.pi]
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -390,7 +410,7 @@ def _punctured_reference(row, tol):
             return checks, None
         try:
             roots = mpmath.polyroots(c[::-1], maxsteps=400, extraprec=400)
-        except mpmath.NoConvergence:
+        except mpmath.libmp.NoConvergence:
             return checks, None
         return checks, [complex(w) for w in roots]
 
@@ -422,7 +442,8 @@ def _check_punctured_row(row, roots, tol, floor):
 @given(st.one_of(random_punctured_rows, factored_punctured_rows()),
        st.sampled_from([1e-10, 1e-30]), st.sampled_from([1e-6, 1e-12]))
 def test_punctured_rows_are_none_or_the_scalar_roots(rows, tol, floor):
-    got = _punctured_roots_many(np.array(rows, dtype=float), tol, floor)
+    got = _kernel_rows(PuncturedPlaneSystem, _punctured_roots_many(
+        np.array(rows, dtype=float), tol, floor))
     for row, roots in zip(rows, got):
         _check_punctured_row(row, roots, tol, floor)
 
@@ -432,7 +453,8 @@ def test_generic_punctured_rows_take_the_batched_path():
             _row_from_roots([2j, 0.5, -1 - 1j, 3.0], 2.0 - 1j),
             _row_from_roots([0.25 + 0.5j], 1j)]
     for row in rows:
-        [roots] = _punctured_roots_many(np.array([row]), 1e-10, 1e-6)
+        [roots] = _kernel_rows(PuncturedPlaneSystem, _punctured_roots_many(
+            np.array([row]), 1e-10, 1e-6))
         assert not isinstance(roots, FiberError)
         _check_punctured_row(row, roots, 1e-10, 1e-6)
         assert _bits(roots) == _bits(_punctured_const(row).solve(0.0, 0.0))
@@ -444,9 +466,20 @@ def test_punctured_rows_near_the_floor_fail():
     pair = _row_from_roots([0.5 + 0.5j, 0.5 + 0.5j + 1e-7, -1.0], 1.0)
     puncture = _row_from_roots([1e-7j, 1.0], 1.0 + 1j)
     for row, error in [(pair, IllConditioned), (puncture, SingularFiber)]:
-        [roots] = _punctured_roots_many(np.array([row]), 1e-30, 1e-6)
+        [roots] = _kernel_rows(PuncturedPlaneSystem, _punctured_roots_many(
+            np.array([row]), 1e-30, 1e-6))
         assert type(roots) is error
         _check_punctured_row(row, roots, 1e-30, 1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160])
+def test_punctured_roots_at_overflow_scale(scale):
+    # the square of a coefficient modulus overflows from about 1.3e154,
+    # which must not make the constant coefficient look vanishing
+    sys = _punctured_const(_row_from_roots([1.0, 2.0], scale))
+    roots = [complex(r.re, r.im) for r in sys.solve(0.0, 0.0)]
+    assert len(roots) == 2
+    assert abs(roots[0] - 1.0) < 1e-12 and abs(roots[1] - 2.0) < 1e-12
 
 
 @FIXED
