@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 from .expr import Expr, eval_expr, parse  # noqa: F401
 from .fiber import (BinaryForm, CircleSystem, FiberKind,  # noqa: F401
                     ProjectiveSystem, PuncturedPlaneSystem, Rect,
-                    SingularPoint, find_singularities, min_root_separation,
-                    solve_fiber)
+                    SingularPoint, find_singularities, solve_fiber)
 from .geometry import (SurfacePatch, WeightedPatch,  # noqa: F401
                        curvature_line_bde, fundamental_forms,
                        integrate_gauss_curvature, verify_index_theorem)

@@ -538,8 +538,8 @@ def render_svg(prob: Problem, grid: int = 20, width: int = 640) -> str:
              '<g stroke="#1f3b57" stroke-width="1.1">\n']
     cols = max(1, PLOT_BATCH // grid)
     for block in (xs[i:i + cols] for i in range(0, grid, cols)):
-        phi, errors = sys_._fibers([(x, y) for x in block for y in ys],
-                                   prob.singular_tol, prob.sep_floor)
+        phi, _, errors = sys_._fibers([(x, y) for x in block for y in ys],
+                                      prob.singular_tol, prob.sep_floor)
         good = [k for k, e in enumerate(errors) if e is None]
         x = np.repeat(block, grid)[good, None]
         y = np.tile(ys, len(block))[good, None]

@@ -13,20 +13,22 @@ Away from the singular set the fiber over a base point is a fixed finite
 set of roots; ``solve_fiber`` returns it, and ``find_singularities``
 locates the points where it degenerates and probes their isolation.
 ``FiberSystem.solve`` solves one base point and ``solve_many`` many in
-one batch (loop tracking, the isolation probes and plotting); both run
-the variant's root kernel, so a point has the same roots either way.
+one batch; loop tracking, the isolation probes and plotting read the
+same batch as arrays (``_fibers``).  All of them run the variant's root
+kernel, so a point has the same roots either way.
 
 A variant supplies three things: the expression ``components`` whose
 common zeros are the singular set; a stacked root kernel,
-``_roots_many``, which returns ``(roots, errors)`` for a stack of rows
-of coefficient values: the fibers in canonical order as a (k, n) array
-(phi on RP^1, psi on S^1, complex w on C*), and for each row None or the
-FiberError that explains why it has no fiber; and a root class with
-``distance`` (the fiber metric) and ``angle`` (the coordinate a lift
-unwraps, modulo ``FiberKind.period``).  The residual, its grid scan, its
-exact Jacobian, ``solve`` and ``solve_many`` (the only makers of root
-objects) come from the base class, and nothing else in the package
-depends on the variant internals.
+``_roots_many``, which returns ``(roots, sep, errors)`` for a stack of
+rows of coefficient values: the fibers in canonical order as a (k, n)
+array (phi on RP^1, psi on S^1, complex w on C*), each row's minimum
+root separation, and for each row None or the FiberError that explains
+why it has no fiber; and a root class, whose objects only ``solve`` and
+``solve_many`` make.  The fiber metric is ``FiberKind.distance`` on raw
+coordinates, and ``FiberKind.separation`` is the one place a fiber's
+separation is computed.  The residual, its grid scan, its exact
+Jacobian, ``solve`` and ``solve_many`` come from the base class, and
+nothing else in the package depends on the variant internals.
 
 System values are immutable after construction and all operations are
 re-entrant (the cached compiled evaluators are memoized under the GIL),
@@ -35,7 +37,6 @@ so concurrent calls on one system are safe.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -53,9 +54,8 @@ __all__ = [
     "BinaryForm", "FiberSystem", "ProjectiveSystem", "CircleSystem",
     "PuncturedPlaneSystem", "SingularPoint",
     "FiberError", "SingularFiber", "ComplexRoots", "IllConditioned",
-    "MixedVariants", "NonIsolatedZero", "NoConvergence",
-    "solve_fiber", "min_root_separation", "find_singularities",
-    "fiber_distance", "SINGULAR_TOL", "SEP_FLOOR",
+    "NonIsolatedZero", "NoConvergence",
+    "solve_fiber", "find_singularities", "SINGULAR_TOL", "SEP_FLOOR",
 ]
 
 SINGULAR_TOL = 1e-10   # squared-residual threshold for "in the singular set"
@@ -82,10 +82,6 @@ class IllConditioned(FiberError):
     """Two fiber roots closer than the separation floor."""
 
 
-class MixedVariants(FiberError):
-    """Roots of different fiber variants in one operation."""
-
-
 class NonIsolatedZero(FiberError):
     """The singular set is not discrete (zero curve or surface)."""
 
@@ -104,6 +100,25 @@ class FiberKind(Enum):
     def period(self) -> float:
         """Period of the fiber angle: pi on RP^1, 2 pi on S^1 and C*."""
         return math.pi if self is FiberKind.PROJECTIVE else _TWO_PI
+
+    def distance(self, a, b):
+        """Fiber distance between the roots a and b, elementwise: the
+        wrapped angle difference on RP^1 and S^1, the complex modulus of
+        a - b on C*."""
+        if self is FiberKind.PUNCTURED_PLANE:
+            d = np.subtract(a, b)
+            return np.hypot(d.real, d.imag)
+        p = self.period
+        d = np.abs(_mod_array(a, p) - _mod_array(b, p))
+        return np.minimum(d, p - d)
+
+    def separation(self, R):
+        """Minimum distance between two roots of each row of R; +inf for
+        a row of one root."""
+        i, j = np.triu_indices(R.shape[1], 1)
+        if not len(i):
+            return np.full(len(R), math.inf)
+        return self.distance(R[:, i], R[:, j]).min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +153,8 @@ class Rect:
 
 
 # ---------------------------------------------------------------------------
-# Fiber roots, with their metric and lift angle.  A solved fiber is in
-# canonical order: by phi, by psi, or by (arg mod 2 pi, modulus) on C*.
+# Fiber roots, as ``solve`` returns them.  A solved fiber is in canonical
+# order: by phi, by psi, or by (arg mod 2 pi, modulus) on C*.
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,9 +166,6 @@ class RP1Angle:
     def angle(self) -> float:
         return self.phi
 
-    def distance(self, other) -> float:
-        return _angle_distance(self.phi, other.phi, math.pi)
-
 
 @dataclass(frozen=True, slots=True)
 class CircleAngle:
@@ -163,9 +175,6 @@ class CircleAngle:
     @property
     def angle(self) -> float:
         return self.psi
-
-    def distance(self, other) -> float:
-        return _angle_distance(self.psi, other.psi, _TWO_PI)
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,41 +192,6 @@ class ComplexPoint:
         return math.atan2(self.im, self.re)
 
     angle = arg
-
-    def distance(self, other) -> float:
-        return math.hypot(self.re - other.re, self.im - other.im)
-
-
-def _mod(a: float, period: float) -> float:
-    r = math.fmod(a, period)
-    if r < 0.0:
-        r += period
-    return r
-
-
-def _angle_distance(a: float, b: float, period: float) -> float:
-    d = abs(_mod(a, period) - _mod(b, period))
-    return min(d, period - d)
-
-
-def fiber_distance(a, b) -> float:
-    """Distance between two fiber roots of the same variant."""
-    if type(a) is not type(b):
-        raise MixedVariants(f"cannot compare {type(a).__name__} "
-                            f"with {type(b).__name__}")
-    return a.distance(b)
-
-
-def min_root_separation(roots) -> float:
-    """Minimum pairwise fiber distance; +inf for a single root."""
-    roots = list(roots)
-    if not roots:
-        raise ValueError("empty root set")
-    best = math.inf
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            best = min(best, fiber_distance(roots[i], roots[j]))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +282,14 @@ class FiberSystem:
 
     def _roots_many(self, A, singular_tol, sep_floor):
         """The variant's stacked root kernel on the finite rows of
-        ``_solve_fn`` values in A: ``(roots, errors)``, row i of ``roots``
-        the fiber of row i unless ``errors[i]`` is a FiberError."""
+        ``_solve_fn`` values in A: ``(roots, sep, errors)``, row i of
+        ``roots`` the fiber of row i and ``sep[i]`` its minimum root
+        separation unless ``errors[i]`` is a FiberError."""
         raise NotImplementedError
 
     def _fibers(self, points, singular_tol, sep_floor):
-        """``(roots, errors)`` for the (x, y) of ``points``, as from the
-        kernel: ``errors[k]`` is None or the error ``solve`` raises at
+        """``(roots, sep, errors)`` for the (x, y) of ``points``, as from
+        the kernel: ``errors[k]`` is None or the error ``solve`` raises at
         point k, a DomainError where the evaluation fails or is not
         finite, else the kernel's, with the point named.  The rows of all
         the points share one call of ``_roots_many``."""
@@ -335,22 +310,25 @@ class FiberSystem:
                 errors[k] = DomainError(
                     f"coefficient evaluation is not finite at ({x}, {y})")
             A, where = A[finite], np.array(where)[finite].tolist()
+        sep = np.zeros(len(points))
         if not where:
-            return np.zeros((len(points), self.sheet_count)), errors
-        batch, batch_errors = self._roots_many(A, singular_tol, sep_floor)
+            return np.zeros((len(points), self.sheet_count)), sep, errors
+        batch, batch_sep, batch_errors = self._roots_many(A, singular_tol,
+                                                          sep_floor)
         roots = np.zeros((len(points), batch.shape[1]), batch.dtype)
         roots[where] = batch
+        sep[where] = batch_sep
         for k, e in zip(where, batch_errors):
             if e is not None:
                 x, y = points[k]
                 errors[k] = type(e)(f"{e} at ({x}, {y})")
-        return roots, errors
+        return roots, sep, errors
 
     # root objects are made only here, from .tolist() rows (Python floats)
     def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
         """The fiber over (x, y) in canonical order.  Raises the variant's
         FiberError, or DomainError where the evaluation fails."""
-        roots, [error] = self._fibers([(x, y)], singular_tol, sep_floor)
+        roots, _, [error] = self._fibers([(x, y)], singular_tol, sep_floor)
         if error is not None:
             raise error
         return tuple(map(self._root, roots.tolist()[0]))
@@ -359,7 +337,7 @@ class FiberSystem:
                    sep_floor=SEP_FLOOR):
         """``solve`` at each (x, y) of ``points`` in one batch: a list with
         the fiber of each point, or None where ``solve`` raises."""
-        roots, errors = self._fibers(points, singular_tol, sep_floor)
+        roots, _, errors = self._fibers(points, singular_tol, sep_floor)
         return [tuple(map(self._root, row)) if error is None else None
                 for row, error in zip(roots.tolist(), errors)]
 
@@ -546,21 +524,6 @@ def _determinant(rows):
     return minor(tuple(range(len(rows))))
 
 
-def _punctured_fiber(roots, sep_floor):
-    """Polished complex C* roots, ordered by (arg mod 2 pi, modulus);
-    raises when a root nears the puncture or two roots nearly meet (the
-    caller adds the base point to the message)."""
-    if any(abs(w) <= sep_floor for w in roots):
-        raise SingularFiber(
-            "a root lies within the separation floor of the puncture")
-    roots = sorted(roots, key=lambda w: (_mod(cmath.phase(w), _TWO_PI),
-                                         abs(w)))
-    if any(math.hypot(a.real - b.real, a.imag - b.imag) < sep_floor
-           for i, a in enumerate(roots) for b in roots[i + 1:]):
-        raise IllConditioned(f"fiber roots closer than {sep_floor}")
-    return roots
-
-
 # ---------------------------------------------------------------------------
 # Root kernels, one per variant.  A kernel solves a stack of rows, and each
 # row's roots depend on that row alone.  The golden reports pin the roots to
@@ -619,8 +582,9 @@ def _polish_angles(A, phi, iters=4):
 
 def _projective_roots_many(A, singular_tol, sep_floor):
     """The real projective roots of sum_i a_i p^(n-i) q^i for each row of
-    coefficients A, as ``(phi, errors)``: the angles in [0, pi), in
-    increasing order, and the FiberError of each row that has no fiber.
+    coefficients A, as ``(phi, sep, errors)``: the angles in [0, pi), in
+    increasing order, their separations, and the FiberError of each row
+    that has no fiber.
 
     Each row is solved in one chart: in t = q/p (leading a_n; infinity is
     [0:1], phi = pi/2) when |a_n| >= |a_0|, else in s = p/q (leading a_0;
@@ -684,22 +648,19 @@ def _projective_roots_many(A, singular_tol, sep_floor):
                            axis=1)
         angles[rows, cols] = phi
         angles = np.sort(_mod_array(angles, math.pi), axis=1)
-        if n > 1:
-            i, j = np.triu_indices(n, 1)
-            d = np.abs(_mod_array(angles[:, i], math.pi)
-                       - _mod_array(angles[:, j], math.pi))
-            sep = np.minimum(d, math.pi - d).min(axis=1)
-            _reject(errors, ok, np.flatnonzero(sep <= 1e-11), fewer)
-            _reject(errors, ok, np.flatnonzero(sep < sep_floor),
-                    IllConditioned(f"projective roots closer than the "
-                                   f"separation floor {sep_floor}"))
-    return angles, errors
+        sep = FiberKind.PROJECTIVE.separation(angles)
+        _reject(errors, ok, np.flatnonzero(sep <= 1e-11), fewer)
+        _reject(errors, ok, np.flatnonzero(sep < sep_floor),
+                IllConditioned(f"projective roots closer than the "
+                               f"separation floor {sep_floor}"))
+    return angles, sep, errors
 
 
 def _circle_roots_many(V, m, singular_tol):
     """The m-th roots of v/|v| for each row (Re v, Im v) of V, as
-    ``(psi, errors)``: the angles in [0, 2 pi), in increasing order, and
-    SingularFiber for each row where v vanishes."""
+    ``(psi, sep, errors)``: the angles in [0, 2 pi), in increasing order,
+    their separations, and SingularFiber for each row where v
+    vanishes."""
     with np.errstate(all="ignore"):
         ok = V[:, 0] * V[:, 0] + V[:, 1] * V[:, 1] > singular_tol
     base = np.array([math.atan2(im, re) for re, im in V.tolist()])
@@ -707,7 +668,8 @@ def _circle_roots_many(V, m, singular_tol):
     # a root just below 0 rounds up to 2 pi, which is canonically 0
     psi = np.sort(np.where(psi < _TWO_PI, psi, 0.0), axis=1)
     singular = SingularFiber("defining data vanishes")
-    return psi, [None if good else singular for good in ok.tolist()]
+    return (psi, FiberKind.CIRCLE.separation(psi),
+            [None if good else singular for good in ok.tolist()])
 
 
 def _horner(P, W):
@@ -720,8 +682,9 @@ def _horner(P, W):
 
 def _punctured_roots_many(A, singular_tol, sep_floor):
     """The roots in C* of sum_k c_k w^k for each row of A, the (re, im)
-    pairs of c_0 .. c_n, as ``(W, errors)``: the complex roots in
-    canonical order, and the FiberError of each row that has no fiber.
+    pairs of c_0 .. c_n, as ``(W, sep, errors)``: the complex roots in
+    canonical order, by (arg mod 2 pi, modulus), their separations, and
+    the FiberError of each row that has no fiber.
 
     The rows that pass the coefficient checks share one eigvals call on
     the stacked companion matrices that np.roots builds, and three Newton
@@ -733,6 +696,7 @@ def _punctured_roots_many(A, singular_tol, sep_floor):
     errors = [None] * k
     ok = np.ones(k, dtype=bool)
     out = np.zeros((k, n), dtype=complex)
+    sep = np.zeros(k)
     with np.errstate(all="ignore"):
         mod = np.hypot(A[:, 0::2], A[:, 1::2])
         scale = mod.max(axis=1)
@@ -747,7 +711,7 @@ def _punctured_roots_many(A, singular_tol, sep_floor):
             _reject(errors, ok, np.flatnonzero(fails), SingularFiber(why))
         rows = np.flatnonzero(ok)
         if not len(rows):
-            return out, errors
+            return out, sep, errors
         P = np.empty((len(rows), n + 1), dtype=complex)   # descending in w
         P.real = A[rows, -2::-2]
         P.imag = A[rows, -1::-2]
@@ -758,7 +722,7 @@ def _punctured_roots_many(A, singular_tol, sep_floor):
             W = np.linalg.eigvals(comp)
         except np.linalg.LinAlgError as e:
             _reject(errors, ok, rows, FiberError(f"eigenvalues failed: {e}"))
-            return out, errors
+            return out, sep, errors
         dP = P[:, :-1] * np.arange(n, 0, -1)
         live = np.ones(W.shape, dtype=bool)
         for _ in range(3):
@@ -770,12 +734,18 @@ def _punctured_roots_many(A, singular_tol, sep_floor):
                       < 1e-15 * (1.0 + np.hypot(W.real, W.imag)))
             if not live.any():
                 break
-    for r, roots in zip(rows.tolist(), W.tolist()):
-        try:
-            out[r] = _punctured_fiber(roots, sep_floor)
-        except FiberError as e:
-            errors[r] = e
-    return out, errors
+        mod = np.hypot(W.real, W.imag)
+        arg = np.reshape(list(map(math.atan2, W.imag.ravel().tolist(),
+                                  W.real.ravel().tolist())), W.shape)
+        order = np.lexsort((mod, _mod_array(arg, _TWO_PI)))
+        out[rows] = W = np.take_along_axis(W, order, axis=1)
+        sep[rows] = FiberKind.PUNCTURED_PLANE.separation(W)
+        _reject(errors, ok, rows[(mod <= sep_floor).any(axis=1)],
+                SingularFiber("a root lies within the separation floor of "
+                              "the puncture"))
+        _reject(errors, ok, rows[sep[rows] < sep_floor],
+                IllConditioned(f"fiber roots closer than {sep_floor}"))
+    return out, sep, errors
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +852,8 @@ def _certify_isolation(sys, x, y, others, tol, sep_floor, probe_angles=64):
     for _ in range(10):
         ring = [(x + r * math.cos(th), y + r * math.sin(th))
                 for th in angles]
-        if all(roots is not None for roots in sys.solve_many(
-                ring, singular_tol=tol, sep_floor=sep_floor)):
+        _, _, errors = sys._fibers(ring, tol, sep_floor)
+        if all(e is None for e in errors):
             return r
         r *= 0.5
         if r < 1e-8:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fiber import FiberKind, FiberSystem, SingularPoint, fiber_distance
+from .fiber import FiberKind, FiberSystem, SingularPoint
 from .monodromy import (LoopSpec, MonodromyResult, TrackedPath, orbit_lift,
                         track_loop)
 
@@ -99,7 +99,7 @@ def winding_class(path: TrackedPath, kind: FiberKind | None = None) -> int:
     """
     if kind is None:
         kind = path.kind
-    gap = fiber_distance(path.start_root, path.end_root)
+    gap = path.kind.distance(path.start_root, path.end_root)
     if gap > 1e-6:
         raise OpenPath(f"path endpoints differ by {gap:.3e} in the fiber")
     period = kind.period

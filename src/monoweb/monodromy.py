@@ -8,15 +8,19 @@ nearest-neighbour matching the unique one realised by continuous
 continuation; otherwise the step is bisected (up to a depth cap).  The
 same matcher closes the loop and labels the end of ``transport_fiber``.
 
-Nothing here depends on the fiber variant.  The roots carry it: each
-root's ``distance`` is the fiber metric, its ``angle`` is the coordinate
-the lift unwraps (modulo ``FiberKind.period``), and ``solve`` returns the
-fiber in canonical order, which gives the labels.
+Nothing here depends on the fiber variant.  Roots are raw fiber
+coordinates (phi on RP^1, psi on S^1, complex w on C*) and the kind
+gives the rest: ``FiberKind.distance`` is the fiber metric, the angle
+(arg w on C*) is the coordinate the lift unwraps modulo
+``FiberKind.period``, and the root kernels return each fiber in
+canonical order, which gives the labels, with its separation.
 
-The initial samples are solved in one batch (``FiberSystem.solve_many``)
-before matching starts.  A sample whose batched solve fails is solved
-again when matching reaches it, so the error names its loop parameter;
-bisection midpoints are solved one at a time.
+All samples of a path are solved in one batch (``FiberSystem._fibers``)
+and all steps between them are matched at once.  Only a step that this
+rejects is walked again in tracked order, where it is bisected;
+bisection midpoints are solved one at a time.  A sample whose solve
+failed raises ``SingularOnLoop``, naming its loop parameter, when the
+walk reaches it.
 
 One full traversal in the positive (counterclockwise) direction induces
 the permutation of the fiber that generates the local monodromy group;
@@ -33,9 +37,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fiber import (FiberError, FiberKind, FiberSystem, SEP_FLOOR,
-                    SINGULAR_TOL, SingularFiber, fiber_distance,
-                    min_root_separation, solve_fiber)
+                    SINGULAR_TOL, SingularFiber)
 
 __all__ = [
     "LoopSpec", "TrackedPath", "MonodromyResult",
@@ -108,6 +113,7 @@ class LoopSpec:
 class TrackedPath:
     """Samples of one continuously-continued fiber root.
 
+    ``roots`` are the raw fiber coordinates (floats; complex on C*).
     ``lift`` is the unwrapped fiber coordinate: the angle lift for RP^1
     (period pi) and S^1 (period 2 pi), the unwrapped argument for C*.
     ``logmod`` carries log|w| for C* paths, else None.
@@ -165,130 +171,151 @@ class MonodromyResult:
 # Core tracking engine
 
 
-def _wrap(d: float, period: float) -> float:
-    """Wrap d into (-period/2, period/2]."""
-    w = math.fmod(d + period / 2.0, period)
-    if w <= 0.0:
-        w += period
-    return w - period / 2.0
+def _match(kind, prev, new, bound):
+    """Nearest-root matching of each row of ``prev`` onto the same row of
+    ``new`` (both (S, n) root arrays), as ``(order, verdict)``.
 
-
-def _match(prev, new, bound):
-    """For each root of ``prev``, the index of its nearest root in ``new``.
-
-    None when a nearest distance reaches ``bound`` or two roots of prev
-    share a nearest root; AmbiguousMatching when the two nearest distances
-    of a root are within 1e-9.  The roots are checked in order, so the
-    first failure decides."""
-    out = []
-    for r in prev:
-        (d0, k0), *rest = sorted([(r.distance(s), k)
-                                  for k, s in enumerate(new)])
-        if d0 >= bound:
-            return None
-        if rest and rest[0][0] - d0 < 1e-9:
-            raise AmbiguousMatching(
-                f"two matches within 1e-9 while continuing a root "
-                f"(distances {d0:.3e} and {rest[0][0]:.3e})")
-        if k0 in out:
-            return None
-        out.append(k0)
-    return out
+    ``order[s, i]`` is the index in ``new[s]`` of the root nearest
+    ``prev[s, i]``.  ``verdict[s]`` is True when step s is accepted;
+    False when a nearest distance reaches ``bound`` (a scalar or one
+    bound per step) or two roots of ``prev[s]`` share a nearest root; and
+    an AmbiguousMatching, for the caller to raise, when the two nearest
+    distances of a root are within 1e-9.  The roots of a row are checked
+    in order, so the first failure decides."""
+    # the roots of a failed sample may be inf or NaN; no step to or from
+    # it is accepted
+    with np.errstate(invalid="ignore"):
+        D = kind.distance(prev[:, :, None], new[:, None, :])
+        near = np.sort(D, axis=2)
+        tie = np.zeros(near.shape[:2], dtype=bool)
+        if new.shape[1] > 1:
+            tie = near[:, :, 1] - near[:, :, 0] < 1e-9
+    order = D.argmin(axis=2)
+    far = near[:, :, 0] >= np.reshape(bound, (-1, 1))
+    shared = np.tril(order[:, :, None] == order[:, None, :], -1).any(axis=2)
+    fail = far | tie | shared
+    steps, first = np.arange(len(fail)), fail.argmax(axis=1)
+    verdict = (~fail[steps, first]).tolist()
+    for s in np.flatnonzero(tie[steps, first] & ~far[steps, first]).tolist():
+        d0, d1 = near[s, first[s], :2].tolist()
+        verdict[s] = AmbiguousMatching(
+            f"two matches within 1e-9 while continuing a root "
+            f"(distances {d0:.3e} and {d1:.3e})")
+    return order, verdict
 
 
 class _Tracker:
     """Adaptive continuation of a full ordered fiber along a base path.
 
-    ``presolved`` maps a path parameter t to the roots of a batched solve
-    at t, or None where that solve failed."""
+    ``samples`` maps each path parameter t solved so far to its row of
+    the solve: (roots, separation, error)."""
 
     def __init__(self, sys: FiberSystem, path_fn, singular_tol, sep_floor,
-                 max_depth, presolved):
+                 max_depth, samples):
         self.sys = sys
         self.path_fn = path_fn
         self.singular_tol = singular_tol
         self.sep_floor = sep_floor
         self.max_depth = max_depth
-        self.presolved = presolved
+        self.samples = samples
         self.solves = 0
         self.depth_reached = 0
 
     def solve_at(self, t: float):
+        """The canonical fiber at t and its separation: a sample's from
+        the batched solve, a bisection midpoint's solved alone when first
+        reached."""
         self.solves += 1
-        roots = self.presolved.get(t)
-        if roots is not None:
-            return roots
-        # a bisection midpoint, or a sample whose batched solve failed:
-        # solving the point alone raises the error, here named with t
         p = self.path_fn(t)
-        try:
-            return solve_fiber(self.sys, p, singular_tol=self.singular_tol,
-                               sep_floor=self.sep_floor)
-        except SingularFiber as e:
+        if t not in self.samples:
+            R, S, [error] = self.sys._fibers([p], self.singular_tol,
+                                             self.sep_floor)
+            self.samples[t] = (R[0], S[0], error)
+        roots, sep, error = self.samples[t]
+        if isinstance(error, FiberError):
+            what = ("singular fiber" if isinstance(error, SingularFiber)
+                    else "fiber solve failed")
             raise SingularOnLoop(
-                f"singular fiber at t={t:.6g}, point {p}: {e}") from e
-        except FiberError as e:
-            raise SingularOnLoop(
-                f"fiber solve failed at t={t:.6g}, point {p}: {e}") from e
+                f"{what} at t={t:.6g}, point {p}: {error}") from error
+        if error is not None:
+            raise error
+        return roots, sep
 
     def advance(self, t0, roots0, sep0, t1, depth, out):
-        """Continue the ordered fiber from t0 to t1, appending accepted
-        samples (t, roots) to out.  ``sep0`` is the minimum root
-        separation at t0; returns the roots at t1 and theirs."""
+        """Continue the ordered fiber ``roots0`` from t0 to t1, appending
+        accepted samples (t, roots) to out.  ``sep0`` is its separation;
+        returns the roots at t1 in tracked order, their separation, and
+        their indices in the canonical fiber at t1."""
         self.depth_reached = max(self.depth_reached,
                                  self.max_depth - depth)
-        roots1 = self.solve_at(t1)
-        sep1 = min_root_separation(roots1)
-        order = _match(roots0, roots1, 0.5 * min(sep0, sep1))
-        if order is not None:
-            matched = tuple(roots1[k] for k in order)
-            out.append((t1, matched))
-            return matched, sep1
+        roots1, sep1 = self.solve_at(t1)
+        [order], [verdict] = _match(self.sys.kind, roots0[None],
+                                    roots1[None], 0.5 * min(sep0, sep1))
+        if verdict is True:
+            out.append((t1, roots1[order]))
+            return roots1[order], sep1, order
+        if verdict is not False:
+            raise verdict
         if depth <= 0:
             raise StepCollapse(
                 f"step {t0:.6g} -> {t1:.6g} could not be refined further; "
                 "the path passes too close to a fiber degeneracy")
         tm = 0.5 * (t0 + t1)
-        mid, sep_mid = self.advance(t0, roots0, sep0, tm, depth - 1, out)
+        mid, sep_mid, _ = self.advance(t0, roots0, sep0, tm, depth - 1, out)
         return self.advance(tm, mid, sep_mid, t1, depth - 1, out)
 
 
 def _run_track(sys, path_fn, samples, max_depth, singular_tol, sep_floor):
     """Track the whole fiber along path_fn over [0, 1].
 
-    The samples t = j/samples are solved in one batch first; only
-    bisection midpoints are solved one at a time.  Returns the accepted
-    (t, roots) samples, the roots ordered as the canonical fiber at t = 0,
-    and the tracker.
+    The samples t = j/samples are solved in one batch, and the steps
+    between them are matched in one call; the steps it does not accept
+    are walked again in tracked order and bisected.  Returns the accepted
+    parameters, the roots there as a (T, n) array ordered as the
+    canonical fiber at t = 0, the indices of the tracked roots in the
+    canonical fiber at t = 1, and the tracker.
     """
     ts = [j / samples for j in range(samples + 1)]
-    presolved = dict(zip(ts, sys.solve_many([path_fn(t) for t in ts],
-                                            singular_tol, sep_floor)))
+    roots, sep, errors = sys._fibers([path_fn(t) for t in ts],
+                                     singular_tol, sep_floor)
+    order, verdict = _match(sys.kind, roots[:-1], roots[1:],
+                            0.5 * np.minimum(sep[:-1], sep[1:]))
     tracker = _Tracker(sys, path_fn, singular_tol, sep_floor, max_depth,
-                       presolved)
-    roots = tracker.solve_at(0.0)
-    out = [(0.0, roots)]
-    cur, sep = roots, min_root_separation(roots)
-    for t in ts[1:]:
-        cur, sep = tracker.advance(out[-1][0], cur, sep, t, max_depth, out)
-    return out, tracker
+                       dict(zip(ts, zip(roots, sep, errors))))
+    cur, _ = tracker.solve_at(0.0)
+    out = [(0.0, cur)]
+    perm = np.arange(len(cur))   # tracked root -> canonical index at t
+    for j in range(1, len(ts)):
+        if verdict[j - 1] is True and errors[j] is None:
+            tracker.solves += 1
+            perm = order[j - 1][perm]
+            out.append((ts[j], roots[j][perm]))
+        else:
+            _, _, perm = tracker.advance(ts[j - 1], roots[j - 1][perm],
+                                         sep[j - 1], ts[j], max_depth, out)
+    return (tuple(t for t, _ in out), np.array([r for _, r in out]), perm,
+            tracker)
 
 
-def _build_paths(kind, samples):
-    """Per-root TrackedPath objects from the (t, ordered roots) samples."""
-    n = len(samples[0][1])
-    ts = tuple(t for t, _ in samples)
-    paths = []
-    for i in range(n):
-        roots = tuple(s[1][i] for s in samples)
-        lift = [roots[0].angle]
-        for a, b in zip(roots, roots[1:]):
-            lift.append(lift[-1] + _wrap(b.angle - a.angle, kind.period))
-        logmod = None
-        if kind is FiberKind.PUNCTURED_PLANE:
-            logmod = tuple(math.log(r.modulus) for r in roots)
-        paths.append(TrackedPath(kind, ts, roots, tuple(lift), logmod))
-    return paths
+def _build_paths(kind, ts, R):
+    """Per-root TrackedPath objects from the accepted parameters ts and
+    the (T, n) roots R in tracked order.  The lift adds the wrapped angle
+    steps in sequence (np.cumsum), and the C* angle and log-modulus are
+    scalar math.atan2 and math.log(math.hypot), as the reports pin."""
+    logmod = [None] * R.shape[1]
+    angle = R
+    if kind is FiberKind.PUNCTURED_PLANE:
+        re, im = R.real.ravel().tolist(), R.imag.ravel().tolist()
+        angle = np.reshape(list(map(math.atan2, im, re)), R.shape)
+        logmod = np.reshape(list(map(math.log, map(math.hypot, re, im))),
+                            R.shape).T.tolist()
+    period = kind.period
+    step = np.fmod(np.diff(angle, axis=0) + period / 2.0, period)
+    step = np.where(step <= 0.0, step + period, step) - period / 2.0
+    lift = np.cumsum(np.concatenate([angle[:1], step]), axis=0)
+    return [TrackedPath(kind, ts, tuple(roots), tuple(lf),
+                        None if lm is None else tuple(lm))
+            for roots, lf, lm in zip(R.T.tolist(), lift.T.tolist(), logmod)]
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +326,22 @@ def track_loop(sys: FiberSystem, loop: LoopSpec,
                singular_tol: float = SINGULAR_TOL,
                sep_floor: float = SEP_FLOOR) -> MonodromyResult:
     """Monodromy permutation induced by one traversal of ``loop``."""
-    samples, tracker = _run_track(sys, loop.point, loop.samples,
-                                  loop.max_depth, singular_tol, sep_floor)
-    roots0 = samples[0][1]
-    paths = _build_paths(sys.kind, samples)
+    ts, R, _, tracker = _run_track(sys, loop.point, loop.samples,
+                                   loop.max_depth, singular_tol, sep_floor)
+    paths = _build_paths(sys.kind, ts, R)
 
     # match the final fiber back onto the initial one
-    sigma = _match(samples[-1][1], roots0, math.inf)
-    if sigma is None:
-        raise AmbiguousMatching(
+    [sigma], [verdict] = _match(sys.kind, R[-1:], R[:1], math.inf)
+    if verdict is not True:
+        raise verdict or AmbiguousMatching(
             "closing the loop: two tracked endpoints map to the same "
             "initial root")
 
+    sigma = tuple(sigma.tolist())
     orbits = _cycles(sigma)
     return MonodromyResult(
         kind=sys.kind, loop=loop, base_point=loop.base_point,
-        roots0=roots0, sigma=tuple(sigma), orbits=orbits,
+        roots0=tuple(R[0].tolist()), sigma=sigma, orbits=orbits,
         paths=tuple(paths), samples_solved=tracker.solves,
         depth_reached=tracker.depth_reached)
 
@@ -358,7 +385,7 @@ def orbit_lift(result: MonodromyResult, orbit) -> TrackedPath:
 
     for lap, i in enumerate(orbit[1:], start=1):
         p = result.paths[i]
-        d = fiber_distance(roots[-1], p.roots[0])
+        d = result.kind.distance(roots[-1], p.roots[0])
         if d > 1e-6:
             raise NotClosed(
                 f"junction mismatch while lifting an orbit: {d:.3e}")
@@ -369,10 +396,10 @@ def orbit_lift(result: MonodromyResult, orbit) -> TrackedPath:
         if logmod is not None:
             logmod.extend(p.logmod[1:])
 
-    if fiber_distance(roots[-1], roots[0]) > 1e-6:
+    d = result.kind.distance(roots[-1], roots[0])
+    if d > 1e-6:
         raise NotClosed(
-            "orbit lift does not return to its starting root: "
-            f"{fiber_distance(roots[-1], roots[0]):.3e}")
+            f"orbit lift does not return to its starting root: {d:.3e}")
 
     return TrackedPath(result.kind, tuple(ts), tuple(roots), tuple(lift),
                        tuple(logmod) if logmod is not None else None)
@@ -392,9 +419,6 @@ def transport_fiber(sys: FiberSystem, src, dst, samples: int = 32,
         return (src[0] + t * (dst[0] - src[0]),
                 src[1] + t * (dst[1] - src[1]))
 
-    samples_list, tracker = _run_track(sys, seg, max(samples, 32), max_depth,
-                                       singular_tol, sep_floor)
-    # the tracked end fiber is the t = 1 solve, whose order is canonical,
-    # reordered along the paths; a finished track solved every sample
-    return tuple(_match(samples_list[-1][1], tracker.presolved[1.0],
-                        math.inf))
+    _, _, perm, _ = _run_track(sys, seg, max(samples, 32), max_depth,
+                               singular_tol, sep_floor)
+    return tuple(perm.tolist())

@@ -7,11 +7,10 @@ import pytest
 
 from monoweb.expr import DomainError, parse
 from monoweb.fiber import (
-    BinaryForm, CircleAngle, CircleSystem, ComplexPoint, ComplexRoots,
-    FiberError, IllConditioned, MixedVariants, NonIsolatedZero,
-    ProjectiveSystem, PuncturedPlaneSystem, Rect, RP1Angle, SingularFiber,
-    fiber_distance, _gauss_newton, _grid_local_minima, find_singularities,
-    min_root_separation, solve_fiber,
+    BinaryForm, CircleSystem, ComplexRoots, FiberError, FiberKind,
+    IllConditioned, NonIsolatedZero, ProjectiveSystem, PuncturedPlaneSystem,
+    Rect, SingularFiber, _gauss_newton, _grid_local_minima,
+    find_singularities, solve_fiber,
 )
 
 from sympy_reference import reference_gradient
@@ -88,22 +87,17 @@ def test_root_at_infinity():
 
 
 def test_min_root_separation():
-    assert min_root_separation(
-        [RP1Angle(0.0), RP1Angle(math.pi / 2)]) == pytest.approx(math.pi / 2)
+    [sep] = FiberKind.PROJECTIVE.separation(np.array([[0.0, math.pi / 2]]))
+    assert sep == pytest.approx(math.pi / 2)
     eps = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
-    pts = [ComplexPoint(1, 0), ComplexPoint(eps.real, eps.imag),
-           ComplexPoint((eps ** 2).real, (eps ** 2).imag)]
-    assert min_root_separation(pts) == pytest.approx(math.sqrt(3.0))
-    assert min_root_separation([RP1Angle(1.0)]) == math.inf
-
-
-def test_min_separation_mixed_variants():
-    with pytest.raises(MixedVariants):
-        min_root_separation([RP1Angle(0.0), CircleAngle(0.0)])
+    [sep] = FiberKind.PUNCTURED_PLANE.separation(
+        np.array([[1.0, eps, eps ** 2]]))
+    assert sep == pytest.approx(math.sqrt(3.0))
+    assert FiberKind.PROJECTIVE.separation(np.array([[1.0]])) == [math.inf]
 
 
 def test_rp1_metric_wraps():
-    assert fiber_distance(RP1Angle(0.05), RP1Angle(math.pi - 0.05)) == \
+    assert FiberKind.PROJECTIVE.distance(0.05, math.pi - 0.05) == \
         pytest.approx(0.1)
 
 

@@ -24,10 +24,9 @@ def test_winding_cusp_cover():
 
 
 def test_winding_constant_path():
-    from monoweb.fiber import CircleAngle
     path = TrackedPath(FiberKind.CIRCLE,
                        ts=(0.0, 0.5, 1.0),
-                       roots=(CircleAngle(1.0),) * 3,
+                       roots=(1.0,) * 3,
                        lift=(1.0, 1.0, 1.0))
     assert winding_class(path) == 0
 
@@ -39,20 +38,18 @@ def test_winding_half_turn_circle():
 
 
 def test_winding_open_path_rejected():
-    from monoweb.fiber import CircleAngle
     path = TrackedPath(FiberKind.CIRCLE,
                        ts=(0.0, 1.0),
-                       roots=(CircleAngle(0.0), CircleAngle(1.0)),
+                       roots=(0.0, 1.0),
                        lift=(0.0, 1.0))
     with pytest.raises(OpenPath):
         winding_class(path)
 
 
 def test_winding_defect_rejected():
-    from monoweb.fiber import CircleAngle
     path = TrackedPath(FiberKind.CIRCLE,
                        ts=(0.0, 1.0),
-                       roots=(CircleAngle(0.0), CircleAngle(1e-7)),
+                       roots=(0.0, 1e-7),
                        lift=(0.0, 1e-4))
     with pytest.raises(ClosureDefectTooLarge):
         winding_class(path)

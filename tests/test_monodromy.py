@@ -1,10 +1,10 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
-from monoweb import monodromy
-from monoweb.fiber import (BinaryForm, ComplexPoint, ProjectiveSystem, Rect,
-                           RP1Angle)
+from monoweb.fiber import BinaryForm, FiberKind, ProjectiveSystem, Rect
 from monoweb.monodromy import (
     AmbiguousMatching, LoopSpec, SingularOnLoop, StepCollapse, _match,
     orbit_lift, track_loop, transport_fiber,
@@ -70,19 +70,43 @@ def _collision_system():
 
 
 @pytest.mark.parametrize("make", [lemon_system, cusp_cover_system,
-                                  _collision_system])
+                                  half_turn_circle_system, _collision_system])
 def test_each_sample_separation_is_computed_once(monkeypatch, make):
-    # matching reuses an accepted sample's separation at the next step,
-    # bisected steps included
-    calls = []
+    # the kernels compute each solved point's separation once, and
+    # matching reuses it, bisected steps included: samples_solved also
+    # counts each return to a bisected step's end, whose roots are stored
+    rows = []
+    separation = FiberKind.separation
 
-    def counted(roots):
-        calls.append(roots)
-        return separation(roots)
-    separation = monodromy.min_root_separation
-    monkeypatch.setattr(monodromy, "min_root_separation", counted)
+    def counted(kind, R):
+        rows.append(len(R))
+        return separation(kind, R)
+    monkeypatch.setattr(FiberKind, "separation", counted)
     res = track_loop(make(), UNIT_LOOP)
-    assert len(calls) == res.samples_solved
+    assert sum(rows) == len(res.paths[0].ts)
+    assert (res.samples_solved > sum(rows)) == (make is _collision_system)
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lemon_system, "65ea43a8dfa5927c"),
+    (cusp_cover_system, "2509ded04522a5fc"),
+    (half_turn_circle_system, "9f0ba57c9d1bb62c"),
+    (_collision_system, "ac93cbb4ca53525e")])
+def test_tracking_is_pinned_to_the_bit(make, digest):
+    # the permutation, the work counters and every accepted parameter,
+    # lift and log-modulus, as Python floats
+    res = track_loop(make(), UNIT_LOOP)
+    key = (res.sigma, res.samples_solved, res.depth_reached,
+           [p.ts for p in res.paths], [p.lift for p in res.paths],
+           [p.logmod for p in res.paths])
+    assert hashlib.sha256(repr(key).encode()).hexdigest()[:16] == digest
+    for p in res.paths:
+        for values in (p.ts, p.lift, p.logmod or ()):
+            assert type(values) is tuple
+            assert all(type(v) is float for v in values)
+    if make is _collision_system:
+        assert (res.samples_solved, res.depth_reached,
+                len(res.paths[0].ts)) == (77, 3, 71)
 
 
 def test_orbit_lift_cusp_cover():
@@ -132,29 +156,53 @@ def test_transport_fiber_is_a_permutation(make):
     assert _compose(back, there) == tuple(range(sys.sheet_count))
 
 
+def _match_row(kind, prev, new, bound):
+    """``_match`` on one step: the order as a list, and the verdict."""
+    [order], [verdict] = _match(kind, np.array([prev]), np.array([new]),
+                                bound)
+    return order.tolist(), verdict
+
+
+RP1 = FiberKind.PROJECTIVE
+
+
 def test_match_follows_nearest_roots():
-    prev = [RP1Angle(0.1), RP1Angle(1.6)]
-    assert _match(prev, [RP1Angle(1.62), RP1Angle(0.11)], 0.5) == [1, 0]
+    assert _match_row(RP1, [0.1, 1.6], [1.62, 0.11], 0.5) == ([1, 0], True)
 
 
 def test_match_near_tie_raises():
     # distances 1 and 1 + 1e-12 from the one previous root
-    prev = [ComplexPoint(1.0, 0.0)]
-    new = [ComplexPoint(1.0, 1.0), ComplexPoint(1.0, -1.0 - 1e-12)]
+    _, verdict = _match_row(FiberKind.PUNCTURED_PLANE, [1.0 + 0.0j],
+                            [1.0 + 1.0j, 1.0 - (1.0 + 1e-12) * 1j],
+                            math.inf)
     with pytest.raises(AmbiguousMatching, match="within 1e-9"):
-        _match(prev, new, math.inf)
+        raise verdict
 
 
 def test_match_shared_nearest_root_is_none():
-    prev = [RP1Angle(0.1), RP1Angle(0.2)]
-    assert _match(prev, [RP1Angle(0.15), RP1Angle(1.5)], math.inf) is None
+    _, verdict = _match_row(RP1, [0.1, 0.2], [0.15, 1.5], math.inf)
+    assert verdict is False
 
 
 def test_match_nearest_distance_at_bound_is_none():
-    prev = [RP1Angle(0.0)]
-    new = [RP1Angle(0.25), RP1Angle(1.5)]
-    assert _match(prev, new, 0.25) is None
-    assert _match(prev, new, math.nextafter(0.25, 1.0)) == [0]
+    assert _match_row(RP1, [0.0], [0.25, 1.5], 0.25)[1] is False
+    assert _match_row(RP1, [0.0], [0.25, 1.5],
+                      math.nextafter(0.25, 1.0)) == ([0], True)
+
+
+def test_match_steps_at_once_as_one_at_a_time():
+    # in the first two steps one root shares another's nearest root and
+    # one has a near tie: the first failing root in row order decides
+    prev = [[0.1, 0.2, 1.0], [1.0, 0.1, 0.2], [0.1, 0.3, 2.0]]
+    new = [[0.15, 1.0 + 1e-12, 1.0 - 1e-12]] * 2 + [[0.11, 0.31, 2.01]]
+    bound = np.array([math.inf, math.inf, 0.5])
+    order, verdict = _match(RP1, np.array(prev), np.array(new), bound)
+    assert verdict[0] is False and verdict[2] is True
+    assert isinstance(verdict[1], AmbiguousMatching)
+    for s in range(3):
+        got = _match_row(RP1, prev[s], new[s], bound[s])
+        assert got[0] == order[s].tolist()
+        assert type(got[1]) is type(verdict[s])
 
 
 def test_radius_independence_after_transport():
@@ -213,8 +261,8 @@ def test_lift_projects_back_to_roots():
     res = track_loop(half_turn_circle_system(), UNIT_LOOP)
     for path in res.paths:
         for root, lf in zip(path.roots, path.lift):
-            assert (lf - root.psi) % (2 * math.pi) == pytest.approx(
-                0.0, abs=1e-9) or (lf - root.psi) % (2 * math.pi) == \
+            assert (lf - root) % (2 * math.pi) == pytest.approx(
+                0.0, abs=1e-9) or (lf - root) % (2 * math.pi) == \
                 pytest.approx(2 * math.pi, abs=1e-9)
 
 

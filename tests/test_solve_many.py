@@ -3,9 +3,11 @@ reference: ``mpmath.polyroots`` at 50 digits on RP^1 and C*, closed-form
 m-th roots on S^1.  Where the reference shows a fiber of n well-separated
 roots the kernel must find them; where it shows a vanishing form, complex
 roots or roots closer than the separation floor, the kernel must raise the
-matching error.  ``solve_many`` must equal ``solve`` point by point (None
-where ``solve`` raises), and the tracking loops and isolation rings that
-batch their solves must end as they do with every point solved alone."""
+matching error, and each row's separation must be the minimum distance
+between its roots.  ``solve_many`` must equal ``solve`` point by point
+(None where ``solve`` raises), and the tracking loops and isolation rings
+that batch their solves must end as they do with every point solved
+alone."""
 
 import dataclasses
 import math
@@ -18,12 +20,12 @@ from hypothesis import strategies as st
 
 from monoweb.expr import DomainError, Num, parse
 from monoweb.fiber import (SEP_FLOOR, SINGULAR_TOL, BinaryForm, CircleSystem,
-                           ComplexRoots, FiberError, FiberSystem,
-                           IllConditioned, ProjectiveSystem,
-                           PuncturedPlaneSystem, Rect, SingularFiber,
-                           _certify_isolation, _circle_roots_many,
-                           _projective_roots_many, _punctured_roots_many,
-                           min_root_separation)
+                           ComplexPoint, ComplexRoots, FiberError,
+                           FiberSystem, IllConditioned, ProjectiveSystem,
+                           PuncturedPlaneSystem, Rect, RP1Angle,
+                           SingularFiber, _certify_isolation,
+                           _circle_roots_many, _projective_roots_many,
+                           _punctured_roots_many)
 from monoweb.monodromy import (LoopSpec, TrackingError, track_loop,
                                transport_fiber)
 
@@ -58,12 +60,17 @@ def _bits(roots):
 
 
 def _kernel_rows(system_cls, output):
-    """A kernel's ``(roots, errors)`` as one entry per row: the row's
-    error, or its roots as the variant's root objects."""
-    roots, errors = output
-    assert roots.ndim == 2 and len(roots) == len(errors)
-    return [tuple(map(system_cls._root, row)) if error is None else error
-            for row, error in zip(roots.tolist(), errors)]
+    """A kernel's ``(roots, sep, errors)`` as one entry per row: the row's
+    error, or its roots as the variant's root objects, whose separation
+    must be ``sep`` of the row."""
+    roots, sep, errors = output
+    assert roots.ndim == 2 and len(roots) == len(sep) == len(errors)
+    out = [tuple(map(system_cls._root, row)) if error is None else error
+           for row, error in zip(roots.tolist(), errors)]
+    for row, s in zip(out, sep.tolist()):
+        if not isinstance(row, FiberError):
+            assert s == pytest.approx(_separation(row), rel=1e-12, abs=0.0)
+    return out
 
 
 def _solve_or_none(sys, x, y, tol, floor):
@@ -89,8 +96,20 @@ def _check_invariants(roots, n, floor):
     assert all(math.isfinite(v) for r in roots
                for v in dataclasses.astuple(r))
     assert list(roots) == sorted(roots, key=_canonical_key)
-    if n > 1:
-        assert min_root_separation(roots) >= floor
+    assert _separation(roots) >= floor
+
+
+def _separation(roots):
+    """Minimum distance between two root objects: |a - b| on C*, else the
+    angle difference modulo the period; +inf for one root."""
+    def distance(a, b):
+        if isinstance(a, ComplexPoint):
+            return abs(complex(a.re, a.im) - complex(b.re, b.im))
+        period = math.pi if isinstance(a, RP1Angle) else 2 * math.pi
+        d = abs(a.angle - b.angle) % period
+        return min(d, period - d)
+    return min((distance(a, b) for i, a in enumerate(roots)
+                for b in roots[i + 1:]), default=math.inf)
 
 
 def _canonical_key(r):
@@ -286,7 +305,7 @@ def test_solve_many_at_the_tolerance_boundaries():
         ["y", "-2*x", "-y"]))
     x, y = 0.3, -0.7
     sq = sys.residual(x, y)     # the sum of squares solve compares
-    sep = min_root_separation(sys.solve(x, y))
+    _, [sep], _ = sys._fibers([(x, y)], SINGULAR_TOL, SEP_FLOOR)
     got = [_assert_matches_solve(sys, [(x, y)], tol, floor)[0] is None
            for tol in (sq, math.nextafter(sq, 0.0))
            for floor in (sep, math.nextafter(sep, 4.0))]
@@ -526,23 +545,31 @@ RUNS = (lambda s: track_loop(s, LoopSpec((0.0, 0.0), 1.0)),
                                      1e-6))
 
 
-def _one_at_a_time(self, points, singular_tol=SINGULAR_TOL,
-                   sep_floor=SEP_FLOOR):
-    return [_solve_or_none(self, x, y, singular_tol, sep_floor)
-            for x, y in points]
+_fibers = FiberSystem._fibers
+
+
+def _one_at_a_time(self, points, singular_tol, sep_floor):
+    """``_fibers`` with one kernel call per point."""
+    rows = [_fibers(self, [p], singular_tol, sep_floor) for p in points]
+    if not rows:
+        return _fibers(self, points, singular_tol, sep_floor)
+    return (np.concatenate([roots for roots, _, _ in rows]),
+            np.concatenate([sep for _, sep, _ in rows]),
+            [error for _, _, [error] in rows])
 
 
 def _runs(m, make):
     """Each of RUNS on a fresh system, as the repr of its result or the
-    error it raises, and the number of calls of ``solve``."""
+    error it raises, and the number of root kernel calls."""
     calls = []
-    solve = FiberSystem.solve
+    cls = type(make())
+    kernel = cls._roots_many
 
-    def counted(self, *args, **kwargs):
+    def counted(self, *args):
         calls.append(args)
-        return solve(self, *args, **kwargs)
+        return kernel(self, *args)
 
-    m.setattr(FiberSystem, "solve", counted)
+    m.setattr(cls, "_roots_many", counted)
     out = []
     for run in RUNS:
         try:
@@ -554,11 +581,11 @@ def _runs(m, make):
 
 @pytest.mark.parametrize("make", [_lemon, _collision, _half_turn, _cusp])
 def test_tracking_and_isolation_match_unbatched(monkeypatch, make):
-    # batched, and with solve_many replaced by one solve per point
+    # batched, and with one kernel call per point
     with monkeypatch.context() as m:
         batched, batched_solves = _runs(m, make)
     with monkeypatch.context() as m:
-        m.setattr(FiberSystem, "solve_many", _one_at_a_time)
+        m.setattr(FiberSystem, "_fibers", _one_at_a_time)
         alone, alone_solves = _runs(m, make)
     assert batched == alone
     assert batched_solves < alone_solves
