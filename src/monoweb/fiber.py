@@ -533,8 +533,11 @@ def _determinant(rows):
 
 
 def _mod_array(a, period):
+    """a modulo period, in [0, period): a value just below 0 plus the
+    period rounds to the period, which is canonically 0.0."""
     r = np.fmod(a, period)
-    return np.where(r < 0.0, r + period, r)
+    r = np.where(r < 0.0, r + period, r)
+    return np.where(r < period, r, 0.0)
 
 
 def _reject(errors, ok, rows, error):
@@ -664,9 +667,8 @@ def _circle_roots_many(V, m, singular_tol):
     with np.errstate(all="ignore"):
         ok = V[:, 0] * V[:, 0] + V[:, 1] * V[:, 1] > singular_tol
     base = np.array([math.atan2(im, re) for re, im in V.tolist()])
-    psi = _mod_array((base[:, None] + _TWO_PI * np.arange(m)) / m, _TWO_PI)
-    # a root just below 0 rounds up to 2 pi, which is canonically 0
-    psi = np.sort(np.where(psi < _TWO_PI, psi, 0.0), axis=1)
+    psi = np.sort(_mod_array((base[:, None] + _TWO_PI * np.arange(m)) / m,
+                             _TWO_PI), axis=1)
     singular = SingularFiber("defining data vanishes")
     return (psi, FiberKind.CIRCLE.separation(psi),
             [None if good else singular for good in ok.tolist()])

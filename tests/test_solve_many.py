@@ -113,8 +113,10 @@ def _separation(roots):
 
 
 def _canonical_key(r):
-    # by angle in [0, period), then modulus on C*
-    return (r.angle % (2 * math.pi), getattr(r, "modulus", 0.0))
+    # by angle in [0, period), then modulus on C*; an angle a rounding
+    # error below 0 is 0, not the period its remainder rounds to
+    a = r.angle % (2 * math.pi)
+    return (a if a < 2 * math.pi else 0.0, getattr(r, "modulus", 0.0))
 
 
 def _below(value, threshold):
@@ -360,6 +362,28 @@ def test_circle_root_a_rounding_error_below_zero_is_zero():
     [roots] = _kernel_rows(CircleSystem, _circle_roots_many(
         np.array([[1.0, -7.1e-131]]), 2, 1e-10))
     assert [r.psi for r in roots] == [0.0, math.pi]
+
+
+@pytest.mark.parametrize("sources, phis", [
+    (["1e-17", "1", "-1"], [0.0, math.pi / 4]),
+    (["1e-17", "1"], [0.0])])
+def test_projective_root_a_rounding_error_below_zero_is_zero(sources, phis):
+    # the chart root phi = -1e-17 plus pi rounds to pi itself, outside
+    # [0, pi), where it would sort last
+    sys = ProjectiveSystem(Rect(-1, 1, -1, 1),
+                           form=BinaryForm.from_strings(sources))
+    assert [r.phi for r in sys.solve(0.0, 0.0)] == pytest.approx(
+        phis, abs=1e-15)
+    assert sys.solve(0.0, 0.0)[0].phi == 0.0
+
+
+def test_punctured_root_a_rounding_error_below_zero_is_first():
+    # (w - 1e-6)(w - 1.5i): the root 1e-6 polishes to arg -4.7e-23, whose
+    # remainder mod 2 pi rounds to 2 pi, so it sorted last
+    [roots] = _kernel_rows(PuncturedPlaneSystem, _punctured_roots_many(
+        np.array([[0.0, 1.5e-06, -1e-06, -1.5, 1.0, 0.0]]), 1e-30, 1e-12))
+    assert [complex(r.re, r.im) for r in roots] == pytest.approx(
+        [1e-6, 1.5j], abs=1e-15)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
