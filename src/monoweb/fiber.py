@@ -162,19 +162,11 @@ class RP1Angle:
     """A tangent line, as an angle canonical in [0, pi)."""
     phi: float
 
-    @property
-    def angle(self) -> float:
-        return self.phi
-
 
 @dataclass(frozen=True, slots=True)
 class CircleAngle:
     """A unit vector, as an angle canonical in [0, 2*pi)."""
     psi: float
-
-    @property
-    def angle(self) -> float:
-        return self.psi
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,8 +182,6 @@ class ComplexPoint:
     @property
     def arg(self) -> float:
         return math.atan2(self.im, self.re)
-
-    angle = arg
 
 
 # ---------------------------------------------------------------------------

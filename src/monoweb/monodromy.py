@@ -6,7 +6,8 @@ nearest neighbour (``_match``).  A step is accepted only when every root
 moves less than half the local minimum root separation, which makes the
 nearest-neighbour matching the unique one realised by continuous
 continuation; otherwise the step is bisected (up to a depth cap).  The
-same matcher closes the loop and labels the end of ``transport_fiber``.
+same matcher closes the loop, and ``transport_fiber`` labels the end of
+its segment by the tracked order there.
 
 Nothing here depends on the fiber variant.  Roots are raw fiber
 coordinates (phi on RP^1, psi on S^1, complex w on C*) and the kind

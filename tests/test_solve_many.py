@@ -106,16 +106,21 @@ def _separation(roots):
         if isinstance(a, ComplexPoint):
             return abs(complex(a.re, a.im) - complex(b.re, b.im))
         period = math.pi if isinstance(a, RP1Angle) else 2 * math.pi
-        d = abs(a.angle - b.angle) % period
+        d = abs(_angle(a) - _angle(b)) % period
         return min(d, period - d)
     return min((distance(a, b) for i, a in enumerate(roots)
                 for b in roots[i + 1:]), default=math.inf)
 
 
+def _angle(r):
+    """phi, psi, or arg w of a root object."""
+    return r.arg if isinstance(r, ComplexPoint) else dataclasses.astuple(r)[0]
+
+
 def _canonical_key(r):
     # by angle in [0, period), then modulus on C*; an angle a rounding
     # error below 0 is 0, not the period its remainder rounds to
-    a = r.angle % (2 * math.pi)
+    a = _angle(r) % (2 * math.pi)
     return (a if a < 2 * math.pi else 0.0, getattr(r, "modulus", 0.0))
 
 
