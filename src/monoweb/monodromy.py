@@ -183,8 +183,8 @@ def _match(kind, prev, new, bound):
     an AmbiguousMatching, for the caller to raise, when the two nearest
     distances of a root are within 1e-9.  The roots of a row are checked
     in order, so the first failure decides."""
-    # the roots of a failed sample may be inf or NaN; no step to or from
-    # it is accepted
+    # the roots of a failed sample may be inf or NaN; tracking accepts no
+    # step that touches one
     with np.errstate(invalid="ignore"):
         D = kind.distance(prev[:, :, None], new[:, None, :])
         near = np.sort(D, axis=2)
