@@ -16,12 +16,10 @@ gives the rest: ``FiberKind.distance`` is the fiber metric, the angle
 ``FiberKind.period``, and the root kernels return each fiber in
 canonical order, which gives the labels, with its separation.
 
-All samples of a path are solved in one batch (``FiberSystem._fibers``)
-and all steps between them are matched at once.  Only a step that this
-rejects is walked again in tracked order, where it is bisected;
-bisection midpoints are solved one at a time.  A sample whose solve
-failed raises ``SingularOnLoop``, naming its loop parameter, when the
-walk reaches it.
+Tracking refines a path level by level: each level solves its new
+points (the samples, then the midpoints of rejected steps) in one batch
+(``FiberSystem._fibers``) and matches all of its steps at once.  A failed
+solve raises ``SingularOnLoop``, naming its loop parameter.
 
 One full traversal in the positive (counterclockwise) direction induces
 the permutation of the fiber that generates the local monodromy group;
@@ -205,97 +203,75 @@ def _match(kind, prev, new, bound):
     return order, verdict
 
 
-class _Tracker:
-    """Adaptive continuation of a full ordered fiber along a base path.
-
-    ``samples`` maps each path parameter t solved so far to its row of
-    the solve: (roots, separation, error)."""
-
-    def __init__(self, sys: FiberSystem, path_fn, singular_tol, sep_floor,
-                 max_depth, samples):
-        self.sys = sys
-        self.path_fn = path_fn
-        self.singular_tol = singular_tol
-        self.sep_floor = sep_floor
-        self.max_depth = max_depth
-        self.samples = samples
-        self.solves = 0
-        self.depth_reached = 0
-
-    def solve_at(self, t: float):
-        """The canonical fiber at t and its separation: a sample's from
-        the batched solve, a bisection midpoint's solved alone when first
-        reached."""
-        self.solves += 1
-        p = self.path_fn(t)
-        if t not in self.samples:
-            R, S, [error] = self.sys._fibers([p], self.singular_tol,
-                                             self.sep_floor)
-            self.samples[t] = (R[0], S[0], error)
-        roots, sep, error = self.samples[t]
-        if isinstance(error, FiberError):
-            what = ("singular fiber" if isinstance(error, SingularFiber)
-                    else "fiber solve failed")
-            raise SingularOnLoop(
-                f"{what} at t={t:.6g}, point {p}: {error}") from error
-        if error is not None:
-            raise error
-        return roots, sep
-
-    def advance(self, t0, roots0, sep0, t1, depth, out):
-        """Continue the ordered fiber ``roots0`` from t0 to t1, appending
-        accepted samples (t, roots) to out.  ``sep0`` is its separation;
-        returns the roots at t1 in tracked order, their separation, and
-        their indices in the canonical fiber at t1."""
-        self.depth_reached = max(self.depth_reached,
-                                 self.max_depth - depth)
-        roots1, sep1 = self.solve_at(t1)
-        [order], [verdict] = _match(self.sys.kind, roots0[None],
-                                    roots1[None], 0.5 * min(sep0, sep1))
-        if verdict is True:
-            out.append((t1, roots1[order]))
-            return roots1[order], sep1, order
-        if verdict is not False:
-            raise verdict
-        if depth <= 0:
-            raise StepCollapse(
-                f"step {t0:.6g} -> {t1:.6g} could not be refined further; "
-                "the path passes too close to a fiber degeneracy")
-        tm = 0.5 * (t0 + t1)
-        mid, sep_mid, _ = self.advance(t0, roots0, sep0, tm, depth - 1, out)
-        return self.advance(tm, mid, sep_mid, t1, depth - 1, out)
+def _solve_error(t, point, error):
+    """What tracking raises where the fiber solve at the loop parameter
+    t (the base point ``point``) failed with ``error``."""
+    if not isinstance(error, FiberError):
+        return error
+    what = ("singular fiber" if isinstance(error, SingularFiber)
+            else "fiber solve failed")
+    exc = SingularOnLoop(f"{what} at t={t:.6g}, point {point}: {error}")
+    exc.__cause__ = error
+    return exc
 
 
 def _run_track(sys, path_fn, samples, max_depth, singular_tol, sep_floor):
     """Track the whole fiber along path_fn over [0, 1].
 
-    The samples t = j/samples are solved in one batch, and the steps
-    between them are matched in one call; the steps it does not accept
-    are walked again in tracked order and bisected.  Returns the accepted
-    parameters, the roots there as a (T, n) array ordered as the
-    canonical fiber at t = 0, the indices of the tracked roots in the
-    canonical fiber at t = 1, and the tracker.
+    Level 0 solves the samples t = j/samples in one batch; each level
+    matches all of its steps in one call, and up to ``max_depth`` splits
+    the rejected ones at their midpoints, solved in one batch.  A failed
+    solve fails the loop at its t, and an ambiguous step or one rejected
+    at the last level at its start; the earliest failure is raised.
+    Returns the accepted parameters, the roots there as a (T, n) array
+    ordered as the canonical fiber at t = 0, the indices of the tracked
+    roots in the canonical fiber at t = 1, the number of points solved
+    and the deepest level reached.
     """
-    ts = [j / samples for j in range(samples + 1)]
-    roots, sep, errors = sys._fibers([path_fn(t) for t in ts],
-                                     singular_tol, sep_floor)
-    order, verdict = _match(sys.kind, roots[:-1], roots[1:],
-                            0.5 * np.minimum(sep[:-1], sep[1:]))
-    tracker = _Tracker(sys, path_fn, singular_tol, sep_floor, max_depth,
-                       dict(zip(ts, zip(roots, sep, errors))))
-    cur, _ = tracker.solve_at(0.0)
-    out = [(0.0, cur)]
-    perm = np.arange(len(cur))   # tracked root -> canonical index at t
-    for j in range(1, len(ts)):
-        if verdict[j - 1] is True and errors[j] is None:
-            tracker.solves += 1
-            perm = order[j - 1][perm]
-            out.append((ts[j], roots[j][perm]))
-        else:
-            _, _, perm = tracker.advance(ts[j - 1], roots[j - 1][perm],
-                                         sep[j - 1], ts[j], max_depth, out)
-    return (tuple(t for t, _ in out), np.array([r for _, r in out]), perm,
-            tracker)
+    t = np.arange(samples + 1) / samples
+    points = [path_fn(x) for x in t.tolist()]
+    roots, sep, errors = sys._fibers(points, singular_tol, sep_floor)
+    a, b = np.arange(samples), np.arange(1, samples + 1)   # steps a -> b
+    accepted, failures = [], []   # (a, b, order) per level; (t, error)
+    for depth in range(max_depth + 1):
+        order, verdict = _match(sys.kind, roots[a], roots[b],
+                                0.5 * np.minimum(sep[a], sep[b]))
+        failed = np.array([e is not None for e in errors])
+        bad = failed[a] | failed[b]
+        ok = np.array([v is True for v in verdict]) & ~bad
+        split = (np.array([v is False for v in verdict]) & ~bad
+                 & (depth < max_depth))
+        accepted.append((a[ok], b[ok], order[ok]))
+        for s in np.flatnonzero(~ok & ~bad & ~split):
+            failures.append((t[a[s]], verdict[s] or StepCollapse(
+                f"step {t[a[s]]:.6g} -> {t[b[s]]:.6g} could not be refined "
+                "further; the path passes too close to a fiber degeneracy")))
+        if not split.any():
+            break
+        mid = 0.5 * (t[a[split]] + t[b[split]])
+        points += [path_fn(x) for x in mid.tolist()]
+        new_roots, new_sep, new_errors = sys._fibers(
+            points[len(t):], singular_tol, sep_floor)
+        m = np.arange(len(t), len(points))
+        a, b = np.concatenate([a[split], m]), np.concatenate([m, b[split]])
+        t = np.concatenate([t, mid])
+        roots = np.concatenate([roots, new_roots])
+        sep = np.concatenate([sep, new_sep])
+        errors += new_errors
+    failures += [(t[k], _solve_error(t[k], points[k], errors[k]))
+                 for k in np.flatnonzero(failed)]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+
+    # compose the nearest-index permutations in t order
+    a, b, order = (np.concatenate(x) for x in zip(*accepted))
+    walk = np.argsort(t[a])
+    perms = [np.arange(roots.shape[1])]
+    for o in order[walk]:
+        perms.append(o[perms[-1]])
+    b = np.concatenate([[0], b[walk]])
+    R = roots[b[:, None], np.array(perms)]
+    return tuple(t[b].tolist()), R, perms[-1], len(t), depth
 
 
 def _build_paths(kind, ts, R):
@@ -327,8 +303,9 @@ def track_loop(sys: FiberSystem, loop: LoopSpec,
                singular_tol: float = SINGULAR_TOL,
                sep_floor: float = SEP_FLOOR) -> MonodromyResult:
     """Monodromy permutation induced by one traversal of ``loop``."""
-    ts, R, _, tracker = _run_track(sys, loop.point, loop.samples,
-                                   loop.max_depth, singular_tol, sep_floor)
+    ts, R, _, solved, depth = _run_track(sys, loop.point, loop.samples,
+                                         loop.max_depth, singular_tol,
+                                         sep_floor)
     paths = _build_paths(sys.kind, ts, R)
 
     # match the final fiber back onto the initial one
@@ -343,8 +320,7 @@ def track_loop(sys: FiberSystem, loop: LoopSpec,
     return MonodromyResult(
         kind=sys.kind, loop=loop, base_point=loop.base_point,
         roots0=tuple(R[0].tolist()), sigma=sigma, orbits=orbits,
-        paths=tuple(paths), samples_solved=tracker.solves,
-        depth_reached=tracker.depth_reached)
+        paths=tuple(paths), samples_solved=solved, depth_reached=depth)
 
 
 def _cycles(sigma):
@@ -420,6 +396,6 @@ def transport_fiber(sys: FiberSystem, src, dst, samples: int = 32,
         return (src[0] + t * (dst[0] - src[0]),
                 src[1] + t * (dst[1] - src[1]))
 
-    _, _, perm, _ = _run_track(sys, seg, max(samples, 32), max_depth,
-                               singular_tol, sep_floor)
+    _, _, perm, _, _ = _run_track(sys, seg, max(samples, 32), max_depth,
+                                  singular_tol, sep_floor)
     return tuple(perm.tolist())

@@ -73,8 +73,8 @@ def _collision_system():
                                   half_turn_circle_system, _collision_system])
 def test_each_sample_separation_is_computed_once(monkeypatch, make):
     # the kernels compute each solved point's separation once, and
-    # matching reuses it, bisected steps included: samples_solved also
-    # counts each return to a bisected step's end, whose roots are stored
+    # matching reuses it: one kernel call for the samples and one for the
+    # midpoints of each refinement level, and every point solved is kept
     rows = []
     separation = FiberKind.separation
 
@@ -83,15 +83,19 @@ def test_each_sample_separation_is_computed_once(monkeypatch, make):
         return separation(kind, R)
     monkeypatch.setattr(FiberKind, "separation", counted)
     res = track_loop(make(), UNIT_LOOP)
-    assert sum(rows) == len(res.paths[0].ts)
-    assert (res.samples_solved > sum(rows)) == (make is _collision_system)
+    assert rows == ([65, 2, 2, 2] if make is _collision_system else [65])
+    assert res.samples_solved == sum(rows) == len(res.paths[0].ts)
+
+
+def _digest(key):
+    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("make, digest", [
     (lemon_system, "65ea43a8dfa5927c"),
     (cusp_cover_system, "2509ded04522a5fc"),
     (half_turn_circle_system, "9f0ba57c9d1bb62c"),
-    (_collision_system, "ac93cbb4ca53525e")])
+    (_collision_system, "0aa8f5e5de5f17de")])
 def test_tracking_is_pinned_to_the_bit(make, digest):
     # the permutation, the work counters and every accepted parameter,
     # lift and log-modulus, as Python floats
@@ -99,14 +103,36 @@ def test_tracking_is_pinned_to_the_bit(make, digest):
     key = (res.sigma, res.samples_solved, res.depth_reached,
            [p.ts for p in res.paths], [p.lift for p in res.paths],
            [p.logmod for p in res.paths])
-    assert hashlib.sha256(repr(key).encode()).hexdigest()[:16] == digest
+    assert _digest(key) == digest
     for p in res.paths:
         for values in (p.ts, p.lift, p.logmod or ()):
             assert type(values) is tuple
             assert all(type(v) is float for v in values)
     if make is _collision_system:
         assert (res.samples_solved, res.depth_reached,
-                len(res.paths[0].ts)) == (77, 3, 71)
+                len(res.paths[0].ts)) == (71, 3, 71)
+        # batching the refinement moved only the solve count, which read
+        # 77 when each return to a stored point counted as a solve
+        assert _digest((key[0], 77) + key[2:]) == "ac93cbb4ca53525e"
+
+
+@pytest.mark.parametrize("make, loop, error, message", [
+    (_collision_system, LoopSpec((0.0, 0.0), 1.0, max_depth=0),
+     StepCollapse, "step 0 -> 0.015625 could not be refined further"),
+    (_collision_system, LoopSpec((0.0, 0.0), 1.0, max_depth=2),
+     StepCollapse, "step 0 -> 0.00390625 could not be refined further"),
+    (cusp_cover_system, LoopSpec((0.5, 0.0), 0.5, samples=33, max_depth=0),
+     StepCollapse, "step 0.454545 -> 0.484848 could not be refined further"),
+    (lemon_system, LoopSpec((0.5, 0.0), 0.5),
+     SingularOnLoop, "singular fiber at t=0.5, point (0.0, "
+                     "6.123233995736766e-17): all form coefficients "
+                     "vanish")])
+def test_failing_loops_are_pinned(make, loop, error, message):
+    # the first failure along the loop, with its type and message
+    with pytest.raises(error) as exc:
+        track_loop(make(), loop)
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(message)
 
 
 def test_orbit_lift_cusp_cover():
