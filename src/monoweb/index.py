@@ -91,18 +91,16 @@ class LineFieldNormalizations:
     fukui_index: Fraction
 
 
-def winding_class(path: TrackedPath, kind: FiberKind | None = None) -> int:
+def winding_class(path: TrackedPath) -> int:
     """Integer class of a closed lift in the fiber's fundamental group.
 
     m = (lift_end - lift_start) / period rounded to the nearest integer;
     the rounding defect must stay below CLOSURE_DEFECT_TOL * period.
     """
-    if kind is None:
-        kind = path.kind
     gap = path.kind.distance(path.start_root, path.end_root)
     if gap > 1e-6:
         raise OpenPath(f"path endpoints differ by {gap:.3e} in the fiber")
-    period = kind.period
+    period = path.kind.period
     change = path.lift_change
     m = round(change / period)
     defect = abs(change - m * period)
@@ -123,7 +121,7 @@ def orbit_index(result: MonodromyResult, orbit) -> OrbitIndexReport:
     path = orbit_lift(result, orbit)
     k = len(orbit)
     period = result.kind.period
-    m = winding_class(path, result.kind)
+    m = winding_class(path)
     defect = abs(path.lift_change - m * period)
     classical = (Fraction(m, 2 * k)
                  if result.kind is FiberKind.PROJECTIVE else None)
