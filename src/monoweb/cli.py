@@ -79,6 +79,8 @@ class Problem:
 
 
 def _need(obj, key, kind, where):
+    if not isinstance(obj, dict):
+        raise InputError(f"{where}: expected an object")
     if key not in obj:
         raise InputError(f"{where}: missing required key {key!r}")
     val = obj[key]
@@ -196,10 +198,11 @@ def _parse_surface(obj):
     wpatches = []
     for i, p in enumerate(patches_spec):
         where = f"surface.patches[{i}]"
-        if not isinstance(p, dict):
-            raise InputError(f"{where}: expected an object")
         dom = _parse_domain(_need(p, "domain", dict, where), f"{where}.domain",
                             names=("u", "v"))
+        name = p.get("name", f"patch{i}")
+        if not isinstance(name, str):
+            raise InputError(f"{where}.name: expected a string")
         try:
             patch = SurfacePatch(
                 _parse_expr(_need(p, "x", str, where), f"{where}.x",
@@ -208,7 +211,7 @@ def _parse_surface(obj):
                             ("u", "v")),
                 _parse_expr(_need(p, "z", str, where), f"{where}.z",
                             ("u", "v")),
-                dom, name=p.get("name", f"patch{i}"))
+                dom, name=name)
         except (GeometryError, DomainError) as e:
             raise InputError(f"{where}: {e}") from None
         weight = _parse_expr(p.get("weight", "1"), f"{where}.weight",

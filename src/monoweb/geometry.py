@@ -349,7 +349,8 @@ def check_partition_of_unity(wpatches, probes_per_patch: int = 8,
             for other in wpatches:
                 ou, ov, dist = locate_on_patch(other.patch, p3)
                 if dist <= loc_tol:
-                    total += other.weight_fn(ou, ov)
+                    total += call_compiled(other.weight_fn, ou, ov,
+                                           "weight evaluation")
             if abs(total - 1.0) > tol:
                 raise WeightsNotPartition(
                     f"weights sum to {total:.12f} (not 1) at the probe "
@@ -431,8 +432,8 @@ def _weight_one_radius(wfn, sp: SingularPoint, margin: float,
     """Largest loop radius (at most isolation/2) on which the owning
     patch weight stays within ``margin`` of 1."""
     try:
-        w0 = wfn(sp.x, sp.y)
-    except (ValueError, ZeroDivisionError, OverflowError):
+        w0 = call_compiled(wfn, sp.x, sp.y, "weight evaluation")
+    except DomainError:
         raise SingularPointOnPatchBoundary(
             f"weight undefined at the singular point ({sp.x}, {sp.y})")
     if w0 < 1.0 - margin:
@@ -445,8 +446,10 @@ def _weight_one_radius(wfn, sp: SingularPoint, margin: float,
         for k in range(samples):
             th = 2.0 * math.pi * k / samples
             try:
-                w = wfn(sp.x + r * math.cos(th), sp.y + r * math.sin(th))
-            except (ValueError, ZeroDivisionError, OverflowError):
+                w = call_compiled(wfn, sp.x + r * math.cos(th),
+                                  sp.y + r * math.sin(th),
+                                  "weight evaluation")
+            except DomainError:
                 ok = False
                 break
             if w < 1.0 - margin:
@@ -503,8 +506,9 @@ def verify_index_theorem(wpatches, bde_source="curvature_lines",
         for sp in pts:
             p3 = tuple(wp.patch.position(sp.x, sp.y))
             try:
-                w = wp.weight_fn(sp.x, sp.y)
-            except (ValueError, ZeroDivisionError, OverflowError):
+                w = call_compiled(wp.weight_fn, sp.x, sp.y,
+                                  "weight evaluation")
+            except DomainError:
                 w = 0.0
             if w >= 0.5:
                 radius = _weight_one_radius(wp.weight_fn, sp,

@@ -144,6 +144,20 @@ def test_verify_theorem_torus(tmp_path):
     assert report["singular_points"] == []
 
 
+def test_verify_theorem_weight_domain_error(tmp_path, capsys):
+    # log(u - 3) is undefined on part of the patch; the partition check
+    # meets it first and must report it, not end in a traceback
+    prob = tmp_path / "torus.json"
+    prob.write_text(json.dumps(_surface_with(
+        "torus_constant_web.json", {"weight": "1 + 0*log(u - 3)"})))
+    out = tmp_path / "report.json"
+    assert main(["verify-theorem", str(prob), "-o", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    report = _read(out)
+    assert report["error"]["type"] == "DomainError"
+    assert "weight evaluation" in report["error"]["message"]
+
+
 def test_verify_theorem_all_umbilic_sphere(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify-theorem", str(PROBLEMS / "sphere_all_umbilic.json"),
@@ -555,6 +569,13 @@ def _ellipsoid_with_order(order):
     return doc
 
 
+def _surface_with(name, patch=(), **surface):
+    doc = _read(PROBLEMS / name)
+    doc["surface"]["patches"][0].update(patch)
+    doc["surface"].update(surface)
+    return doc
+
+
 @pytest.mark.parametrize("command, doc", [
     ("analyze", _lemon_coefficient("1e999*x")),
     ("analyze", _lemon_coefficient("(" * 200 + "x" + ")" * 200)),
@@ -582,6 +603,12 @@ def _ellipsoid_with_order(order):
     ("analyze", _half_turn_with_sheets(True)),
     ("analyze", _lemon_with(loop__radius=True)),
     ("plot --grid 1025", _lemon_with()),
+    ("verify-theorem", _surface_with("torus_constant_web.json",
+                                     bde="source")),
+    ("verify-theorem", _surface_with("torus_constant_web.json",
+                                     bde={"source": "explicit",
+                                          "forms": [5]})),
+    ("verify-theorem", _surface_with("ellipsoid_321.json", {"name": 7})),
 ], ids=["literal_1e999", "parens_200", "chain_3000", "singular_negative",
         "singular_string", "separation_floor_inf", "domain_minus_inf",
         "domain_nan", "samples_string", "samples_float", "samples_31",
@@ -589,7 +616,8 @@ def _ellipsoid_with_order(order):
         "quadrature_order_string", "quadrature_order_zero",
         "declared_outside_domain", "declared_nan", "declared_string",
         "declared_three_coordinates", "declared_not_a_list",
-        "degree_bool", "sheets_bool", "loop_radius_bool", "plot_grid_1025"])
+        "degree_bool", "sheets_bool", "loop_radius_bool", "plot_grid_1025",
+        "bde_string", "bde_form_number", "patch_name_number"])
 def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, doc):
     _refuse_to_run(monkeypatch)
     path = tmp_path / "bad.json"
