@@ -54,6 +54,11 @@ class InputError(Exception):
 MAX_SAMPLES = 65536
 # a plot at the largest grid already holds 2-3 million segments
 MAX_GRID = 1024
+# the singular-point scan and the curvature quadrature evaluate compiled
+# code on density^2 and order^2 points (about 120 and 90 MB at 256 on
+# ellipsoid_321)
+MAX_GRID_DENSITY = 256
+MAX_QUADRATURE_ORDER = 256
 # points per root-kernel call of a plot, in whole columns
 PLOT_BATCH = 2048
 
@@ -277,8 +282,8 @@ def load_problem(path: str) -> Problem:
     prob.sep_floor = _positive(tol.get("separation_floor", SEP_FLOOR),
                                "tolerances.separation_floor")
 
-    if "grid_density" in doc:
-        prob.grid_density = _need(doc, "grid_density", int, path)
+    prob.grid_density = _count(doc.get("grid_density", prob.grid_density),
+                               8, MAX_GRID_DENSITY, "grid_density")
 
     loop = doc.get("loop", {})
     if not isinstance(loop, dict):
@@ -295,8 +300,6 @@ def load_problem(path: str) -> Problem:
     prob.max_depth = _integer(loop, "max_depth", prob.max_depth, "loop")
     if prob.max_depth < 0:
         raise InputError(f"{path}: loop.max_depth must be >= 0")
-    if prob.grid_density < 8:
-        raise InputError(f"{path}: grid_density must be >= 8")
 
     notes = doc.get("notes", [])
     if not isinstance(notes, list) or not all(isinstance(s, str)
@@ -326,10 +329,9 @@ def load_problem(path: str) -> Problem:
         quad = doc.get("quadrature", {})
         if not isinstance(quad, dict):
             raise InputError(f"{path}: quadrature must be an object")
-        prob.quadrature_order = _integer(quad, "order", prob.quadrature_order,
-                                         "quadrature")
-        if prob.quadrature_order < 4:
-            raise InputError(f"{path}: quadrature.order must be >= 4")
+        prob.quadrature_order = _count(
+            quad.get("order", prob.quadrature_order), 4,
+            MAX_QUADRATURE_ORDER, "quadrature.order")
         prob.surface, prob.bde_source = _parse_surface(
             _need(doc, "surface", dict, path))
     return prob

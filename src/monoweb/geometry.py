@@ -73,6 +73,16 @@ def _cross(a, b):
             sub(mul(a[0], b[1]), mul(a[1], b[0])))
 
 
+def _stack(values, shape):
+    """The outputs of a vectorized compiled function as one array of
+    shape (outputs, *shape); an output that does not depend on the
+    variables is broadcast."""
+    out = np.empty((len(values), *shape))
+    for row, t in zip(out, values):
+        row[...] = t
+    return out
+
+
 @dataclass(frozen=True)
 class SurfacePatch:
     """Parametric surface piece (x(u,v), y(u,v), z(u,v)) over a rectangle.
@@ -134,23 +144,30 @@ class SurfacePatch:
         return compile_value(*self.coords, variables=self.variables)
 
     @cached_property
+    def _position_vec_fn(self):
+        return compile_value_vec(*self.coords, variables=self.variables)
+
+    @cached_property
     def _seed_grid(self):
-        """Meshgrid U, V and the positions on it that seed
-        ``locate_on_patch``."""
+        """Flattened U, V of a meshgrid and the positions on it, shape
+        (3, SEED_GRID**2), that seed ``locate_on_patch``."""
         U, V = self.domain.grid(SEED_GRID)
         UU, VV = np.meshgrid(U, V, indexing="ij")
-        fn = compile_value_vec(*self.coords, variables=self.variables)
         with np.errstate(all="ignore"):
-            px = np.stack([np.broadcast_to(np.asarray(t, dtype=float),
-                                           UU.shape)
-                           for t in fn(UU, VV)])
-        return UU, VV, px
+            px = _stack(self._position_vec_fn(UU, VV), UU.shape)
+        return UU.ravel(), VV.ravel(), px.reshape(3, -1)
 
     @cached_property
     def _chart_fn(self):
         """Position, su and sv."""
         return compile_value(*self.coords, *self._frame_exprs[:6],
                              variables=self.variables)
+
+    @cached_property
+    def _chart_vec_fn(self):
+        """Position, su and sv, vectorized."""
+        return compile_value_vec(*self.coords, *self._frame_exprs[:6],
+                                 variables=self.variables)
 
     @cached_property
     def _frame_vec_fn(self):
@@ -174,14 +191,16 @@ class SurfacePatch:
         return np.array(call_compiled(self._position_fn, u, v,
                                   "patch evaluation"))
 
+    def chart(self, u: float, v: float):
+        """Position, su and sv as one tuple of nine floats."""
+        return call_compiled(self._chart_fn, u, v, "patch evaluation")
+
     def _frame_grids(self, U, V):
         """Fundamental-form ingredients on a meshgrid (vectorized)."""
         UU, VV = np.meshgrid(U, V, indexing="ij")
         with np.errstate(all="raise"):
             try:
-                vals = np.stack([np.broadcast_to(np.asarray(t, dtype=float),
-                                                 UU.shape)
-                                 for t in self._frame_vec_fn(UU, VV)])
+                vals = _stack(self._frame_vec_fn(UU, VV), UU.shape)
             except (FloatingPointError, ValueError, ZeroDivisionError,
                     OverflowError) as e:
                 raise DomainError(
@@ -291,51 +310,79 @@ class WeightedPatch:
                                  variables=self.patch.variables)
 
 
-def locate_on_patch(patch: SurfacePatch, point3, max_iter: int = 40):
-    """Nearest parameter point of ``patch`` to a 3D point.
+def _eval_rows(vec_fn, point_fn, u, v):
+    """A compiled patch function at the points (u[i], v[i]), shape
+    (outputs, k): one call of the vectorized ``vec_fn``, or, if that
+    raises, ``point_fn`` point by point, whose DomainError names the
+    failing point."""
+    try:
+        with np.errstate(all="raise"):
+            return _stack(vec_fn(u, v), u.shape)
+    except (FloatingPointError, ValueError, ZeroDivisionError,
+            OverflowError):
+        return np.array([point_fn(a, b)
+                         for a, b in zip(u.tolist(), v.tolist())]).T
 
-    Clamped Gauss-Newton on |r(u,v) - p|^2 seeded from a coarse grid;
-    returns (u, v, distance).  Iterates are clamped into the rectangle,
-    so points whose true preimage lies outside it report the boundary
-    distance.  The iteration stops at a fixed point of the clamped step,
-    where every further iteration would repeat it.
+
+def locate_on_patch(patch: SurfacePatch, points, max_iter: int = 40):
+    """Nearest parameter points of ``patch`` to a stack of 3D points.
+
+    ``points`` has shape (k, 3); returns three length-k arrays
+    (u, v, dist).  Each row runs clamped Gauss-Newton on |r(u,v) - p|^2
+    from its nearest node of a coarse seed grid, with the step solved
+    from the 2x2 normal equations (determinant EG - F^2).  Iterates are
+    clamped into the rectangle, so points whose true preimage lies
+    outside it report the boundary distance.  A row stops without moving
+    at a non-finite step; after a move it stops at a fixed point of the
+    clamped step, where every further iteration would repeat it, or at a
+    step below 1e-14 (1 + |u| + |v|).  The rows still running share one
+    vectorized chart call per iteration.
     """
-    p = np.asarray(point3, dtype=float)
+    p = np.asarray(points, dtype=float).reshape(-1, 3)
     dom = patch.domain
-    UU, VV, px = patch._seed_grid
-    d2 = ((px - p.reshape(3, 1, 1)) ** 2).sum(axis=0)
-    i, j = np.unravel_index(np.nanargmin(d2), d2.shape)
-    u, v = float(UU[i, j]), float(VV[i, j])
+    us, vs, px = patch._seed_grid
+    d2 = ((px[:, None, :] - p.T[:, :, None]) ** 2).sum(axis=0)
+    seed = np.nanargmin(d2, axis=1)
+    u, v = us[seed], vs[seed]
 
+    live = np.arange(len(p))
     for _ in range(max_iter):
-        r, su, sv = np.array(call_compiled(patch._chart_fn, u, v,
-                                       "patch evaluation")).reshape(3, 3)
-        J = np.column_stack([su, sv])
-        try:
-            step, *_ = np.linalg.lstsq(J, p - r, rcond=None)
-        except np.linalg.LinAlgError:
+        if not live.size:
             break
-        if not np.all(np.isfinite(step)):
-            break
-        prev = (u, v)
-        u = min(max(u + step[0], dom.xmin), dom.xmax)
-        v = min(max(v + step[1], dom.ymin), dom.ymax)
-        if ((u, v) == prev
-                or np.hypot(*step) < 1e-14 * (1.0 + abs(u) + abs(v))):
-            break
-    dist = float(np.linalg.norm(patch.position(u, v) - p))
-    return u, v, dist
+        r, su, sv = _eval_rows(patch._chart_vec_fn, patch.chart,
+                               u[live], v[live]).reshape(3, 3, -1)
+        with np.errstate(all="ignore"):
+            d = p[live].T - r
+            E, F, G = (su * su).sum(0), (su * sv).sum(0), (sv * sv).sum(0)
+            bu, bv = (su * d).sum(0), (sv * d).sum(0)
+            det = E * G - F * F
+            du = (G * bu - F * bv) / det
+            dv = (E * bv - F * bu) / det
+        ok = np.isfinite(du) & np.isfinite(dv)
+        live, du, dv = live[ok], du[ok], dv[ok]
+        u0, v0 = u[live], v[live]
+        u1 = np.minimum(np.maximum(u0 + du, dom.xmin), dom.xmax)
+        v1 = np.minimum(np.maximum(v0 + dv, dom.ymin), dom.ymax)
+        u[live], v[live] = u1, v1
+        done = (((u1 == u0) & (v1 == v0))
+                | (np.hypot(du, dv) < 1e-14 * (1.0 + abs(u1) + abs(v1))))
+        live = live[~done]
+    at = _eval_rows(patch._position_vec_fn, patch.position, u, v)
+    return u, v, np.linalg.norm(at - p.T, axis=0)
 
 
 def check_partition_of_unity(wpatches, probes_per_patch: int = 8,
                              tol: float = 1e-8, seed: int = 0):
     """Verify the declared weights sum to 1 at random probe points.
 
-    Each probe is mapped to 3D and located on every patch; weights of the
-    patches containing it (distance below a surface tolerance) are
-    summed.  Raises WeightsNotPartition on failure.
+    Each probe is mapped to 3D, and every probe of every patch is located
+    on each patch in one batched ``locate_on_patch`` call per patch.
+    Probe by probe, the weights of the patches containing it (distance
+    below a surface tolerance) are summed in patch order; the first probe
+    whose sum is not 1 raises WeightsNotPartition.
     """
     rng = random.Random(seed)
+    probes = []
     for wp in wpatches:
         dom = wp.patch.domain
         mx = 0.05 * (dom.xmax - dom.xmin)
@@ -343,23 +390,24 @@ def check_partition_of_unity(wpatches, probes_per_patch: int = 8,
         for _ in range(probes_per_patch):
             u = rng.uniform(dom.xmin + mx, dom.xmax - mx)
             v = rng.uniform(dom.ymin + my, dom.ymax - my)
-            p3 = wp.patch.position(u, v)
-            loc_tol = 1e-6 * (1.0 + float(np.linalg.norm(p3)))
-            total = 0.0
-            for other in wpatches:
-                ou, ov, dist = locate_on_patch(other.patch, p3)
-                if dist <= loc_tol:
-                    total += call_compiled(other.weight_fn, ou, ov,
-                                           "weight evaluation")
-            if abs(total - 1.0) > tol:
-                raise WeightsNotPartition(
-                    f"weights sum to {total:.12f} (not 1) at the probe "
-                    f"point {tuple(p3)} from patch "
-                    f"{wp.patch.name or '<unnamed>'}")
+            probes.append((wp, wp.patch.position(u, v)))
+    points = np.array([p3 for _, p3 in probes])
+    located = [locate_on_patch(other.patch, points) for other in wpatches]
+    for k, (wp, p3) in enumerate(probes):
+        loc_tol = 1e-6 * (1.0 + float(np.linalg.norm(p3)))
+        total = 0.0
+        for other, (ou, ov, dist) in zip(wpatches, located):
+            if dist[k] <= loc_tol:
+                total += call_compiled(other.weight_fn, float(ou[k]),
+                                       float(ov[k]), "weight evaluation")
+        if abs(total - 1.0) > tol:
+            raise WeightsNotPartition(
+                f"weights sum to {total:.12f} (not 1) at the probe "
+                f"point {tuple(p3)} from patch "
+                f"{wp.patch.name or '<unnamed>'}")
 
 
-def _patch_curvature_integral(wp: WeightedPatch, order: int) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def _patch_curvature_integral(wp: WeightedPatch, nodes, weights) -> float:
     dom = wp.patch.domain
     hu = 0.5 * (dom.xmax - dom.xmin)
     hv = 0.5 * (dom.ymax - dom.ymin)
@@ -391,10 +439,10 @@ def integrate_gauss_curvature(wpatches, quadrature_order: int = 32,
     """
     if check_partition:
         check_partition_of_unity(wpatches, seed=seed)
-    lo_order = max(4, quadrature_order // 2)
-    hi = sum(_patch_curvature_integral(wp, quadrature_order)
-             for wp in wpatches)
-    lo = sum(_patch_curvature_integral(wp, lo_order) for wp in wpatches)
+    rule_hi = np.polynomial.legendre.leggauss(quadrature_order)
+    rule_lo = np.polynomial.legendre.leggauss(max(4, quadrature_order // 2))
+    hi = sum(_patch_curvature_integral(wp, *rule_hi) for wp in wpatches)
+    lo = sum(_patch_curvature_integral(wp, *rule_lo) for wp in wpatches)
     return hi, abs(hi - lo)
 
 

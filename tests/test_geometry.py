@@ -8,7 +8,7 @@ import pytest
 
 from monoweb import geometry
 from monoweb.cli import load_problem
-from monoweb.expr import call_compiled, compile_value_vec, parse
+from monoweb.expr import DomainError, call_compiled, compile_value_vec, parse
 from monoweb.fiber import NonIsolatedZero, Rect, find_singularities
 from monoweb.fiber import ProjectiveSystem
 from monoweb.geometry import (
@@ -166,15 +166,16 @@ def test_torus_has_no_umbilics():
 def test_locate_on_patch_roundtrip():
     sphere = stereographic_sphere()
     p3 = sphere[0].patch.position(0.7, -0.3)
-    u, v, dist = locate_on_patch(sphere[1].patch, p3)
+    [u], [v], [dist] = locate_on_patch(sphere[1].patch, [p3])
     assert dist < 1e-9
     assert np.allclose(sphere[1].patch.position(u, v), p3, atol=1e-9)
 
 
 def _locate_reference(patch, point3, seed_grid=8, max_iter=40):
-    """Reference for ``locate_on_patch``: the same clamped Gauss-Newton
-    search without the fixed-point stop and the cached seed grid, so it
-    runs until the step is tiny or ``max_iter`` is spent."""
+    """Reference for one row of ``locate_on_patch``: the same clamped
+    Gauss-Newton search through the scalar chart and ``lstsq``, without
+    the fixed-point stop and the cached seed grid, so it runs until the
+    step is tiny or ``max_iter`` is spent."""
     p = np.asarray(point3, dtype=float)
     dom = patch.domain
     U, V = dom.grid(seed_grid)
@@ -206,39 +207,71 @@ def _locate_reference(patch, point3, seed_grid=8, max_iter=40):
 
 
 def _partition_check_locates(monkeypatch):
-    """Every (patch, probe point, result) of ``locate_on_patch`` in the
-    partition-of-unity check of ellipsoid_321, and the lstsq call count."""
+    """Every (patch, probe points, result) of ``locate_on_patch`` in the
+    partition-of-unity check of ellipsoid_321, and the number of
+    vectorized chart calls and of rows they evaluate, per patch."""
     surface = load_problem(str(PROBLEMS / "ellipsoid_321.json")).surface
-    calls, solves = [], [0]
-    locate, lstsq = geometry.locate_on_patch, np.linalg.lstsq
+    calls, charts, rows = [], {}, {}
+    locate = geometry.locate_on_patch
 
-    def record(patch, point3):
-        out = locate(patch, point3)
-        calls.append((patch, np.array(point3), out))
+    def record(patch, points):
+        out = locate(patch, points)
+        calls.append((patch, np.array(points), out))
         return out
 
-    def count(*args, **kwargs):
-        solves[0] += 1
-        return lstsq(*args, **kwargs)
+    def counted(patch, fn):
+        def chart(u, v):
+            charts[patch.name] += 1
+            rows[patch.name] += len(u)
+            return fn(u, v)
+        return chart
 
+    for wp in surface:
+        charts[wp.patch.name] = rows[wp.patch.name] = 0
+        wp.patch.__dict__["_chart_vec_fn"] = counted(
+            wp.patch, wp.patch._chart_vec_fn)
     monkeypatch.setattr(geometry, "locate_on_patch", record)
-    monkeypatch.setattr(np.linalg, "lstsq", count)
     check_partition_of_unity(surface)
-    return calls, solves[0]
+    return calls, charts, rows
 
 
 def test_locate_on_patch_matches_the_full_iteration(monkeypatch):
-    calls, _ = _partition_check_locates(monkeypatch)
-    assert len(calls) == 6 * 8 * 6
-    for patch, p3, got in calls:
-        assert [t.hex() for t in got] == [
-            t.hex() for t in _locate_reference(patch, p3)]
+    # the vectorized chart and the normal equations round differently
+    # from the scalar chart and lstsq, so rows agree to 1e-12, not bits
+    calls, _, _ = _partition_check_locates(monkeypatch)
+    assert [len(points) for _, points, _ in calls] == [6 * 8] * 6
+    for patch, points, (us, vs, dists) in calls:
+        assert len(us) == len(vs) == len(dists) == len(points)
+        for p3, u, v, dist in zip(points, us, vs, dists):
+            ru, rv, rdist = _locate_reference(patch, p3)
+            tol = 1e-6 * (1.0 + np.linalg.norm(p3))
+            assert (dist <= tol) == (rdist <= tol)
+            assert abs(u - ru) <= 1e-12 and abs(v - rv) <= 1e-12
 
 
 def test_locate_on_patch_stops_at_the_clamped_fixed_point(monkeypatch):
-    # 9,833 lstsq calls when every off-patch search ran all 40 iterations
-    _, solves = _partition_check_locates(monkeypatch)
-    assert solves <= 3200
+    _, charts, rows = _partition_check_locates(monkeypatch)
+    assert all(n <= 41 for n in charts.values())
+    # 9,833 row evaluations when every off-patch row ran all 40
+    # iterations; 2,966 with the fixed-point stop
+    assert sum(rows.values()) <= 3200
+
+
+def test_locate_on_patch_falls_back_to_the_scalar_chart():
+    # the seed node u = 1/7 is a zero of |u - 1/7|, where the derivative
+    # of |u - 1/7|^1.5 takes a non-integer power of zero: the vectorized
+    # chart raises and the scalar chart names the point
+    dom = Rect(0.0, 1.0, 0.0, 1.0)
+    c = float(dom.grid(geometry.SEED_GRID)[0][1])
+    patch = SurfacePatch.from_strings("u", "v", f"abs(u - {c!r})^1.5", dom)
+    p3 = np.array([c, 0.5, 0.2])
+    with pytest.raises(DomainError) as scalar:
+        _locate_reference(patch, p3)
+    with pytest.raises(DomainError) as batched:
+        locate_on_patch(patch, [p3])
+    assert "patch evaluation failed at (0.14285714285714285" in str(
+        scalar.value)
+    assert str(batched.value) == str(scalar.value)
 
 
 def test_sphere_two_patch_integral():
@@ -266,8 +299,12 @@ def test_weights_not_partition_detected():
     bad = [WeightedPatch(patches[0].patch, parse("0.9/(1+(u^2+v^2)^4)",
                                                  ("u", "v"))),
            patches[1]]
-    with pytest.raises(WeightsNotPartition):
+    with pytest.raises(WeightsNotPartition) as exc:
         integrate_gauss_curvature(bad, quadrature_order=16)
+    assert str(exc.value) == (
+        "weights sum to 0.999999540427 (not 1) at the probe point "
+        "(np.float64(0.3292130388651367), np.float64(0.24656377783406402), "
+        "np.float64(0.9114960660921013)) from patch north-chart")
 
 
 def test_theorem_ellipsoid_curvature_lines():
