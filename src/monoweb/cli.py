@@ -24,6 +24,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -517,14 +518,64 @@ def run_verify_theorem(prob: Problem, seed: int = 0):
     return report, 0 if ok else 3
 
 
+_LINE = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f"/>\n'
+# _LINE with each value an 8-byte field of zero bytes, and where they start
+_LINE_BYTES = _LINE.replace("%.3f", "\0" * 8).encode("ascii")
+_VALUE_AT = (10, 24, 38, 52)
+
+
+@cache
+def _digit_words():
+    """The integer parts 0..9999 in ASCII, right-aligned in one four-byte
+    word with zero bytes for the leading blanks, and the fractions
+    '.000'..'.999', one word each."""
+    i = np.arange(10000, dtype=np.uint16)
+    d = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1)
+    ints = (d + 48).astype(np.uint8)
+    ints[:, :3][~np.logical_or.accumulate(d[:, :3] != 0, axis=1)] = 0
+    fracs = ints[:1000].copy()
+    fracs[:, 0] = 46
+    fracs[:, 1:] = d[:1000, 1:] + 48
+    tables = ints.view(np.uint32).ravel(), fracs.view(np.uint32).ravel()
+    for t in tables:
+        t.flags.writeable = False   # shared by every call
+    return tables
+
+
+def _format_lines(ends):
+    """``_LINE % tuple(row)`` for each row (x1, y1, x2, y2) of ``ends``,
+    joined.  Each value is written into one byte buffer of
+    ``_LINE_BYTES`` rows as the table words of its integer part and its
+    three fraction digits, and the zero bytes are dropped.  A block
+    holding a value that is negative (-0.0 too), not finite, 9999 or more,
+    or within 1e-6 of a rounding tie at the third decimal is formatted
+    with ``%`` instead: away from ties, np.rint(1000 v) is the integer
+    that '%.3f' rounds 1000 v to."""
+    flat = ends.reshape(-1, 4)
+    m = np.where(np.signbit(flat) | ~(flat < 9999.0), np.nan, flat) * 1000.0
+    if not (np.abs(m - np.floor(m) - 0.5) >= 1e-6).all():   # NaN too
+        return _LINE * len(flat) % tuple(flat.ravel().tolist())
+    ip, fp = np.divmod(np.rint(m).astype(np.intp), 1000)
+    ints, fracs = _digit_words()
+    words = np.empty((len(flat), 4, 2), dtype=np.uint32)
+    words[:, :, 0] = ints[ip]
+    words[:, :, 1] = fracs[fp]
+    buf = np.empty((len(flat), len(_LINE_BYTES)), dtype=np.uint8)
+    buf[:] = np.frombuffer(_LINE_BYTES, dtype=np.uint8)
+    for j, at in enumerate(_VALUE_AT):
+        buf[:, at:at + 8] = words[:, j].view(np.uint8)
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def render_svg(prob: Problem, grid: int = 20, width: int = 640) -> str:
     """Direction-web plot: short segments along each fiber root direction
     at the cell centres of a grid x grid grid, singular points marked.
     The centres are solved in blocks of whole columns (PLOT_BATCH points,
-    or one column), each formatted from its root arrays in one call.
-    Deterministic for fixed inputs; solve failures leave gaps.  A
-    numerical failure of the singular-point search propagates, so
-    ``plot`` exits 2."""
+    or one column), each block passed to ``FiberSystem._fibers`` as one
+    array and its ``<line>`` elements formatted at once from the root
+    arrays (``_format_lines``).  Deterministic for fixed inputs; solve
+    failures leave gaps.  A numerical failure of the singular-point
+    search propagates, so ``plot`` exits 2."""
     sys_ = prob.system
     if sys_ is None or sys_.kind is not FiberKind.PROJECTIVE:
         raise InputError("plot needs a projective system")
@@ -536,18 +587,19 @@ def render_svg(prob: Problem, grid: int = 20, width: int = 640) -> str:
     sx = width / spanx
     sy = height / spany
     half = 0.35 * (min(spanx, spany) / grid)
-    xs = [dom.xmin + (i + 0.5) * spanx / grid for i in range(grid)]
-    ys = [dom.ymin + (j + 0.5) * spany / grid for j in range(grid)]
+    xs = np.array([dom.xmin + (i + 0.5) * spanx / grid for i in range(grid)])
+    ys = np.array([dom.ymin + (j + 0.5) * spany / grid for j in range(grid)])
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">\n'
              '<g stroke="#1f3b57" stroke-width="1.1">\n']
     cols = max(1, PLOT_BATCH // grid)
     for block in (xs[i:i + cols] for i in range(0, grid, cols)):
-        phi, _, errors = sys_._fibers([(x, y) for x in block for y in ys],
-                                      prob.singular_tol, prob.sep_floor)
+        centres = np.column_stack([np.repeat(block, grid),
+                                   np.tile(ys, len(block))])
+        phi, _, errors = sys_._fibers(centres, prob.singular_tol,
+                                      prob.sep_floor)
         good = [k for k, e in enumerate(errors) if e is None]
-        x = np.repeat(block, grid)[good, None]
-        y = np.tile(ys, len(block))[good, None]
+        x, y = centres[good].T[:, :, None]
         phi = phi[good]
         flat = phi.ravel().tolist()
         # math.cos/sin as the scalar plot had them; np.cos can differ in
@@ -558,8 +610,7 @@ def render_svg(prob: Problem, grid: int = 20, width: int = 640) -> str:
                          (dom.ymax - (y - dy)) * sy,
                          ((x + dx) - dom.xmin) * sx,
                          (dom.ymax - (y + dy)) * sy], axis=-1)
-        parts.append('<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f"/>\n'
-                     * (ends.size // 4) % tuple(ends.ravel().tolist()))
+        parts.append(_format_lines(ends))
     points = find_singularities(sys_, grid_density=prob.grid_density,
                                 tol=prob.singular_tol,
                                 sep_floor=prob.sep_floor)

@@ -23,7 +23,8 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "ParseError", "DomainError",
     "parse", "to_source", "eval_expr", "diff",
-    "compile_value", "compile_value_vec", "call_compiled",
+    "compile_value", "compile_value_vec", "call_compiled", "stack_vec",
+    "vec_errstate", "VEC_ERRORS",
     "add", "sub", "mul", "div", "neg", "call", "num", "var",
     "MAX_DEPTH",
 ]
@@ -604,7 +605,7 @@ _FORMAT = {Neg: "-{}", Add: "{}+{}", Sub: "{}-{}", Mul: "{}*{}",
            Div: "{}/{}", Pow: "{}**{}"}
 
 
-def _rhs(e: Expr, ops) -> str:
+def _rhs(e: Expr, ops, vector) -> str:
     """One operation on already-computed operands (names or literals)."""
     if isinstance(e, Call):
         return f"{e.fn}({', '.join(ops)})"
@@ -612,10 +613,12 @@ def _rhs(e: Expr, ops) -> str:
         expo = e.exponent
         if not (isinstance(expo, Num) and expo.value == round(expo.value)):
             return f"_pow({ops[0]}, {ops[1]})"   # not an integer literal
+        if vector:
+            return f"_ipow({ops[0]}, {ops[1]})"
     return _FORMAT[type(e)].format(*ops)
 
 
-def _straight_line(exprs):
+def _straight_line(exprs, vector=False):
     """Assignment lines computing ``exprs``, the name or literal that holds
     each result, and the node each line computes.
 
@@ -647,7 +650,7 @@ def _straight_line(exprs):
                 todo.append((e, True))
                 todo.extend((a, False) for a in reversed(ops))
                 continue
-            rhs = _rhs(e, [text[id(a)] for a in ops])
+            rhs = _rhs(e, [text[id(a)] for a in ops], vector)
             if rhs not in temps:
                 temps[rhs] = f"_t{len(temps)}"
                 lines.append(f"    {temps[rhs]} = {rhs}")
@@ -667,7 +670,11 @@ def _sign(t: float) -> float:
 # A power whose exponent is not an integer literal goes through ``_pow``:
 # an integer-valued exponent follows repeated-multiplication rules, as
 # ``**`` does for the literals, and any other needs a positive base (else
-# a ValueError, as math raises, which ``call_compiled`` converts).
+# a ValueError, as math raises, which ``call_compiled`` converts).  Vector
+# code takes every integer power with pow() per element, as Python's ``**``
+# on floats does: np.float_power, also as ``_ipow`` for the literals.
+# numpy's ``**`` may square instead or call a vectorised pow, either of
+# which can differ in the last bit.
 def _scalar_namespace():
     def _pow(b, c):
         if c == round(c):
@@ -689,23 +696,39 @@ def _vector_namespace():
     def _pow(b, c):
         # each branch sees harmless operands where the other one is taken
         whole = c == np.round(c)
-        return np.where(whole, b ** np.where(whole, c, 0.0),
+        return np.where(whole, np.float_power(b, np.where(whole, c, 0.0)),
                         np.exp(c * np.log(np.where(whole, 1.0, b))))[()]
 
     return {
         "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos,
         "exp": np.exp, "log": np.log, "abs": np.abs, "sign": np.sign,
-        "atan2": np.arctan2, "_pow": _pow,
+        "atan2": np.arctan2, "_pow": _pow, "_ipow": np.float_power,
     }
 
 
-def _compile(exprs, variables, namespace):
+# Exceptions a vectorised evaluation raises under ``vec_errstate``, as
+# floating-point events or as raw Python errors of its scalar operands.
+VEC_ERRORS = (FloatingPointError, ValueError, ZeroDivisionError,
+              OverflowError)
+
+
+def vec_errstate():
+    """The floating-point error state of every vectorised evaluation that
+    must fail where scalar evaluation fails: division by zero, overflow and
+    invalid operations raise (``VEC_ERRORS``), and underflow is ignored,
+    as Python floats round it to zero without an error."""
+    import numpy as np
+    return np.errstate(divide="raise", over="raise", invalid="raise",
+                       under="ignore")
+
+
+def _compile(exprs, variables, vector=False):
     """The compiled function, and the node computed on each line of its
     body; body line i is line i + 2 of the ``<expr>`` source."""
-    lines, results, nodes = _straight_line(exprs)
+    lines, results, nodes = _straight_line(exprs, vector)
     src = "\n".join([f"def _f({variables[0]}, {variables[1]}):", *lines,
                      f"    return {', '.join(results)}"])
-    ns = dict(namespace)
+    ns = _vector_namespace() if vector else _scalar_namespace()
     exec(compile(src, "<expr>", "exec"), ns)
     return ns["_f"], nodes
 
@@ -719,14 +742,27 @@ def compile_value(*exprs: Expr, variables=("x", "y")):
     once.  Exceptions from math functions (ValueError, ZeroDivisionError,
     OverflowError) propagate raw; ``call_compiled`` converts them.
     """
-    return _compile(exprs, variables, _scalar_namespace())[0]
+    return _compile(exprs, variables)[0]
 
 
 def compile_value_vec(*exprs: Expr, variables=("x", "y")):
     """Compile to a numpy-vectorized callable f(X, Y), returning what
     ``compile_value`` returns with arrays for floats.  A result that does
-    not depend on the variables stays a scalar."""
-    return _compile(exprs, variables, _vector_namespace())[0]
+    not depend on the variables stays a scalar.  Each operation rounds as
+    the scalar one does, except ``sin cos exp log atan2``, whose numpy
+    versions can differ from math's in the last bit."""
+    return _compile(exprs, variables, vector=True)[0]
+
+
+def stack_vec(values, shape):
+    """The outputs of a ``compile_value_vec`` function as one array of
+    shape (outputs, *shape); an output that does not depend on the
+    variables is broadcast."""
+    import numpy as np
+    out = np.empty((len(values), *shape))
+    for row, t in zip(out, values):
+        row[...] = t
+    return out
 
 
 def call_compiled(fn, x, y, what: str):
@@ -744,7 +780,7 @@ def eval_expr(e: Expr, x: float, y: float, variables=("x", "y")) -> float:
     A math error or an unbound variable raises DomainError naming the
     operation that failed first; a non-finite value names ``e``.
     """
-    f, nodes = _compile([e], variables, _scalar_namespace())
+    f, nodes = _compile([e], variables)
     x, y = float(x), float(y)
     try:
         v = f(x, y)

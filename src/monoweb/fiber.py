@@ -15,7 +15,11 @@ locates the points where it degenerates and probes their isolation.
 ``FiberSystem.solve`` solves one base point and ``solve_many`` many in
 one batch; loop tracking, the isolation probes and plotting read the
 same batch as arrays (``_fibers``).  All of them run the variant's root
-kernel, so a point has the same roots either way.
+kernel, so a point has the same roots either way.  A batch evaluates the
+coefficients of all its points in one call of compiled vector code,
+which rounds as the scalar code does; a batch where that call signals a
+floating-point event or gives a non-finite value is evaluated point by
+point with the scalar code, which names the failing points.
 
 A variant supplies three things: the expression ``components`` whose
 common zeros are the singular set; a stacked root kernel,
@@ -45,9 +49,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .expr import (DomainError, Expr, ExprError, Num, add, call_compiled,
-                   compile_value, compile_value_vec, diff, div, mul, parse,
-                   sub)
+from .expr import (VEC_ERRORS, DomainError, Expr, ExprError, Num, add,
+                   call_compiled, compile_value, compile_value_vec, diff, div,
+                   mul, parse, stack_vec, sub, vec_errstate)
 
 __all__ = [
     "FiberKind", "Rect", "RP1Angle", "CircleAngle", "ComplexPoint",
@@ -265,25 +269,29 @@ class FiberSystem:
                              "coefficient evaluation")
 
     @property
+    def _solve_vec_fn(self):
+        """The compiled vector function whose values the root kernel
+        reads, one row of them per point."""
+        return self._component_vec_fn
+
+    @property
     def _solve_fn(self):
-        """The compiled function whose values the root kernel reads, one
-        row of them per point."""
+        """``_solve_vec_fn`` as scalar code, for ``_scalar_rows``."""
         return self._component_fn
 
     def _roots_many(self, A, singular_tol, sep_floor):
         """The variant's stacked root kernel on the finite rows of
-        ``_solve_fn`` values in A: ``(roots, sep, errors)``, row i of
+        ``_solve_vec_fn`` values in A: ``(roots, sep, errors)``, row i of
         ``roots`` the fiber of row i and ``sep[i]`` its minimum root
         separation unless ``errors[i]`` is a FiberError."""
         raise NotImplementedError
 
-    def _fibers(self, points, singular_tol, sep_floor):
-        """``(roots, sep, errors)`` for the (x, y) of ``points``, as from
-        the kernel: ``errors[k]`` is None or the error ``solve`` raises at
-        point k, a DomainError where the evaluation fails or is not
-        finite, else the kernel's, with the point named.  The rows of all
-        the points share one call of ``_roots_many``."""
-        errors = [None] * len(points)
+    def _scalar_rows(self, points, errors):
+        """The rows of ``_solve_fn`` at the points where it succeeds and is
+        finite, and the indices of those points; the DomainError of each
+        other point goes into ``errors``, with the point as given."""
+        if isinstance(points, np.ndarray):
+            points = points.tolist()   # a float64 would not raise as a float
         fn, rows, where = self._solve_fn, [], []
         for k, (x, y) in enumerate(points):
             try:
@@ -292,25 +300,51 @@ class FiberSystem:
                 errors[k] = e
                 continue
             where.append(k)
+        where = np.array(where, dtype=int)
+        if not rows:
+            return None, where
         A = np.array(rows, dtype=float)
-        finite = np.isfinite(A).all(axis=1) if rows else []
-        if not np.all(finite):
-            for k in np.array(where)[~finite].tolist():
-                x, y = points[k]
-                errors[k] = DomainError(
-                    f"coefficient evaluation is not finite at ({x}, {y})")
-            A, where = A[finite], np.array(where)[finite].tolist()
+        finite = np.isfinite(A).all(axis=1)
+        for k in where[~finite].tolist():
+            x, y = points[k]
+            errors[k] = DomainError(
+                f"coefficient evaluation is not finite at ({x}, {y})")
+        return A[finite], where[finite]
+
+    def _fibers(self, points, singular_tol, sep_floor):
+        """``(roots, sep, errors)`` for the (x, y) of ``points``, a (k, 2)
+        array or a sequence of pairs, as from the kernel: ``errors[k]`` is
+        None or the error ``solve`` raises at point k, a DomainError where
+        the evaluation fails or is not finite, else the kernel's, with the
+        point named as given.  The rows of all the points come from one
+        call of ``_solve_vec_fn`` and share one call of ``_roots_many``.
+        Where that call signals a floating-point event (``vec_errstate``)
+        or gives a non-finite row, the batch is evaluated point by point
+        by ``_scalar_rows`` instead, whose errors are those of scalar
+        evaluation."""
+        P = np.asarray(points, dtype=float).reshape(-1, 2)
+        errors = [None] * len(P)
+        try:
+            with vec_errstate():
+                A = stack_vec(self._solve_vec_fn(P[:, 0], P[:, 1]),
+                              (len(P),)).T
+        except VEC_ERRORS:
+            A = None
+        if A is not None and np.isfinite(A).all():
+            where = np.arange(len(P))
+        else:
+            A, where = self._scalar_rows(points, errors)
         sep = np.zeros(len(points))
-        if not where:
+        if not len(where):
             return np.zeros((len(points), self.sheet_count)), sep, errors
         batch, batch_sep, batch_errors = self._roots_many(A, singular_tol,
                                                           sep_floor)
         roots = np.zeros((len(points), batch.shape[1]), batch.dtype)
         roots[where] = batch
         sep[where] = batch_sep
-        for k, e in zip(where, batch_errors):
+        for k, e in zip(where.tolist(), batch_errors):
             if e is not None:
-                x, y = points[k]
+                x, y = points[k]   # a float64 prints as a float does
                 errors[k] = type(e)(f"{e} at ({x}, {y})")
         return roots, sep, errors
 
@@ -340,13 +374,12 @@ class FiberSystem:
         """Residual on a meshgrid; +inf where evaluation fails."""
         XX, YY = np.meshgrid(X, Y, indexing="ij")
         try:
-            with np.errstate(all="raise"):
+            with vec_errstate():
                 acc = sum((v * v for v in self._component_vec_fn(XX, YY)),
                           np.zeros_like(XX))
             if np.all(np.isfinite(acc)):
                 return acc
-        except (FloatingPointError, ValueError, ZeroDivisionError,
-                OverflowError):
+        except VEC_ERRORS:
             pass
         out = np.empty_like(XX)
         for i, x in enumerate(X.tolist()):
@@ -463,6 +496,11 @@ class PuncturedPlaneSystem(FiberSystem):
         return (*_cdiv(c[0], c[n]), *_cdiv(res, lead))
 
     @cached_property
+    def _solve_vec_fn(self):
+        return compile_value_vec(*(e for pair in self.coeffs for e in pair),
+                                 variables=self.variables)
+
+    @cached_property
     def _solve_fn(self):
         return compile_value(*(e for pair in self.coeffs for e in pair),
                              variables=self.variables)
@@ -545,8 +583,11 @@ def _poly_angle_values(A, phi):
     of coefficients A at the angle of the same index in phi."""
     n = A.shape[1] - 1
     c, s = np.cos(phi), np.sin(phi)
-    cp = [np.float_power(c, np.full_like(c, k)) for k in range(n + 1)]
-    sp = [np.float_power(s, np.full_like(s, k)) for k in range(n + 1)]
+    # pow(x, 0) and pow(x, 1) are exactly 1 and x
+    cp = [np.ones_like(c), c] + [np.float_power(c, np.full_like(c, k))
+                                 for k in range(2, n + 1)]
+    sp = [np.ones_like(s), s] + [np.float_power(s, np.full_like(s, k))
+                                 for k in range(2, n + 1)]
     g = np.zeros_like(phi)
     dg = np.zeros_like(phi)
     for i in range(n + 1):

@@ -25,8 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import (DomainError, Expr, add, call_compiled, compile_value,
-                   compile_value_vec, diff, div, mul, parse, sub)
+from .expr import (VEC_ERRORS, DomainError, Expr, add, call_compiled,
+                   compile_value, compile_value_vec, diff, div, mul, parse,
+                   stack_vec, sub, vec_errstate)
 from .expr import call as expr_call
 from .fiber import (BinaryForm, ProjectiveSystem, Rect, SEP_FLOOR,
                     SINGULAR_TOL, SingularPoint, find_singularities)
@@ -71,16 +72,6 @@ def _cross(a, b):
     return (sub(mul(a[1], b[2]), mul(a[2], b[1])),
             sub(mul(a[2], b[0]), mul(a[0], b[2])),
             sub(mul(a[0], b[1]), mul(a[1], b[0])))
-
-
-def _stack(values, shape):
-    """The outputs of a vectorized compiled function as one array of
-    shape (outputs, *shape); an output that does not depend on the
-    variables is broadcast."""
-    out = np.empty((len(values), *shape))
-    for row, t in zip(out, values):
-        row[...] = t
-    return out
 
 
 @dataclass(frozen=True)
@@ -154,7 +145,7 @@ class SurfacePatch:
         U, V = self.domain.grid(SEED_GRID)
         UU, VV = np.meshgrid(U, V, indexing="ij")
         with np.errstate(all="ignore"):
-            px = _stack(self._position_vec_fn(UU, VV), UU.shape)
+            px = stack_vec(self._position_vec_fn(UU, VV), UU.shape)
         return UU.ravel(), VV.ravel(), px.reshape(3, -1)
 
     @cached_property
@@ -198,13 +189,11 @@ class SurfacePatch:
     def _frame_grids(self, U, V):
         """Fundamental-form ingredients on a meshgrid (vectorized)."""
         UU, VV = np.meshgrid(U, V, indexing="ij")
-        with np.errstate(all="raise"):
-            try:
-                vals = _stack(self._frame_vec_fn(UU, VV), UU.shape)
-            except (FloatingPointError, ValueError, ZeroDivisionError,
-                    OverflowError) as e:
-                raise DomainError(
-                    f"patch grid evaluation failed: {e}") from None
+        try:
+            with vec_errstate():
+                vals = stack_vec(self._frame_vec_fn(UU, VV), UU.shape)
+        except VEC_ERRORS as e:
+            raise DomainError(f"patch grid evaluation failed: {e}") from None
         su, sv, suu, suv, svv = (vals[k:k + 3] for k in range(0, 15, 3))
         E = np.einsum("kij,kij->ij", su, su)
         F = np.einsum("kij,kij->ij", su, sv)
@@ -316,10 +305,9 @@ def _eval_rows(vec_fn, point_fn, u, v):
     raises, ``point_fn`` point by point, whose DomainError names the
     failing point."""
     try:
-        with np.errstate(all="raise"):
-            return _stack(vec_fn(u, v), u.shape)
-    except (FloatingPointError, ValueError, ZeroDivisionError,
-            OverflowError):
+        with vec_errstate():
+            return stack_vec(vec_fn(u, v), u.shape)
+    except VEC_ERRORS:
         return np.array([point_fn(a, b)
                          for a, b in zip(u.tolist(), v.tolist())]).T
 
@@ -417,13 +405,12 @@ def _patch_curvature_integral(wp: WeightedPatch, nodes, weights) -> float:
     V = cv + hv * nodes
     g = wp.patch._frame_grids(U, V)
     UU, VV = np.meshgrid(U, V, indexing="ij")
-    with np.errstate(all="raise"):
-        try:
+    try:
+        with vec_errstate():
             wgt = np.broadcast_to(
                 np.asarray(wp.weight_vec_fn(UU, VV), dtype=float), UU.shape)
-        except (FloatingPointError, ValueError, ZeroDivisionError,
-                OverflowError) as e:
-            raise DomainError(f"weight evaluation failed: {e}") from None
+    except VEC_ERRORS as e:
+        raise DomainError(f"weight evaluation failed: {e}") from None
     # K * dA = (Lt*Nt - Mt^2) / W2^(3/2)  (unnormalized second form)
     kw = (g["Lt"] * g["Nt"] - g["Mt"] ** 2) / g["W2"] ** 1.5
     wij = np.outer(weights, weights)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -6,7 +7,10 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import monoweb
 from monoweb import cli
@@ -367,7 +371,7 @@ def test_shipped_reports_match_the_schema(tmp_path, name):
 
 def _reference_svg(prob, grid, width=640):
     """The plot built one point at a time: ``solve`` at each cell centre,
-    one f-string per segment, the body joined by newlines."""
+    one ``%`` format per segment, the body joined by newlines."""
     sys_ = prob.system
     dom = sys_.domain
     spanx = dom.xmax - dom.xmin
@@ -395,8 +399,8 @@ def _reference_svg(prob, grid, width=640):
                 dy = half * math.sin(r.phi)
                 x1, y1 = to_px(x - dx, y - dy)
                 x2, y2 = to_px(x + dx, y + dy)
-                items.append(f'<line x1="{x1:.3f}" y1="{y1:.3f}" '
-                             f'x2="{x2:.3f}" y2="{y2:.3f}"/>')
+                items.append('<line x1="%.3f" y1="%.3f" x2="%.3f" '
+                             'y2="%.3f"/>' % (x1, y1, x2, y2))
     for sp in find_singularities(sys_, grid_density=prob.grid_density,
                                  tol=prob.singular_tol,
                                  sep_floor=prob.sep_floor):
@@ -435,6 +439,54 @@ def test_svg_matches_pointwise_reference(tmp_path, name, coefficients,
     assert render_svg(prob, grid=grid) == want
     if coefficients == ["1", "0", "1"]:
         assert "<line" not in want and "<circle" not in want
+
+
+@pytest.mark.parametrize("name", ["lemon", "radial_circular"])
+def test_grid_100_svg_matches_pointwise_reference(name):
+    # 10,000 centres, more than the PLOT_BATCH points of one block
+    prob = load_problem(str(PROBLEMS / f"{name}.json"))
+    assert 100 * 100 > cli.PLOT_BATCH
+    got = hashlib.sha256(render_svg(prob, grid=100).encode()).hexdigest()
+    want = hashlib.sha256(_reference_svg(prob, 100).encode()).hexdigest()
+    assert got == want
+
+
+# values of one <line> block: plot-like ones, exact ties at the third
+# decimal (odd multiples of 1/16 among them), 4-digit and larger integer
+# parts, negative values, -0.0, and non-finite ones
+_SVG_VALUES = st.one_of(
+    st.floats(0.0, 700.0),
+    st.integers(0, 11200).map(lambda k: k / 16),
+    st.integers(0, 10 ** 7).map(lambda k: k / 1000),
+    st.integers(0, 2 * 10 ** 7).map(lambda k: (k + 0.5) / 1000),
+    st.floats(9990.0, 10010.0),
+    st.floats(-5.0, 5.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 0.0005, 0.0625, 9998.9995, 9999.0,
+                     1e300, math.inf, -math.inf, math.nan]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_SVG_VALUES, max_size=48), st.booleans())
+def test_line_text_equals_percent_formatting(values, uniform):
+    # a block either mixes every kind of value, which mostly falls back to
+    # ``%``, or holds finite values in [0, 640) only
+    if uniform:
+        values = [abs(v) % 640.0 for v in values if math.isfinite(v)]
+    values = values[:len(values) // 4 * 4]
+    block = np.array(values, dtype=float).reshape(-1, 4)
+    want = cli._LINE * len(block) % tuple(values)
+    assert cli._format_lines(block) == want
+    assert cli._format_lines(block.reshape(-1, 1, 4)) == want
+
+
+def test_line_text_from_the_tables(monkeypatch):
+    # ordinary plot values, 4-digit integer parts among them, do not fall
+    # back to ``%`` formatting
+    values = np.random.default_rng(3).uniform(0.0, 9998.0, (500, 4))
+    want = cli._LINE * 500 % tuple(values.ravel().tolist())
+    monkeypatch.setattr(cli, "_LINE", None)
+    assert cli._format_lines(values) == want
 
 
 @pytest.mark.parametrize("grid, calls", [(100, 5), (20, 1)])

@@ -2,7 +2,10 @@ import gc
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from monoweb import expr as ex
 from monoweb.expr import (
@@ -440,3 +443,85 @@ def test_straight_line_code_does_not_depend_on_sharing():
     exprs = [diff(e, "x"), diff(diff(e, "x"), "y"), diff(e, "y")]
     assert ex._straight_line(exprs)[:2] == ex._straight_line(
         [_unshared(d) for d in exprs])[:2]
+
+
+# Trees of the operations whose vector code must round as the scalar code
+# does: + - * /, negation, sqrt and integer powers, as literals (``**`` in
+# scalar code) and as the parser's negative exponents (``_pow``).
+_ROUNDED_TREES = st.recursive(
+    st.one_of(st.sampled_from([ex.Var("x"), ex.Var("y")]),
+              st.floats(-4, 4).map(ex.Num)),
+    lambda t: st.one_of(
+        st.builds(lambda op, a, b: op(a, b),
+                  st.sampled_from([ex.Add, ex.Sub, ex.Mul, ex.Div]), t, t),
+        t.map(ex.Neg),
+        t.map(lambda a: ex.Call("sqrt", (a,))),
+        st.builds(ex.Pow, t, st.sampled_from(
+            [ex.Num(float(k)) for k in range(-3, 6)]
+            + [ex.Neg(ex.Num(1.0)), ex.Neg(ex.Num(2.0))]))),
+    max_leaves=10)
+# coordinates, among them bases with 27-bit significands, whose squares
+# and cubes are where a squaring or vectorised pow differs from pow(); each
+# example also runs on a fixed batch of them, where a few in a hundred do
+_COORDS = st.one_of(st.floats(-8, 8),
+                    st.integers(-2 ** 27, 2 ** 27).map(lambda i: i / 2 ** 24))
+_BATCH = (np.random.default_rng(27).integers(-2 ** 27, 2 ** 27, (256, 2))
+          / 2 ** 24).tolist()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trees=st.lists(_ROUNDED_TREES, min_size=1, max_size=3),
+       points=st.lists(st.tuples(_COORDS, _COORDS), min_size=1,
+                       max_size=6))
+def test_vector_rows_equal_scalar_rows_bit_for_bit(trees, points):
+    f = compile_value(*trees)
+    g = compile_value_vec(*trees)
+    points = points + _BATCH
+    X, Y = np.array(points).T
+    try:
+        with ex.vec_errstate():
+            g(X, Y)
+        signalled = False
+    except ex.VEC_ERRORS:
+        signalled = True
+    with np.errstate(all="ignore"):
+        try:
+            vals = g(X, Y) if len(trees) > 1 else (g(X, Y),)
+            rows = ex.stack_vec(vals, X.shape).T
+        except ex.VEC_ERRORS:
+            rows = None   # a Python error of constant operands
+    for k, (x, y) in enumerate(points):
+        try:
+            row = f(x, y)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            # a scalar failure is always a floating-point event of the
+            # vector call, which sends the batch to the scalar loop
+            assert signalled
+            continue
+        row = row if len(trees) > 1 else (row,)
+        assert rows is not None
+        assert [float(v).hex() for v in row] == [
+            float(v).hex() for v in rows[k]], (x, y, [to_source(t)
+                                                      for t in trees])
+
+
+def test_vector_integer_powers_call_pow():
+    # numpy's ``b ** 2.0`` squares, and its ``b ** 3.0`` calls a
+    # vectorised pow; Python's ``**`` calls pow() for both
+    b = np.random.default_rng(5).integers(-2 ** 27, 2 ** 27, 4000) / 2 ** 20
+    for src in ("x^2", "x^3", "x^(-2)", "x^5 - x^4"):
+        e = parse(src)
+        want = [compile_value(e)(v, 0.0) for v in b.tolist()]
+        assert compile_value_vec(e)(b, 0.0).tolist() == want, src
+
+
+def test_vec_errstate_ignores_underflow_only():
+    g = compile_value_vec(parse("exp(-1000*x*x)"))
+    X = np.array([0.0, 1.0, 2.0])
+    with ex.vec_errstate():
+        assert g(X, X).tolist() == [1.0, 0.0, 0.0]
+    for src in ("1/x", "sqrt(x - 1)", "exp(1000*x)"):
+        with pytest.raises(ex.VEC_ERRORS):
+            with ex.vec_errstate():
+                compile_value_vec(parse(src))(X, X)

@@ -384,3 +384,22 @@ def test_local_global_classical_sum():
     chi = round(report.euler_characteristic_estimate)
     assert classical == report.sheet_count * chi
     assert report.rhs == 2 * report.sheet_count * chi
+
+
+def test_patch_grid_underflow_is_not_a_domain_error():
+    # exp(-1000 u^2) underflows to 0.0 away from u = 0, as scalar
+    # evaluation does without an error; division by zero still fails
+    bump = SurfacePatch.from_strings("u", "v", "exp(-1000*u*u)",
+                                     Rect(-1, 1, -1, 1))
+    U = np.linspace(-1, 1, 9)
+    g = bump._frame_grids(U, U)
+    for u, row in zip(U.tolist(), g["E"].tolist()):
+        ff = fundamental_forms(bump, u, 0.5)
+        assert row == [pytest.approx(ff.E, rel=1e-12)] * 9
+    with pytest.raises(DomainError, match="patch grid evaluation failed: "
+                                          "divide by zero"):
+        SurfacePatch.from_strings("u", "v", "1/u", Rect(-1, 1, -1, 1))
+    weighted = WeightedPatch(bump, parse("exp(-1000*v*v)", ("u", "v")))
+    value, _ = integrate_gauss_curvature([weighted], quadrature_order=8,
+                                         check_partition=False)
+    assert math.isfinite(value)

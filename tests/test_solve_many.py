@@ -7,10 +7,13 @@ matching error, and each row's separation must be the minimum distance
 between its roots.  ``solve_many`` must equal ``solve`` point by point
 (None where ``solve`` raises), and the tracking loops and isolation rings
 that batch their solves must end as they do with every point solved
-alone."""
+alone.  A batch whose vector coefficient evaluation fails must give the
+errors of the scalar loop, and plots and isolation rings must not fall
+back to it."""
 
 import dataclasses
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from monoweb.cli import load_problem, render_svg
 from monoweb.expr import DomainError, Num, parse
 from monoweb.fiber import (SEP_FLOOR, SINGULAR_TOL, BinaryForm, CircleSystem,
                            ComplexPoint, ComplexRoots, FiberError,
@@ -26,8 +30,8 @@ from monoweb.fiber import (SEP_FLOOR, SINGULAR_TOL, BinaryForm, CircleSystem,
                            SingularFiber, _certify_isolation,
                            _circle_roots_many, _projective_roots_many,
                            _punctured_roots_many)
-from monoweb.monodromy import (LoopSpec, TrackingError, track_loop,
-                               transport_fiber)
+from monoweb.monodromy import (LoopSpec, SingularOnLoop, TrackingError,
+                               track_loop, transport_fiber)
 
 SQ = Rect(-2.0, 2.0, -2.0, 2.0)
 GRID = [(x, y) for x in np.linspace(-2, 2, 9).tolist()
@@ -623,3 +627,134 @@ def test_tracking_and_isolation_match_unbatched(monkeypatch, make):
                                      "t=0.5")
     if make is _collision:
         assert "depth_reached=0" not in batched[0]
+
+
+# --- coefficient rows: one vector call, or the scalar loop -------------------
+
+PROBLEMS = pathlib.Path(__file__).parent.parent / "problems"
+
+
+def _count_scalar_rows(m):
+    """Record the batch size of each ``_scalar_rows`` call."""
+    calls = []
+    scalar_rows = FiberSystem._scalar_rows
+
+    def counted(self, points, errors):
+        calls.append(len(points))
+        return scalar_rows(self, points, errors)
+
+    m.setattr(FiberSystem, "_scalar_rows", counted)
+    return calls
+
+
+def _failing_vector_call(X, Y):
+    raise FloatingPointError("vector evaluation disabled")
+
+
+def _described(fibers):
+    roots, sep, errors = fibers
+    return (roots.tolist(), sep.tolist(),
+            [None if e is None else f"{type(e).__name__}: {e}"
+             for e in errors])
+
+
+def _reciprocal_pairs():
+    zero = parse("0")
+    return PuncturedPlaneSystem(SQ, degree_w=2, coeffs=(
+        (parse("1/x"), zero), (zero, zero), (parse("1"), zero)))
+
+
+@pytest.mark.parametrize("make, points, bad, message", [
+    # a division by zero: the vector call signals it
+    (lambda: ProjectiveSystem(SQ, form=BinaryForm.from_strings(
+        ["1/x", "-2*x", "-y"])),
+     [(0.25, 0.5), (0.0, 0.5), (-1.0, -1.5)], 1,
+     "DomainError: coefficient evaluation failed at (0.0, 0.5): float "
+     "division by zero"),
+    (_reciprocal_pairs, [(0.25, 0.5), (0.0, 0.5), (-1.0, 1.5)], 1,
+     "DomainError: coefficient evaluation failed at (0.0, 0.5): float "
+     "division by zero"),
+    # the vector value 1/inf = 0 is finite, but scalar 1/0 raises
+    (lambda: ProjectiveSystem(SQ, form=BinaryForm.from_strings(
+        ["1/(1/(x-0.5))", "1", "-1"])),
+     [(0.75, 0.3), (0.5, 0.3), (1.0, -1.0)], 1,
+     "DomainError: coefficient evaluation failed at (0.5, 0.3): float "
+     "division by zero"),
+    # a non-finite row without a floating-point event
+    (lambda: ProjectiveSystem(SQ, form=BinaryForm.from_strings(
+        ["x", "1", "-1"])),
+     [(0.25, 0.3), (math.inf, 0.0), (1.0, -1.0)], 1,
+     "DomainError: coefficient evaluation is not finite at (inf, 0.0)"),
+], ids=["divide", "divide_pairs", "finite_but_raises", "not_finite"])
+def test_fibers_fall_back_to_the_scalar_loop(monkeypatch, make, points, bad,
+                                             message):
+    sys = make()
+    with monkeypatch.context() as m:
+        calls = _count_scalar_rows(m)
+        got = _described(sys._fibers(points, SINGULAR_TOL, SEP_FLOOR))
+        as_array = _described(sys._fibers(np.array(points), SINGULAR_TOL,
+                                          SEP_FLOOR))
+    assert calls == [len(points), len(points)]
+    # every batch through the scalar loop, as before vector rows
+    with monkeypatch.context() as m:
+        m.setattr(type(sys), "_solve_vec_fn",
+                  property(lambda self: _failing_vector_call))
+        want = _described(sys._fibers(points, SINGULAR_TOL, SEP_FLOOR))
+    assert got == want == as_array
+    assert got[2][bad] == message
+    assert [e is None for e in got[2]] == [k != bad
+                                          for k in range(len(points))]
+    # the good points have the roots they have in a batch of their own
+    for k, (x, y) in enumerate(points):
+        if k != bad:
+            alone = _described(sys._fibers([(x, y)], SINGULAR_TOL,
+                                            SEP_FLOOR))
+            assert alone == ([got[0][k]], [got[1][k]], [None])
+
+
+def test_the_finite_but_raising_row_is_finite_as_a_vector():
+    sys = ProjectiveSystem(SQ, form=BinaryForm.from_strings(
+        ["1/(1/(x-0.5))", "1", "-1"]))
+    with np.errstate(all="ignore"):
+        row = sys._solve_vec_fn(np.array([0.5]), np.array([0.3]))
+    assert np.isfinite(row[0]).all()
+
+
+def test_plot_and_isolation_ring_make_no_scalar_coefficient_calls(
+        monkeypatch):
+    # the grid-100 lemon plot: 10,000 centres in blocks, and the 64-point
+    # isolation ring of its singular point
+    calls = _count_scalar_rows(monkeypatch)
+    rings = []
+    fibers = FiberSystem._fibers
+
+    def recorded(self, points, *args):
+        rings.append(len(points))
+        return fibers(self, points, *args)
+
+    monkeypatch.setattr(FiberSystem, "_fibers", recorded)
+    render_svg(load_problem(str(PROBLEMS / "lemon.json")), grid=100)
+    assert sum(rings) == 10_000 + 64 and 64 in rings
+    _certify_isolation(_lemon(), 0.0, 0.0, [(1.0, 1.0)], 1e-10, 1e-6)
+    assert rings[-1] == 64
+    assert calls == []
+
+
+def test_single_point_errors_name_the_point_as_given():
+    with pytest.raises(SingularFiber) as e:
+        _lemon().solve(0, 0)
+    assert str(e.value) == ("all form coefficients vanish within tolerance "
+                            "at (0, 0)")
+    reciprocal = ProjectiveSystem(SQ, form=BinaryForm.from_strings(
+        ["1/x", "-2*x", "-y"]))
+    with pytest.raises(DomainError) as e:
+        reciprocal.solve(0, 1)
+    assert str(e.value) == ("coefficient evaluation failed at (0, 1): "
+                            "float division by zero")
+    # tracking names the loop point as the path gives it
+    with pytest.raises(SingularOnLoop) as e:
+        track_loop(_lemon(), LoopSpec((0.5, 0.0), 0.5))
+    point = "(0.0, 6.123233995736766e-17)"
+    assert str(e.value) == (
+        f"singular fiber at t=0.5, point {point}: all form coefficients "
+        f"vanish within tolerance at {point}")
