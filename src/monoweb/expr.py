@@ -8,13 +8,18 @@ default, ``u``/``v`` for surface patches), numeric literals, the operators
 
 Expressions are evaluated only through compiled straight-line code
 (:func:`compile_value`, :func:`compile_value_vec`; :func:`eval_expr` is a
-checked one-off call of it).  Derivatives come only from :func:`diff`,
-which returns the derivative as a new expression, and its compilation.
+checked one-off call of it).  One compiled body serves scalar and numpy
+evaluation (:func:`as_vector`).  :func:`diff` returns a derivative as a
+new expression; ``compile_value(..., gradient=True)`` emits the lines of
+first derivatives by forward mode, the same lines that compiling the
+:func:`diff` trees gives, without building those trees.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import types
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +28,8 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "ParseError", "DomainError",
     "parse", "to_source", "eval_expr", "diff",
-    "compile_value", "compile_value_vec", "call_compiled", "stack_vec",
-    "vec_errstate", "VEC_ERRORS",
+    "compile_value", "compile_value_vec", "as_vector", "call_compiled",
+    "stack_vec", "vec_errstate", "VEC_ERRORS",
     "add", "sub", "mul", "div", "neg", "call", "num", "var",
     "MAX_DEPTH",
 ]
@@ -510,43 +515,44 @@ def to_source(e: Expr) -> str:
 # Differentiation (AST level)
 
 
-def diff(e: Expr, wrt: str, _memo=None) -> Expr:
+def diff(e: Expr, wrt: str, memo=None) -> Expr:
     """Derivative of ``e`` with respect to the variable named ``wrt``.
 
     The result is again an Expr.  At kinks of abs the derivative uses the
     internal ``sign`` function; sqrt/log derivatives raise DomainError when
-    later evaluated at their singular locus.  Within one call a node that
-    occurs several times (shared by identity) is differentiated once, and
-    all its occurrences share the derivative.
+    later evaluated at their singular locus.  A node that occurs several
+    times (shared by identity) is differentiated once, and all its
+    occurrences share the derivative: within one call, and across calls
+    with the same ``wrt`` that pass one ``memo`` dict.
     """
-    if _memo is None:
-        _memo = {}
-    elif id(e) in _memo:
-        return _memo[id(e)]
+    if memo is None:
+        memo = {}
+    elif id(e) in memo:
+        return memo[id(e)]
     if isinstance(e, Num):
         d = Num(0.0)
     elif isinstance(e, Var):
         d = Num(1.0 if e.name == wrt else 0.0)
     elif isinstance(e, Neg):
-        d = neg(diff(e.a, wrt, _memo))
+        d = neg(diff(e.a, wrt, memo))
     elif isinstance(e, Add):
-        d = add(diff(e.a, wrt, _memo), diff(e.b, wrt, _memo))
+        d = add(diff(e.a, wrt, memo), diff(e.b, wrt, memo))
     elif isinstance(e, Sub):
-        d = sub(diff(e.a, wrt, _memo), diff(e.b, wrt, _memo))
+        d = sub(diff(e.a, wrt, memo), diff(e.b, wrt, memo))
     elif isinstance(e, Mul):
-        d = add(mul(diff(e.a, wrt, _memo), e.b),
-                mul(e.a, diff(e.b, wrt, _memo)))
+        d = add(mul(diff(e.a, wrt, memo), e.b),
+                mul(e.a, diff(e.b, wrt, memo)))
     elif isinstance(e, Div):
         # (a/b)' = a'/b - a b'/b^2
-        da, db = diff(e.a, wrt, _memo), diff(e.b, wrt, _memo)
+        da, db = diff(e.a, wrt, memo), diff(e.b, wrt, memo)
         if isinstance(db, Num) and db.value == 0.0:
             d = div(da, e.b)
         else:
             d = div(sub(mul(da, e.b), mul(e.a, db)),
                     _binary(Pow, e.b, Num(2.0)))
     elif isinstance(e, Pow):
-        db = diff(e.base, wrt, _memo)
-        de = diff(e.exponent, wrt, _memo)
+        db = diff(e.base, wrt, memo)
+        de = diff(e.exponent, wrt, memo)
         if isinstance(de, Num) and de.value == 0.0:
             # c * u^(c-1) * u'
             if isinstance(e.exponent, Num):
@@ -562,10 +568,10 @@ def diff(e: Expr, wrt: str, _memo=None) -> Expr:
             d = mul(e, add(mul(de, call("log", e.base)),
                            mul(e.exponent, div(db, e.base))))
     elif isinstance(e, Call):
-        d = _diff_call(e, wrt, _memo)
+        d = _diff_call(e, wrt, memo)
     else:
         raise TypeError(f"not an Expr: {e!r}")
-    _memo[id(e)] = d
+    memo[id(e)] = d
     return d
 
 
@@ -602,25 +608,228 @@ def _diff_call(e: Call, wrt: str, memo) -> Expr:
 
 
 _FORMAT = {Neg: "-{}", Add: "{}+{}", Sub: "{}-{}", Mul: "{}*{}",
-           Div: "{}/{}", Pow: "{}**{}"}
+           Div: "{}/{}"}
+_CONST = (float, int)   # the types of Num values
 
 
-def _rhs(e: Expr, ops, vector) -> str:
+def _power_format(expo) -> str:
+    """``_ipow`` for an integer literal exponent, else ``_pow``."""
+    if type(expo) in _CONST and expo == round(expo):
+        return "_ipow({}, {})"
+    return "_pow({}, {})"
+
+
+def _literal(v) -> str:
+    s = repr(v)
+    return f"({s})" if s.startswith("-") else s
+
+
+def _rhs(e: Expr, ops) -> str:
     """One operation on already-computed operands (names or literals)."""
     if isinstance(e, Call):
         return f"{e.fn}({', '.join(ops)})"
     if isinstance(e, Pow):
         expo = e.exponent
-        if not (isinstance(expo, Num) and expo.value == round(expo.value)):
-            return f"_pow({ops[0]}, {ops[1]})"   # not an integer literal
-        if vector:
-            return f"_ipow({ops[0]}, {ops[1]})"
+        return _power_format(expo.value if isinstance(expo, Num) else expo
+                             ).format(*ops)
     return _FORMAT[type(e)].format(*ops)
 
 
-def _straight_line(exprs, vector=False):
-    """Assignment lines computing ``exprs``, the name or literal that holds
-    each result, and the node each line computes.
+# Forward-mode derivatives for the Jacobian code.  A tangent term stands for
+# the node diff() would build: a plain number for a Num, the value node
+# itself for a subtree of the differentiated expression, else a _Term, the
+# operation of one line.  The fold methods of _Forward fold as
+# add/sub/neg/mul/div do, case for case, so a term is the diff() tree node
+# for node and is emitted as the same text.  _Terms are interned as
+# diff()'s nodes are, so a structure built again is one object, reached
+# once.  A term costs no line until the emitter reaches it from a result:
+# one that a later fold drops (the u^(-1) of d(u^0)) is never computed, as
+# in the code of the diff() trees.
+_NEG, _ADD, _SUB, _MUL, _DIV = (_FORMAT[c] for c in (Neg, Add, Sub, Mul, Div))
+
+
+def _leaf(e):
+    return e.value if type(e) is Num else e
+
+
+class _Term:
+    """An operation in a tangent: the format of its right-hand side, its
+    operands, and once its line is emitted the temporary that holds it."""
+
+    __slots__ = ("fmt", "ops", "name")
+
+    def __init__(self, fmt, ops):
+        self.fmt, self.ops, self.name = fmt, ops, None
+
+
+class _Forward:
+    """The tangent terms in each of the variables ``wrt`` of the
+    expressions of one bundle of code."""
+
+    def __init__(self, wrt):
+        self.wrt = wrt
+        self.terms = {}   # (format, operand keys) -> the _Term
+        self.memo = {}    # id(node) -> its tangent in each variable
+
+    # A _Term operand is its own key, hashed by identity; a node's hash
+    # would walk its tree, and a number's would make 0.0 and -0.0 one key.
+
+    def op(self, fmt, a):
+        key = (fmt, a if type(a) is _Term else
+               repr(a) if type(a) in _CONST else id(a))
+        term = self.terms.get(key)
+        if term is None:
+            term = self.terms[key] = _Term(fmt, (a,))
+        return term
+
+    def op2(self, fmt, a, b):
+        key = (fmt, a if type(a) is _Term else
+               repr(a) if type(a) in _CONST else id(a),
+               b if type(b) is _Term else
+               repr(b) if type(b) in _CONST else id(b))
+        term = self.terms.get(key)
+        if term is None:
+            term = self.terms[key] = _Term(fmt, (a, b))
+        return term
+
+    def add(self, a, b):
+        if type(a) in _CONST and a == 0.0:
+            return b
+        if type(b) in _CONST:
+            if b == 0.0:
+                return a
+            if type(a) in _CONST:
+                return a + b
+        return self.op2(_ADD, a, b)
+
+    def sub(self, a, b):
+        if type(b) in _CONST:
+            if b == 0.0:
+                return a
+            if type(a) in _CONST:
+                return a - b
+        if type(a) in _CONST and a == 0.0:
+            return self.neg(b)
+        return self.op2(_SUB, a, b)
+
+    def neg(self, a):
+        if type(a) in _CONST:
+            return -a
+        if type(a) is _Term and a.fmt is _NEG:
+            return a.ops[0]
+        if type(a) is Neg:
+            return _leaf(a.a)
+        return self.op(_NEG, a)
+
+    def mul(self, a, b):
+        if type(a) in _CONST:
+            if a == 0.0:
+                return 0.0
+            if a == 1.0:
+                return b
+            if a == -1.0:
+                return self.neg(b)
+            if type(b) in _CONST:
+                return a * b
+        if type(b) in _CONST:
+            if b == 0.0:
+                return 0.0
+            if b == 1.0:
+                return a
+            if b == -1.0:
+                return self.neg(a)
+        return self.op2(_MUL, a, b)
+
+    def div(self, a, b):
+        if type(a) in _CONST and a == 0.0:
+            return 0.0
+        if type(b) in _CONST and b == 1.0:
+            return a
+        return self.op2(_DIV, a, b)
+
+    def power(self, base, c):
+        return self.op2(_power_format(c), base, c)
+
+    def tangents(self, e: Expr) -> tuple:
+        """``diff(e, w)`` as a term, for each variable w of ``wrt``."""
+        d = self.memo.get(id(e))
+        if d is not None:
+            return d
+        t = type(e)
+        if t is Num or t is Var:
+            d = tuple([1.0 if t is Var and e.name == w else 0.0
+                       for w in self.wrt])
+        else:
+            # a call's arguments, else the dataclass fields
+            ops = e.args if t is Call else [
+                getattr(e, field) for field in e.__slots__]
+            leaves = [_leaf(a) for a in ops]
+            d = tuple([self._rule(e, leaves, ds)
+                       for ds in zip(*[self.tangents(a) for a in ops])])
+        self.memo[id(e)] = d
+        return d
+
+    def _rule(self, e: Expr, ops, ds):
+        """diff()'s rule for the node ``e``, given its operands (as terms)
+        and their tangents in one variable."""
+        t = type(e)
+        if t is Neg:
+            return self.neg(ds[0])
+        if t is Add:
+            return self.add(*ds)
+        if t is Sub:
+            return self.sub(*ds)
+        if t is Mul:
+            (a, b), (da, db) = ops, ds
+            return self.add(self.mul(da, b), self.mul(a, db))
+        if t is Div:
+            (a, b), (da, db) = ops, ds
+            if type(db) in _CONST and db == 0.0:
+                return self.div(da, b)
+            return self.div(self.sub(self.mul(da, b), self.mul(a, db)),
+                            self.power(b, 2.0))
+        if t is Pow:
+            (base, expo), (db, de) = ops, ds
+            if type(de) in _CONST and de == 0.0:
+                # c * u^(c-1) * u'
+                if type(expo) in _CONST:
+                    pw = self.power(base, expo - 1.0)
+                else:
+                    pw = self.op2("_pow({}, {})", base, self.sub(expo, 1.0))
+                return self.mul(self.mul(expo, pw), db)
+            # u^v * (v' log u + v u'/u)
+            return self.mul(e, self.add(
+                self.mul(de, self.op("log({})", base)),
+                self.mul(expo, self.div(db, base))))
+        fn = e.fn
+        if fn == "atan2":
+            (a, b), (da, db) = ops, ds
+            return self.div(self.sub(self.mul(b, da), self.mul(a, db)),
+                            self.add(self.power(a, 2.0), self.power(b, 2.0)))
+        (u,), (du,) = ops, ds
+        if type(du) in _CONST and du == 0.0:
+            return 0.0
+        if fn == "sqrt":
+            return self.div(du, self.mul(2.0, self.op("sqrt({})", u)))
+        if fn == "sin":
+            return self.mul(self.op("cos({})", u), du)
+        if fn == "cos":
+            return self.neg(self.mul(self.op("sin({})", u), du))
+        if fn == "exp":
+            return self.mul(self.op("exp({})", u), du)
+        if fn == "log":
+            return self.div(du, u)
+        if fn == "abs":
+            return self.mul(self.op("sign({})", u), du)
+        if fn == "sign":
+            return 0.0
+        raise TypeError(f"unknown function {fn!r}")
+
+
+class _Lines:
+    """Straight-line code under construction: its assignment lines, the
+    node each line computes (None for a tangent line), and the name or
+    literal that holds each node reached so far.
 
     Every operation gets a temporary keyed by its right-hand side, so a
     subexpression that occurs again (shared or rebuilt) is computed once.
@@ -628,35 +837,84 @@ def _straight_line(exprs, vector=False):
     operand first, so each value and the first failing operation are
     those of evaluating the expressions one after another.
     """
-    lines, nodes = [], []
-    temps, text = {}, {}   # text: id(node) -> name or literal
-    for root in exprs:
-        todo = [(root, False)]
+
+    def __init__(self):
+        self.lines, self.nodes = [], []
+        self.temps = {}   # right-hand side -> name
+        self.text = {}    # id(node) -> name or literal
+
+    def _assign(self, rhs: str, node) -> str:
+        name = self.temps.get(rhs)
+        if name is None:
+            name = self.temps[rhs] = f"_t{len(self.temps)}"
+            self.lines.append(f"    {name} = {rhs}")
+            self.nodes.append(node)
+        return name
+
+    # Both walks visit the tree depth first, left operand first, and
+    # emit a node's line after its operands'.
+
+    def value(self, root: Expr) -> str:
+        """Emit the lines computing ``root``; the name or literal that
+        holds its value."""
+        text, todo = self.text, [(root, None)]
         while todo:
-            e, ready = todo.pop()
+            e, ops = todo.pop()
+            if ops is not None:
+                text[id(e)] = self._assign(
+                    _rhs(e, [text[id(a)] for a in ops]), e)
+                continue
             if id(e) in text:
                 continue
-            if isinstance(e, Num):
-                s = repr(e.value)
-                text[id(e)] = f"({s})" if s.startswith("-") else s
-                continue
-            if isinstance(e, Var):
+            t = type(e)
+            if t is Num:
+                text[id(e)] = _literal(e.value)
+            elif t is Var:
                 text[id(e)] = e.name
-                continue
-            # operands: a call's arguments, else the dataclass fields
-            ops = e.args if isinstance(e, Call) else [
-                getattr(e, field) for field in e.__slots__]
-            if not ready:
-                todo.append((e, True))
-                todo.extend((a, False) for a in reversed(ops))
-                continue
-            rhs = _rhs(e, [text[id(a)] for a in ops], vector)
-            if rhs not in temps:
-                temps[rhs] = f"_t{len(temps)}"
-                lines.append(f"    {temps[rhs]} = {rhs}")
-                nodes.append(e)
-            text[id(e)] = temps[rhs]
-    return lines, [text[id(e)] for e in exprs], nodes
+            else:
+                # a call's arguments, else the dataclass fields
+                ops = e.args if t is Call else [
+                    getattr(e, field) for field in e.__slots__]
+                todo.append((e, ops))
+                todo.extend([(a, None) for a in reversed(ops)
+                             if id(a) not in text])
+        return text[id(root)]
+
+    def term(self, root) -> str:
+        """Emit the lines computing a tangent term whose value nodes have
+        their lines already, as ``value`` emits the tree the term stands
+        for; the name or literal that holds its value."""
+        if type(root) in _CONST:
+            return _literal(root)
+        if type(root) is not _Term:
+            return self.text[id(root)]
+        text, todo = self.text, [(root, False)]
+        while todo:
+            t, ready = todo.pop()
+            if ready:
+                t.name = self._assign(t.fmt.format(*[
+                    a.name if type(a) is _Term
+                    else _literal(a) if type(a) in _CONST else text[id(a)]
+                    for a in t.ops]), None)
+            elif t.name is None:
+                todo.append((t, True))
+                todo.extend([(a, False) for a in reversed(t.ops)
+                             if type(a) is _Term and a.name is None])
+        return root.name
+
+
+def _straight_line(exprs, wrt=()):
+    """Assignment lines computing ``exprs``, each followed by its partial
+    derivatives in the variables ``wrt``; the name or literal that holds
+    each result, and the node each line computes (None for a derivative
+    line).  The lines are those of the same code over the expressions
+    and their ``diff`` trees."""
+    code, forward, results = _Lines(), _Forward(wrt), []
+    for e in exprs:
+        results.append(code.value(e))
+        if wrt:
+            results.extend(map(code.term, forward.tangents(e)))
+    return code.lines, results, code.nodes
 
 
 def _sign(t: float) -> float:
@@ -667,14 +925,14 @@ def _sign(t: float) -> float:
     return 0.0
 
 
-# A power whose exponent is not an integer literal goes through ``_pow``:
-# an integer-valued exponent follows repeated-multiplication rules, as
-# ``**`` does for the literals, and any other needs a positive base (else
-# a ValueError, as math raises, which ``call_compiled`` converts).  Vector
-# code takes every integer power with pow() per element, as Python's ``**``
-# on floats does: np.float_power, also as ``_ipow`` for the literals.
-# numpy's ``**`` may square instead or call a vectorised pow, either of
-# which can differ in the last bit.
+# Every integer-literal power is emitted as ``_ipow``: Python's ``**``
+# (operator.pow) in scalar code, and in vector code pow() per element, as
+# ``**`` on floats does: np.float_power.  numpy's ``**`` may square instead
+# or call a vectorised pow, either of which can differ in the last bit.  A
+# power whose exponent is not an integer literal goes through ``_pow``: an
+# integer-valued exponent follows the same rules as the literals, and any
+# other needs a positive base (else a ValueError, as math raises, which
+# ``call_compiled`` converts).
 def _scalar_namespace():
     def _pow(b, c):
         if c == round(c):
@@ -686,7 +944,7 @@ def _scalar_namespace():
     return {
         "sqrt": math.sqrt, "sin": math.sin, "cos": math.cos,
         "exp": math.exp, "log": math.log, "abs": abs, "sign": _sign,
-        "atan2": math.atan2, "_pow": _pow,
+        "atan2": math.atan2, "_pow": _pow, "_ipow": operator.pow,
     }
 
 
@@ -722,27 +980,37 @@ def vec_errstate():
                        under="ignore")
 
 
-def _compile(exprs, variables, vector=False):
-    """The compiled function, and the node computed on each line of its
-    body; body line i is line i + 2 of the ``<expr>`` source."""
-    lines, results, nodes = _straight_line(exprs, vector)
+def _compile(exprs, variables, wrt=()):
+    """The compiled scalar function of ``_straight_line(exprs, wrt)``, and
+    the node computed on each line of its body; body line i is line i + 2
+    of the ``<expr>`` source."""
+    lines, results, nodes = _straight_line(exprs, wrt)
     src = "\n".join([f"def _f({variables[0]}, {variables[1]}):", *lines,
                      f"    return {', '.join(results)}"])
-    ns = _vector_namespace() if vector else _scalar_namespace()
+    ns = _scalar_namespace()
     exec(compile(src, "<expr>", "exec"), ns)
     return ns["_f"], nodes
 
 
-def compile_value(*exprs: Expr, variables=("x", "y")):
+def compile_value(*exprs: Expr, variables=("x", "y"), gradient=False):
     """Compile to a fast scalar callable f(x, y).
 
     f returns the value of the one expression, or a tuple with the value
-    of each expression in order.  The body is straight-line code in
-    which each distinct subexpression of all the expressions is computed
-    once.  Exceptions from math functions (ValueError, ZeroDivisionError,
-    OverflowError) propagate raw; ``call_compiled`` converts them.
+    of each expression in order; with ``gradient``, each value is
+    followed by its partial derivatives in the two variables, computed
+    as the code of the ``diff`` trees would compute them.  The body is
+    straight-line code in which each distinct subexpression of all the
+    expressions is computed once.  Exceptions from math functions
+    (ValueError, ZeroDivisionError, OverflowError) propagate raw;
+    ``call_compiled`` converts them.
     """
-    return _compile(exprs, variables)[0]
+    return _compile(exprs, variables, variables if gradient else ())[0]
+
+
+def as_vector(f):
+    """The compiled function ``f`` of ``compile_value`` as the one of
+    ``compile_value_vec``: the same code, run on numpy arrays."""
+    return types.FunctionType(f.__code__, _vector_namespace())
 
 
 def compile_value_vec(*exprs: Expr, variables=("x", "y")):
@@ -751,7 +1019,7 @@ def compile_value_vec(*exprs: Expr, variables=("x", "y")):
     not depend on the variables stays a scalar.  Each operation rounds as
     the scalar one does, except ``sin cos exp log atan2``, whose numpy
     versions can differ from math's in the last bit."""
-    return _compile(exprs, variables, vector=True)[0]
+    return as_vector(_compile(exprs, variables)[0])
 
 
 def stack_vec(values, shape):

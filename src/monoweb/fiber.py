@@ -50,8 +50,8 @@ from typing import ClassVar
 import numpy as np
 
 from .expr import (VEC_ERRORS, DomainError, Expr, ExprError, Num, add,
-                   call_compiled, compile_value, compile_value_vec, diff, div,
-                   mul, parse, stack_vec, sub, vec_errstate)
+                   as_vector, call_compiled, compile_value, div, mul, parse,
+                   stack_vec, sub, vec_errstate)
 
 __all__ = [
     "FiberKind", "Rect", "RP1Angle", "CircleAngle", "ComplexPoint",
@@ -254,15 +254,13 @@ class FiberSystem:
 
     @cached_property
     def _component_vec_fn(self):
-        return compile_value_vec(*self.components, variables=self.variables)
+        return as_vector(self._component_fn)
 
     @cached_property
     def _component_grad_fn(self):
         # each component followed by its two partial derivatives
-        u, v = self.variables
-        return compile_value(*(d for e in self.components
-                               for d in (e, diff(e, u), diff(e, v))),
-                             variables=self.variables)
+        return compile_value(*self.components, variables=self.variables,
+                             gradient=True)
 
     def component_values(self, x, y):
         return call_compiled(self._component_fn, x, y,
@@ -496,14 +494,13 @@ class PuncturedPlaneSystem(FiberSystem):
         return (*_cdiv(c[0], c[n]), *_cdiv(res, lead))
 
     @cached_property
-    def _solve_vec_fn(self):
-        return compile_value_vec(*(e for pair in self.coeffs for e in pair),
-                                 variables=self.variables)
-
-    @cached_property
     def _solve_fn(self):
         return compile_value(*(e for pair in self.coeffs for e in pair),
                              variables=self.variables)
+
+    @cached_property
+    def _solve_vec_fn(self):
+        return as_vector(self._solve_fn)
 
     def _roots_many(self, A, singular_tol, sep_floor):
         return _punctured_roots_many(A, singular_tol, sep_floor)

@@ -25,9 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import (VEC_ERRORS, DomainError, Expr, add, call_compiled,
-                   compile_value, compile_value_vec, diff, div, mul, parse,
-                   stack_vec, sub, vec_errstate)
+from .expr import (VEC_ERRORS, DomainError, Expr, add, as_vector,
+                   call_compiled, compile_value, compile_value_vec, diff, div,
+                   mul, parse, stack_vec, sub, vec_errstate)
 from .expr import call as expr_call
 from .fiber import (BinaryForm, ProjectiveSystem, Rect, SEP_FLOOR,
                     SINGULAR_TOL, SingularPoint, find_singularities)
@@ -62,6 +62,11 @@ class SingularPointOnPatchBoundary(GeometryError):
 
 # Points per side of the grid that seeds the nearest-point search.
 SEED_GRID = 8
+
+# Points per call of the compiled frame code in ``_frame_grids``.  Each of
+# its temporaries (over a hundred on the stereographic sphere) is an array
+# of that many values, and all of them live until the call returns.
+FRAME_BLOCK = 2048
 
 
 def _dot(a, b) -> Expr:
@@ -109,20 +114,25 @@ class SurfacePatch:
     def coords(self):
         return (self.x, self.y, self.z)
 
+    # one diff() memo per variable, so a subtree that several components
+    # share is differentiated once
+
     @cached_property
     def d1(self):
         u, v = self.variables
-        du = tuple(diff(c, u) for c in self.coords)
-        dv = tuple(diff(c, v) for c in self.coords)
+        mu, mv = {}, {}
+        du = tuple(diff(c, u, mu) for c in self.coords)
+        dv = tuple(diff(c, v, mv) for c in self.coords)
         return du, dv
 
     @cached_property
     def d2(self):
         u, v = self.variables
         du, dv = self.d1
-        duu = tuple(diff(c, u) for c in du)
-        duv = tuple(diff(c, v) for c in du)
-        dvv = tuple(diff(c, v) for c in dv)
+        mu, mv = {}, {}
+        duu = tuple(diff(c, u, mu) for c in du)
+        duv = tuple(diff(c, v, mv) for c in du)
+        dvv = tuple(diff(c, v, mv) for c in dv)
         return duu, duv, dvv
 
     @cached_property
@@ -136,7 +146,7 @@ class SurfacePatch:
 
     @cached_property
     def _position_vec_fn(self):
-        return compile_value_vec(*self.coords, variables=self.variables)
+        return as_vector(self._position_fn)
 
     @cached_property
     def _seed_grid(self):
@@ -157,8 +167,7 @@ class SurfacePatch:
     @cached_property
     def _chart_vec_fn(self):
         """Position, su and sv, vectorized."""
-        return compile_value_vec(*self.coords, *self._frame_exprs[:6],
-                                 variables=self.variables)
+        return as_vector(self._chart_fn)
 
     @cached_property
     def _frame_vec_fn(self):
@@ -187,11 +196,18 @@ class SurfacePatch:
         return call_compiled(self._chart_fn, u, v, "patch evaluation")
 
     def _frame_grids(self, U, V):
-        """Fundamental-form ingredients on a meshgrid (vectorized)."""
+        """Fundamental-form ingredients on a meshgrid (vectorized, one call
+        of the frame code per block of rows)."""
         UU, VV = np.meshgrid(U, V, indexing="ij")
+        vals = np.empty((15, *UU.shape))
+        rows = max(1, FRAME_BLOCK // max(1, len(V)))
         try:
             with vec_errstate():
-                vals = stack_vec(self._frame_vec_fn(UU, VV), UU.shape)
+                for i in range(0, len(U), rows):
+                    block = slice(i, i + rows)
+                    vals[:, block] = stack_vec(
+                        self._frame_vec_fn(UU[block], VV[block]),
+                        UU[block].shape)
         except VEC_ERRORS as e:
             raise DomainError(f"patch grid evaluation failed: {e}") from None
         su, sv, suu, suv, svv = (vals[k:k + 3] for k in range(0, 15, 3))
@@ -295,8 +311,7 @@ class WeightedPatch:
 
     @cached_property
     def weight_vec_fn(self):
-        return compile_value_vec(self.weight,
-                                 variables=self.patch.variables)
+        return as_vector(self.weight_fn)
 
 
 def _eval_rows(vec_fn, point_fn, u, v):
@@ -592,12 +607,14 @@ def verify_index_theorem(wpatches, bde_source="curvature_lines",
     identity_ok = None
     if rhs is not None:
         rhs_f = float(rhs)
-        difference = abs(abs(lhs) - abs(rhs_f))
+        # both sides are independent of the charts' orientation, so a
+        # sign mismatch is a defect and fails the identity
+        difference = abs(lhs - rhs_f)
         orientation_flipped = bool(rhs_f != 0.0 and lhs * rhs_f < 0.0)
         identity_ok = difference < tolerance
         if orientation_flipped:
-            notes.append("lhs and rhs agree in absolute value but differ "
-                         "in sign (global orientation flip)")
+            notes.append("lhs and rhs differ in sign; neither side depends "
+                         "on orientation, so one of them is wrong")
 
     return TheoremReport(
         sheet_count=n,

@@ -220,6 +220,45 @@ def test_verify_theorem_identity_violation_exits_3(tmp_path):
     assert abs(float(report["lhs_curvature_side"])) < 1e-6
 
 
+def _sphere_meridian_report(tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["verify-theorem",
+                 str(PROBLEMS / "sphere_meridian_field.json"),
+                 "-o", str(out)])
+    return code, _read(out)
+
+
+def test_verify_theorem_sees_negated_windings(tmp_path, monkeypatch):
+    # every index with the wrong sign: the rhs is -4 against a lhs of +4
+    from monoweb import index
+    winding_class = index.winding_class
+    monkeypatch.setattr(index, "winding_class",
+                        lambda path: -winding_class(path))
+    code, report = _sphere_meridian_report(tmp_path)
+    assert code == 3
+    assert report["rhs_index_sum"] == {"num": -4, "den": 1}
+    assert report["identity_ok"] is False
+    assert report["orientation_flipped"] is True
+    assert abs(float(report["difference"]) - 8.0) < 1e-3
+
+
+def test_verify_theorem_sees_a_negated_lhs(tmp_path, monkeypatch):
+    from monoweb import geometry
+    integrate = geometry.integrate_gauss_curvature
+
+    def negated(*args, **kwargs):
+        integral, err = integrate(*args, **kwargs)
+        return -integral, err
+
+    monkeypatch.setattr(geometry, "integrate_gauss_curvature", negated)
+    code, report = _sphere_meridian_report(tmp_path)
+    assert code == 3
+    assert report["rhs_index_sum"] == {"num": 4, "den": 1}
+    assert abs(float(report["lhs_curvature_side"]) + 4.0) < 1e-3
+    assert report["identity_ok"] is False
+    assert report["orientation_flipped"] is True
+
+
 def test_plot_lemon(tmp_path):
     out = tmp_path / "web.svg"
     code = main(["plot", str(PROBLEMS / "lemon.json"), "-o", str(out),

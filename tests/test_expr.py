@@ -1,5 +1,6 @@
 import gc
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -8,12 +9,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from monoweb import expr as ex
+from monoweb.cli import load_problem
 from monoweb.expr import (
     DomainError, ParseError,
     compile_value, compile_value_vec, diff, eval_expr, parse, to_source,
 )
+from monoweb.fiber import ProjectiveSystem
+from monoweb.geometry import curvature_line_bde
 
 from sympy_reference import real_value, reference_gradient, to_sympy
+
+PROBLEMS = pathlib.Path(__file__).parent.parent / "problems"
 
 
 def test_parse_identity():
@@ -525,3 +531,106 @@ def test_vec_errstate_ignores_underflow_only():
         with pytest.raises(ex.VEC_ERRORS):
             with ex.vec_errstate():
                 compile_value_vec(parse(src))(X, X)
+
+
+# --- one body for scalar and vector code; forward-mode Jacobian lines -------
+
+
+def diff_tree_lines(exprs, wrt=("x", "y")):
+    """The lines and results of the code over each expression followed by
+    its ``diff`` trees: what the forward-mode lines must equal."""
+    return ex._straight_line([d for e in exprs
+                              for d in (e, *(diff(e, w) for w in wrt))])[:2]
+
+
+# Literals with the folds' special values (0, -0.0, 1, -1), ints as the
+# punctured-plane discriminant builds them, and negative and non-integer
+# ones; nodes built raw (as the parser does) and by the folding
+# constructors, double negation, every function, powers with literal
+# (0, 1, -1, non-integer) and non-literal exponents, and a node shared
+# by identity.
+_LITERALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -2.5]),
+    st.integers(-2, 3), st.floats(-4, 4)).map(ex.Num)
+_JACOBIAN_TREES = st.recursive(
+    st.one_of(st.sampled_from([ex.Var("x"), ex.Var("y")]), _LITERALS),
+    lambda t: st.one_of(
+        st.builds(lambda op, a, b: op(a, b),
+                  st.sampled_from([ex.Add, ex.Sub, ex.Mul, ex.Div,
+                                   ex.add, ex.sub, ex.mul, ex.div]), t, t),
+        st.builds(lambda op, a: op(a),
+                  st.sampled_from([ex.Neg, ex.neg,
+                                   lambda a: ex.Neg(ex.Neg(a))]), t),
+        st.builds(ex.Pow, t, st.one_of(_LITERALS, t)),
+        st.builds(ex.call, st.sampled_from(
+            sorted(set(ex.FUNCTION_ARITY) - {"atan2"})), t),
+        st.builds(lambda a, b: ex.Call("atan2", (a, b)), t, t),
+        t.map(lambda a: ex.Mul(a, a))),
+    max_leaves=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trees=st.lists(_JACOBIAN_TREES, min_size=1, max_size=3))
+def test_forward_jacobian_lines_equal_the_diff_tree_lines(trees):
+    assert ex._straight_line(trees, ("x", "y"))[:2] == diff_tree_lines(trees)
+
+
+def test_jacobian_of_a_zeroth_power_evaluates_at_zero():
+    # diff() folds the u^(-1) of d(u^0) away under its factor 0, so the
+    # Jacobian code never computes it
+    for src, want in (("x^0", (1.0, 0.0, 0.0)), ("(x*y)^0", (1.0, 0.0, 0.0)),
+                      ("sin(x)^0 + y", (1.0, 0.0, 1.0))):
+        assert compile_value(parse(src), gradient=True)(0.0, 0.0) == want
+
+
+def test_scalar_and_vector_code_share_one_body():
+    e = parse("x^2*y - sqrt(1 + y^4)")
+    f = compile_value(e)
+    g = ex.as_vector(f)
+    assert g.__code__ is f.__code__
+    X = np.array([0.5, -1.25, 3.0])
+    assert g(X, X).tolist() == [f(v, v) for v in X.tolist()]
+
+
+@pytest.mark.parametrize("base, expo", [
+    (0.0, -1.0), (0, -1.0), (1e200, 2.0), (-3, 3.0), (3, 2), (2.5, 0.0),
+    (-0.0, 3.0)])
+def test_scalar_integer_powers_are_pythons_pow(base, expo):
+    f = compile_value(ex.Pow(ex.Var("x"), ex.Num(expo)))
+    assert "_ipow" in f.__code__.co_names
+
+    def outcome(fn):
+        try:
+            v = ex.call_compiled(fn, base, 0.0, "power")
+        except DomainError as e:
+            return str(e)
+        return type(v), repr(v)
+
+    assert outcome(f) == outcome(lambda x, y: x ** expo)
+
+
+def _shipped_systems():
+    """Every fiber system of the shipped problems: each plane system, and
+    the system of each patch's form (the curvature-line form of each
+    ellipsoid face)."""
+    for path in sorted(PROBLEMS.glob("*.json")):
+        prob = load_problem(str(path))
+        if prob.system is not None:
+            yield path.name, prob.system
+            continue
+        forms = ([curvature_line_bde(wp.patch) for wp in prob.surface]
+                 if prob.bde_source == "curvature_lines" else prob.bde_source)
+        for wp, form in zip(prob.surface, forms):
+            yield path.name, ProjectiveSystem(wp.patch.domain, form=form)
+
+
+def test_forward_jacobian_lines_on_shipped_problems():
+    names = []
+    for name, system in _shipped_systems():
+        comps, wrt = system.components, system.variables
+        assert ex._straight_line(comps, wrt)[:2] == diff_tree_lines(
+            comps, wrt), name
+        names.append(name)
+    assert names.count("ellipsoid_321.json") == 6
+    assert len(set(names)) == len(list(PROBLEMS.glob("*.json")))

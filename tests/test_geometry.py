@@ -1,12 +1,13 @@
 import math
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from monoweb import geometry
+from monoweb import expr, geometry
 from monoweb.cli import load_problem
 from monoweb.expr import DomainError, call_compiled, compile_value_vec, parse
 from monoweb.fiber import NonIsolatedZero, Rect, find_singularities
@@ -403,3 +404,50 @@ def test_patch_grid_underflow_is_not_a_domain_error():
     value, _ = integrate_gauss_curvature([weighted], quadrature_order=8,
                                          check_partition=False)
     assert math.isfinite(value)
+
+
+def test_face_code_compiles_twice_and_calls_diff_never(monkeypatch):
+    # value code (scalar and vector share it) and Jacobian code; the
+    # Jacobian lines come from forward mode, not from diff() trees
+    wp = load_problem(str(PROBLEMS / "ellipsoid_321.json")).surface[0]
+    system = ProjectiveSystem(wp.patch.domain,
+                              form=curvature_line_bde(wp.patch))
+    system.components
+    calls = {"diff": 0, "compile": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(expr, "compile", counting("compile", compile),
+                        raising=False)
+    diff = expr.diff
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("monoweb")
+                and getattr(mod, "diff", None) is diff):
+            monkeypatch.setattr(mod, "diff", counting("diff", diff))
+    system._component_fn, system._component_vec_fn
+    system._component_grad_fn
+    assert calls == {"diff": 0, "compile": 2}
+
+
+def test_frame_grids_in_blocks_equal_one_call_on_the_grid():
+    # a grid of several blocks of rows, as the order-128 quadrature of
+    # sphere_meridian_field is: every value is the one that a single call
+    # of the frame code on the whole grid gives, to the bit
+    for wp in stereographic_sphere() + torus_patch():
+        patch = wp.patch
+        U = np.linspace(patch.domain.xmin, patch.domain.xmax, 128)
+        V = np.linspace(patch.domain.ymin, patch.domain.ymax, 97)
+        assert len(U) * len(V) > 4 * geometry.FRAME_BLOCK
+        UU, VV = np.meshgrid(U, V, indexing="ij")
+        su, sv, suu, suv, svv = expr.stack_vec(
+            patch._frame_vec_fn(UU, VV), UU.shape).reshape(5, 3, *UU.shape)
+        n = np.cross(su, sv, axis=0)
+        want = {"E": (su, su), "F": (su, sv), "G": (sv, sv), "W2": (n, n),
+                "Lt": (n, suu), "Mt": (n, suv), "Nt": (n, svv)}
+        got = patch._frame_grids(U, V)
+        for key, (a, b) in want.items():
+            assert np.array_equal(got[key], np.einsum("kij,kij->ij", a, b)), key
