@@ -18,8 +18,10 @@ same batch as arrays (``_fibers``).  All of them run the variant's root
 kernel, so a point has the same roots either way.  A batch evaluates the
 coefficients of all its points in one call of compiled vector code,
 which rounds as the scalar code does; a batch where that call signals a
-floating-point event or gives a non-finite value is evaluated point by
-point with the scalar code, which names the failing points.
+floating-point event or gives a non-finite value is evaluated run by run
+(the rings and loops solved together in it), and a run where it fails
+again point by point with the scalar code, which names the failing
+points.
 
 A variant supplies three things: the expression ``components`` whose
 common zeros are the singular set; a stacked root kernel,
@@ -118,11 +120,17 @@ class FiberKind(Enum):
 
     def separation(self, R):
         """Minimum distance between two roots of each row of R; +inf for
-        a row of one root."""
-        i, j = np.triu_indices(R.shape[1], 1)
-        if not len(i):
+        a row of one root.  On RP^1 and S^1 a row is sorted in [0,
+        period), so the nearest pair is cyclically adjacent: the minimum
+        of the gaps and of period - (last - first), which is the float
+        the all-pairs minimum gives, as rounding is monotone."""
+        if R.shape[1] < 2:
             return np.full(len(R), math.inf)
-        return self.distance(R[:, i], R[:, j]).min(axis=1)
+        if self is FiberKind.PUNCTURED_PLANE:
+            i, j = np.triu_indices(R.shape[1], 1)
+            return self.distance(R[:, i], R[:, j]).min(axis=1)
+        return np.minimum(np.diff(R, axis=1).min(axis=1),
+                          self.period - (R[:, -1] - R[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -309,35 +317,48 @@ class FiberSystem:
                 f"coefficient evaluation is not finite at ({x}, {y})")
         return A[finite], where[finite]
 
-    def _fibers(self, points, singular_tol, sep_floor):
+    def _vector_rows(self, P):
+        """The rows of ``_solve_vec_fn`` at the (k, 2) points P from one
+        vector call, or None where that call signals a floating-point
+        event (``vec_errstate``) or gives a non-finite value."""
+        try:
+            with vec_errstate():
+                A = stack_vec(self._solve_vec_fn(P[:, 0], P[:, 1]),
+                              (len(P),)).T
+        except VEC_ERRORS:
+            return None
+        return A if np.isfinite(A).all() else None
+
+    def _fibers(self, points, singular_tol, sep_floor, groups=None):
         """``(roots, sep, errors)`` for the (x, y) of ``points``, a (k, 2)
         array or a sequence of pairs, as from the kernel: ``errors[k]`` is
         None or the error ``solve`` raises at point k, a DomainError where
         the evaluation fails or is not finite, else the kernel's, with the
         point named as given.  The rows of all the points come from one
         call of ``_solve_vec_fn`` and share one call of ``_roots_many``.
-        Where that call signals a floating-point event (``vec_errstate``)
-        or gives a non-finite row, the batch is evaluated point by point
-        by ``_scalar_rows`` instead, whose errors are those of scalar
-        evaluation."""
+
+        ``groups`` splits the points into consecutive runs of the given
+        sizes (one run by default) that are solved together but must not
+        depend on each other.  Where the call on all the points signals a
+        floating-point event (``vec_errstate``) or gives a non-finite row,
+        each run is evaluated as a batch of its own: by one vector call,
+        or where that fails too, point by point by ``_scalar_rows``, whose
+        errors are those of scalar evaluation.  So a run's rows are those
+        it has when solved alone."""
         P = np.asarray(points, dtype=float).reshape(-1, 2)
         errors = [None] * len(P)
-        try:
-            with vec_errstate():
-                A = stack_vec(self._solve_vec_fn(P[:, 0], P[:, 1]),
-                              (len(P),)).T
-        except VEC_ERRORS:
-            A = None
-        if A is not None and np.isfinite(A).all():
+        A = self._vector_rows(P)
+        if A is not None:
             where = np.arange(len(P))
         else:
-            A, where = self._scalar_rows(points, errors)
-        sep = np.zeros(len(points))
+            A, where = self._group_rows(points, P, groups or [len(P)],
+                                        errors)
+        sep = np.zeros(len(P))
         if not len(where):
-            return np.zeros((len(points), self.sheet_count)), sep, errors
+            return np.zeros((len(P), self.sheet_count)), sep, errors
         batch, batch_sep, batch_errors = self._roots_many(A, singular_tol,
                                                           sep_floor)
-        roots = np.zeros((len(points), batch.shape[1]), batch.dtype)
+        roots = np.zeros((len(P), batch.shape[1]), batch.dtype)
         roots[where] = batch
         sep[where] = batch_sep
         for k, e in zip(where.tolist(), batch_errors):
@@ -345,6 +366,27 @@ class FiberSystem:
                 x, y = points[k]   # a float64 prints as a float does
                 errors[k] = type(e)(f"{e} at ({x}, {y})")
         return roots, sep, errors
+
+    def _group_rows(self, points, P, groups, errors):
+        """The rows of each run of ``groups`` evaluated alone (see
+        ``_fibers``), stacked, and the indices of their points."""
+        bounds = np.cumsum([0, *groups]).tolist()
+        rows, where = [], []
+        for lo, hi in zip(bounds, bounds[1:]):
+            A = self._vector_rows(P[lo:hi]) if len(groups) > 1 else None
+            if A is not None:
+                rows.append(A)
+                where.append(np.arange(lo, hi))
+                continue
+            run_errors = errors[lo:hi]
+            A, at = self._scalar_rows(points[lo:hi], run_errors)
+            errors[lo:hi] = run_errors
+            if A is not None:
+                rows.append(A)
+                where.append(at + lo)
+        if not rows:
+            return None, np.zeros(0, dtype=int)
+        return np.concatenate(rows), np.concatenate(where)
 
     # root objects are made only here, from .tolist() rows (Python floats)
     def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
@@ -391,10 +433,14 @@ class FiberSystem:
     def residual_vector(self, x, y):
         """The components r(x, y) and their exact Jacobian, for
         Gauss-Newton refinement: (r, J) with r of shape (k,) and J of
-        shape (k, 2)."""
+        shape (k, 2).  Raises DomainError where the evaluation fails or a
+        value is not finite."""
         vals = np.array(call_compiled(self._component_grad_fn, x, y,
                                       "Jacobian evaluation"),
                         dtype=float).reshape(-1, 3)
+        if not np.isfinite(vals).all():
+            raise DomainError(f"Jacobian evaluation is not finite at "
+                              f"({x}, {y})")
         return vals[:, 0], vals[:, 1:]
 
 
@@ -803,25 +849,26 @@ class SingularPoint:
 
 def _gauss_newton(sys, x, y, max_iter=80):
     """Refine a singular-point candidate; returns (x, y, residual).  Each
-    accepted step lowers the residual, so the last point is the best."""
+    accepted step lowers the residual, so the last point is the best.  The
+    iterates are Python floats; the step comes from ``np.linalg.lstsq`` and
+    its length from ``np.hypot``."""
     cur = _safe_residual(sys, x, y)
     for _ in range(max_iter):
         try:
             r, J = sys.residual_vector(x, y)
         except ExprError:
             break
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
-            break
         try:
             step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         except np.linalg.LinAlgError:
             break
-        if not np.all(np.isfinite(step)):
+        s0, s1 = step.tolist()
+        if not (math.isfinite(s0) and math.isfinite(s1)):
             break
         # damped acceptance
         lam = 1.0
         for _ in range(8):
-            nx, ny = x + lam * step[0], y + lam * step[1]
+            nx, ny = x + lam * s0, y + lam * s1
             res = _safe_residual(sys, nx, ny)
             if res < cur:
                 break
@@ -829,7 +876,7 @@ def _gauss_newton(sys, x, y, max_iter=80):
         else:
             break
         x, y, cur = nx, ny, res
-        if np.hypot(*(lam * step)) < 1e-14 * (1.0 + abs(x) + abs(y)):
+        if np.hypot(lam * s0, lam * s1) < 1e-14 * (1.0 + abs(x) + abs(y)):
             break
     return x, y, cur
 
@@ -868,28 +915,54 @@ def _segment_max_residual(sys, p, q, samples=17):
     return worst
 
 
-def _certify_isolation(sys, x, y, others, tol, sep_floor, probe_angles=64):
+def _isolation_radii(sys, points, tol, sep_floor, probe_angles=64):
+    """The probed isolation radius of each of ``points``, the sorted
+    positions of the singular points found.  A point's first ring has
+    radius 0.9 min(distance to the domain boundary, half the distance to
+    the nearest other point), and its ring is halved until the fiber can
+    be solved at all of its ``probe_angles`` points, at most 10 rounds
+    and not below 1e-8.  Each round solves the rings of every point not
+    yet certified in one ``_fibers`` call, one run per ring.  Raises the
+    NonIsolatedZero of the first point that cannot be certified."""
     dom = sys.domain
-    d_bound = dom.boundary_distance(x, y)
-    d_near = min((math.hypot(x - ox, y - oy) for ox, oy in others),
-                 default=math.inf)
-    r0 = 0.9 * min(d_bound, d_near / 2.0)
-    if r0 <= 0.0:
-        raise NonIsolatedZero(
-            f"cannot probe isolation of ({x}, {y}): no room inside domain")
+    radius = []
+    for k, (x, y) in enumerate(points):
+        d_near = min((math.hypot(x - ox, y - oy)
+                      for j, (ox, oy) in enumerate(points) if j != k),
+                     default=math.inf)
+        radius.append(0.9 * min(dom.boundary_distance(x, y), d_near / 2.0))
+    certified = [False] * len(points)
+    live = [k for k, r in enumerate(radius) if r > 0.0]
     angles = [_TWO_PI * k / probe_angles for k in range(probe_angles)]
-    r = r0
+    cos = np.array([math.cos(th) for th in angles])
+    sin = np.array([math.sin(th) for th in angles])
     for _ in range(10):
-        ring = [(x + r * math.cos(th), y + r * math.sin(th))
-                for th in angles]
-        _, _, errors = sys._fibers(ring, tol, sep_floor)
-        if all(e is None for e in errors):
-            return r
-        r *= 0.5
-        if r < 1e-8:
+        if not live:
             break
-    raise NonIsolatedZero(
-        f"isolation probe failed for the zero near ({x}, {y})")
+        X, Y = np.array([points[k] for k in live]).T[:, :, None]
+        r = np.array([radius[k] for k in live])[:, None]
+        ring = np.stack([X + r * cos, Y + r * sin], axis=-1).reshape(-1, 2)
+        _, _, errors = sys._fibers(ring, tol, sep_floor,
+                                   groups=[probe_angles] * len(live))
+        failed = np.array([e is not None for e in errors]).reshape(
+            len(live), probe_angles).any(axis=1).tolist()
+        still = []
+        for k, bad in zip(live, failed):
+            if not bad:
+                certified[k] = True
+                continue
+            radius[k] *= 0.5
+            if radius[k] >= 1e-8:
+                still.append(k)
+        live = still
+    for (x, y), r, ok in zip(points, radius, certified):
+        if r <= 0.0:
+            raise NonIsolatedZero(f"cannot probe isolation of ({x}, {y}): "
+                                  "no room inside domain")
+        if not ok:
+            raise NonIsolatedZero(
+                f"isolation probe failed for the zero near ({x}, {y})")
+    return radius
 
 
 def find_singularities(sys: FiberSystem, grid_density: int = 48,
@@ -900,8 +973,9 @@ def find_singularities(sys: FiberSystem, grid_density: int = 48,
     Scans the domain grid for local minima of the squared residual,
     refines candidates by damped Gauss-Newton, merges duplicates (and
     residual-flat plateaus around one zero), and checks isolation by
-    probing a surrounding circle.  Declared singular points of the system
-    are verified and take precedence over refined candidates they merge
+    probing a surrounding circle, the circles of all points together
+    (``_isolation_radii``).  Declared singular points of the system are
+    verified and take precedence over refined candidates they merge
     with.
     """
     if grid_density < 8:
@@ -987,10 +1061,7 @@ def find_singularities(sys: FiberSystem, grid_density: int = 48,
         points.append(rep)
 
     points.sort(key=lambda m: (m[0], m[1]))
-    positions = [(p[0], p[1]) for p in points]
-    out = []
-    for idx, (x, y, res, _) in enumerate(points):
-        others = positions[:idx] + positions[idx + 1:]
-        radius = _certify_isolation(sys, x, y, others, tol, sep_floor)
-        out.append(SingularPoint(x, y, radius, res))
-    return out
+    radii = _isolation_radii(sys, [(p[0], p[1]) for p in points], tol,
+                             sep_floor)
+    return [SingularPoint(x, y, radius, res)
+            for (x, y, res, _), radius in zip(points, radii)]

@@ -26,12 +26,13 @@ from fractions import Fraction
 
 from .fiber import FiberKind, FiberSystem, SingularPoint
 from .monodromy import (LoopSpec, MonodromyResult, TrackedPath, orbit_lift,
-                        track_loop)
+                        track_loop, track_loops)
 
 __all__ = [
     "OrbitIndexReport", "PointIndexReport", "LineFieldNormalizations",
     "IndexError_", "OpenPath", "ClosureDefectTooLarge", "WrongFiber",
-    "winding_class", "index_report", "alternative_normalizations",
+    "winding_class", "index_report", "index_reports",
+    "alternative_normalizations",
     "CLOSURE_DEFECT_TOL",
 ]
 
@@ -131,25 +132,19 @@ def orbit_index(result: MonodromyResult, orbit) -> OrbitIndexReport:
         closure_defect=defect)
 
 
-def index_report(sys: FiberSystem, sp: SingularPoint,
-                 loop: LoopSpec | None = None, **track_kwargs
-                 ) -> PointIndexReport:
-    """Track a loop around ``sp`` and assemble the per-orbit indices.
+def _loop_misfit(sp: SingularPoint, loop: LoopSpec):
+    """The ValueError of a loop that does not fit ``sp``, else None."""
+    if loop.center != sp.position:
+        return ValueError("loop is not centered at the singular point")
+    if loop.radius >= sp.isolation_radius:
+        return ValueError(
+            f"loop radius {loop.radius} is not below the probed "
+            f"isolation radius {sp.isolation_radius}")
+    return None
 
-    With no explicit loop, a counterclockwise circle of radius
-    isolation_radius/2 is used.  An explicit loop must be centered at the
-    point with radius below the probed isolation radius.
-    """
-    if loop is None:
-        loop = LoopSpec(center=sp.position, radius=sp.isolation_radius / 2.0)
-    else:
-        if loop.center != sp.position:
-            raise ValueError("loop is not centered at the singular point")
-        if loop.radius >= sp.isolation_radius:
-            raise ValueError(
-                f"loop radius {loop.radius} is not below the probed "
-                f"isolation radius {sp.isolation_radius}")
-    result = track_loop(sys, loop, **track_kwargs)
+
+def _point_report(sys: FiberSystem, sp: SingularPoint,
+                  result: MonodromyResult) -> PointIndexReport:
     reports = tuple(orbit_index(result, orbit) for orbit in result.orbits)
     total = sum((r.normalized_index for r in reports), Fraction(0))
     sizes = {r.size for r in reports}
@@ -157,6 +152,46 @@ def index_report(sys: FiberSystem, sp: SingularPoint,
     return PointIndexReport(
         point=sp.position, kind=sys.kind, orbit_reports=reports,
         total_index=total, uniform_orbit_size=uniform, monodromy=result)
+
+
+def index_report(sys: FiberSystem, sp: SingularPoint,
+                 loop: LoopSpec | None = None, **track_kwargs
+                 ) -> PointIndexReport:
+    """Track a loop around ``sp`` (``track_loop``) and assemble the
+    per-orbit indices.
+
+    With no explicit loop, a counterclockwise circle of radius
+    isolation_radius/2 is used.  An explicit loop must be centered at the
+    point with radius below the probed isolation radius (else
+    ValueError).  ``index_reports`` does the same for many points with
+    their loops tracked together.
+    """
+    if loop is None:
+        loop = LoopSpec(center=sp.position, radius=sp.isolation_radius / 2.0)
+    misfit = _loop_misfit(sp, loop)
+    if misfit is not None:
+        raise misfit
+    return _point_report(sys, sp, track_loop(sys, loop, **track_kwargs))
+
+
+def index_reports(sys: FiberSystem, points, loops, **track_kwargs):
+    """``index_report`` of each singular point of ``points`` with its
+    explicit loop of ``loops``, as a generator in point order.  The loops
+    that fit their points are tracked together first (``track_loops``);
+    then each report is assembled in turn, and the first point that fails
+    raises what ``index_report`` would raise for it: the ValueError of a
+    loop that does not fit, else its tracking or index error."""
+    misfits = [_loop_misfit(sp, loop) for sp, loop in zip(points, loops)]
+    results = iter(track_loops(
+        sys, [loop for loop, e in zip(loops, misfits) if e is None],
+        **track_kwargs))
+    for sp, misfit in zip(points, misfits):
+        if misfit is not None:
+            raise misfit
+        result = next(results)
+        if isinstance(result, Exception):
+            raise result
+        yield _point_report(sys, sp, result)
 
 
 def alternative_normalizations(report: OrbitIndexReport, degree: int

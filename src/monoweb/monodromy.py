@@ -16,10 +16,13 @@ gives the rest: ``FiberKind.distance`` is the fiber metric, the angle
 ``FiberKind.period``, and the root kernels return each fiber in
 canonical order, which gives the labels, with its separation.
 
-Tracking refines a path level by level: each level solves its new
-points (the samples, then the midpoints of rejected steps) in one batch
-(``FiberSystem._fibers``) and matches all of its steps at once.  A failed
-solve raises ``SingularOnLoop``, naming its loop parameter.
+Tracking refines paths level by level, many paths at once
+(``track_loops``): each level solves the new points of every path (the
+samples, then the midpoints of rejected steps) in one batch
+(``FiberSystem._fibers``, one run per path) and matches all of their
+steps in one call.  A path's result is the one it has when tracked
+alone, and ``track_loop`` is the one-loop case.  A failed solve raises
+``SingularOnLoop``, naming its loop parameter.
 
 One full traversal in the positive (counterclockwise) direction induces
 the permutation of the fiber that generates the local monodromy group;
@@ -45,7 +48,7 @@ __all__ = [
     "LoopSpec", "TrackedPath", "MonodromyResult",
     "TrackingError", "StepCollapse", "SingularOnLoop", "AmbiguousMatching",
     "NotClosed",
-    "track_loop", "orbit_lift", "transport_fiber",
+    "track_loop", "track_loops", "orbit_lift", "transport_fiber",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -215,63 +218,120 @@ def _solve_error(t, point, error):
     return exc
 
 
-def _run_track(sys, path_fn, samples, max_depth, singular_tol, sep_floor):
-    """Track the whole fiber along path_fn over [0, 1].
+class _Path:
+    """One path of ``_run_track``: its solved parameters ``t`` with their
+    points, roots, separations and errors, the points of the next level
+    still to be solved, the steps a -> b (indices into t) of this level,
+    and what is settled: the accepted steps of each level and the
+    failures, as (t, error)."""
 
-    Level 0 solves the samples t = j/samples in one batch; each level
-    matches all of its steps in one call, and up to ``max_depth`` splits
-    the rejected ones at their midpoints, solved in one batch.  A failed
-    solve fails the loop at its t, and an ambiguous step or one rejected
-    at the last level at its start; the earliest failure is raised.
-    Returns the accepted parameters, the roots there as a (T, n) array
-    ordered as the canonical fiber at t = 0, the indices of the tracked
-    roots in the canonical fiber at t = 1, the number of points solved
-    and the deepest level reached.
-    """
-    t = np.arange(samples + 1) / samples
-    points = [path_fn(x) for x in t.tolist()]
-    roots, sep, errors = sys._fibers(points, singular_tol, sep_floor)
-    a, b = np.arange(samples), np.arange(1, samples + 1)   # steps a -> b
-    accepted, failures = [], []   # (a, b, order) per level; (t, error)
-    for depth in range(max_depth + 1):
-        order, verdict = _match(sys.kind, roots[a], roots[b],
-                                0.5 * np.minimum(sep[a], sep[b]))
-        failed = np.array([e is not None for e in errors])
+    def __init__(self, fn, samples, max_depth):
+        self.fn, self.max_depth = fn, max_depth
+        self.t = np.arange(samples + 1) / samples
+        self.new = [fn(x) for x in self.t.tolist()]
+        self.points, self.errors = [], []
+        self.roots = self.sep = None
+        self.a, self.b = np.arange(samples), np.arange(1, samples + 1)
+        self.accepted, self.failures = [], []
+        self.depth = 0
+
+    def add(self, roots, sep, errors):
+        """Take the fibers of the points in ``new``."""
+        self.points += self.new
+        self.errors += errors
+        if self.roots is not None:
+            roots = np.concatenate([self.roots, roots])
+            sep = np.concatenate([self.sep, sep])
+        self.roots, self.sep = roots, sep
+
+    def steps(self):
+        """This level's steps: the roots at both ends and the bound."""
+        a, b, sep = self.a, self.b, self.sep
+        return self.roots[a], self.roots[b], 0.5 * np.minimum(sep[a], sep[b])
+
+    def judge(self, order, verdict, depth):
+        """Settle the steps of level ``depth`` by their ``_match`` result;
+        True when rejected steps are split and their midpoints are in
+        ``new``, False when the path is done."""
+        a, b, t = self.a, self.b, self.t
+        failed = np.array([e is not None for e in self.errors])
         bad = failed[a] | failed[b]
         ok = np.array([v is True for v in verdict]) & ~bad
         split = (np.array([v is False for v in verdict]) & ~bad
-                 & (depth < max_depth))
-        accepted.append((a[ok], b[ok], order[ok]))
+                 & (depth < self.max_depth))
+        self.accepted.append((a[ok], b[ok], order[ok]))
         for s in np.flatnonzero(~ok & ~bad & ~split):
-            failures.append((t[a[s]], verdict[s] or StepCollapse(
+            self.failures.append((t[a[s]], verdict[s] or StepCollapse(
                 f"step {t[a[s]]:.6g} -> {t[b[s]]:.6g} could not be refined "
                 "further; the path passes too close to a fiber degeneracy")))
+        self.depth = depth
         if not split.any():
-            break
+            self.failures += [(t[k], _solve_error(t[k], self.points[k],
+                                                  self.errors[k]))
+                              for k in np.flatnonzero(failed)]
+            return False
         mid = 0.5 * (t[a[split]] + t[b[split]])
-        points += [path_fn(x) for x in mid.tolist()]
-        new_roots, new_sep, new_errors = sys._fibers(
-            points[len(t):], singular_tol, sep_floor)
-        m = np.arange(len(t), len(points))
-        a, b = np.concatenate([a[split], m]), np.concatenate([m, b[split]])
-        t = np.concatenate([t, mid])
-        roots = np.concatenate([roots, new_roots])
-        sep = np.concatenate([sep, new_sep])
-        errors += new_errors
-    failures += [(t[k], _solve_error(t[k], points[k], errors[k]))
-                 for k in np.flatnonzero(failed)]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        m = np.arange(len(t), len(t) + len(mid))
+        self.a, self.b = np.concatenate([a[split], m]), np.concatenate(
+            [m, b[split]])
+        self.t = np.concatenate([t, mid])
+        self.new = [self.fn(x) for x in mid.tolist()]
+        return True
 
-    # compose the nearest-index permutations in t order
-    a, b, order = (np.concatenate(x) for x in zip(*accepted))
-    walk = np.argsort(t[a])
-    perms = [np.arange(roots.shape[1])]
-    for o in order[walk]:
-        perms.append(o[perms[-1]])
-    b = np.concatenate([[0], b[walk]])
-    R = roots[b[:, None], np.array(perms)]
-    return tuple(t[b].tolist()), R, perms[-1], len(t), depth
+    def result(self):
+        """The earliest failure, or (ts, R, perm, solved, depth) as
+        ``_run_track`` describes them."""
+        if self.failures:
+            return min(self.failures, key=lambda f: f[0])[1]
+        # compose the nearest-index permutations in t order
+        a, b, order = (np.concatenate(x) for x in zip(*self.accepted))
+        walk = np.argsort(self.t[a])
+        perms = [np.arange(self.roots.shape[1])]
+        for o in order[walk]:
+            perms.append(o[perms[-1]])
+        b = np.concatenate([[0], b[walk]])
+        R = self.roots[b[:, None], np.array(perms)]
+        return (tuple(self.t[b].tolist()), R, perms[-1], len(self.t),
+                self.depth)
+
+
+def _run_track(sys, paths, singular_tol, sep_floor):
+    """Track the whole fiber along each path of ``paths``, given as
+    (path_fn, samples, max_depth) over [0, 1].
+
+    Level 0 solves the samples t = j/samples of every path in one batch.
+    Each level matches the steps of every path still refining in one
+    call, with one bound per step, and splits each path's rejected steps
+    at their midpoints, up to its ``max_depth``; the midpoints of every
+    path are solved in one batch.  In each batch a path's points are one
+    run of ``FiberSystem._fibers``, so no path depends on the others.  A
+    failed solve fails a path at its t, and an ambiguous step or one
+    rejected at the path's last level at its start.
+
+    Returns, for each path, its earliest failure, or the accepted
+    parameters, the roots there as a (T, n) array ordered as the
+    canonical fiber at t = 0, the indices of the tracked roots in the
+    canonical fiber at t = 1, the number of points solved and the deepest
+    level reached.
+    """
+    tracks = [_Path(*p) for p in paths]
+    live, depth = tracks, 0
+    while live:
+        runs = [len(tr.new) for tr in live]
+        roots, sep, errors = sys._fibers(
+            [p for tr in live for p in tr.new], singular_tol, sep_floor,
+            groups=runs)
+        ends = np.cumsum([0, *runs]).tolist()
+        for tr, lo, hi in zip(live, ends, ends[1:]):
+            tr.add(roots[lo:hi], sep[lo:hi], errors[lo:hi])
+        prev, new, bound = (np.concatenate(x)
+                            for x in zip(*(tr.steps() for tr in live)))
+        order, verdict = _match(sys.kind, prev, new, bound)
+        ends = np.cumsum([0, *(len(tr.a) for tr in live)]).tolist()
+        live = [tr for tr, lo, hi in zip(live, ends, ends[1:])
+                if tr.judge(order[lo:hi], verdict[lo:hi], depth)]
+        depth += 1
+    return [tr.result() for tr in tracks]
 
 
 def _build_paths(kind, ts, R):
@@ -299,28 +359,47 @@ def _build_paths(kind, ts, R):
 # Public operations
 
 
+def track_loops(sys: FiberSystem, loops,
+                singular_tol: float = SINGULAR_TOL,
+                sep_floor: float = SEP_FLOOR) -> list:
+    """The MonodromyResult of each of ``loops``, or the error that fails
+    it (a TrackingError, or the DomainError of a failed evaluation).  The
+    loops are tracked together (``_run_track``) and closed, each last
+    fiber matched back onto its first, in one ``_match`` call; each
+    loop's result is the one it has when tracked alone."""
+    tracked = _run_track(sys, [(loop.point, loop.samples, loop.max_depth)
+                               for loop in loops], singular_tol, sep_floor)
+    done = [k for k, r in enumerate(tracked) if not isinstance(r, Exception)]
+    if not done:
+        return tracked
+    sigmas, verdicts = _match(
+        sys.kind, np.concatenate([tracked[k][1][-1:] for k in done]),
+        np.concatenate([tracked[k][1][:1] for k in done]), math.inf)
+    for k, sigma, verdict in zip(done, sigmas, verdicts):
+        ts, R, _, solved, depth = tracked[k]
+        if verdict is not True:
+            tracked[k] = verdict or AmbiguousMatching(
+                "closing the loop: two tracked endpoints map to the same "
+                "initial root")
+            continue
+        sigma = tuple(sigma.tolist())
+        tracked[k] = MonodromyResult(
+            kind=sys.kind, loop=loops[k], base_point=loops[k].base_point,
+            roots0=tuple(R[0].tolist()), sigma=sigma, orbits=_cycles(sigma),
+            paths=tuple(_build_paths(sys.kind, ts, R)),
+            samples_solved=solved, depth_reached=depth)
+    return tracked
+
+
 def track_loop(sys: FiberSystem, loop: LoopSpec,
                singular_tol: float = SINGULAR_TOL,
                sep_floor: float = SEP_FLOOR) -> MonodromyResult:
-    """Monodromy permutation induced by one traversal of ``loop``."""
-    ts, R, _, solved, depth = _run_track(sys, loop.point, loop.samples,
-                                         loop.max_depth, singular_tol,
-                                         sep_floor)
-    paths = _build_paths(sys.kind, ts, R)
-
-    # match the final fiber back onto the initial one
-    [sigma], [verdict] = _match(sys.kind, R[-1:], R[:1], math.inf)
-    if verdict is not True:
-        raise verdict or AmbiguousMatching(
-            "closing the loop: two tracked endpoints map to the same "
-            "initial root")
-
-    sigma = tuple(sigma.tolist())
-    orbits = _cycles(sigma)
-    return MonodromyResult(
-        kind=sys.kind, loop=loop, base_point=loop.base_point,
-        roots0=tuple(R[0].tolist()), sigma=sigma, orbits=orbits,
-        paths=tuple(paths), samples_solved=solved, depth_reached=depth)
+    """Monodromy permutation induced by one traversal of ``loop``: the
+    one-loop case of ``track_loops``, raising its error."""
+    [result] = track_loops(sys, [loop], singular_tol, sep_floor)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _cycles(sigma):
@@ -396,6 +475,8 @@ def transport_fiber(sys: FiberSystem, src, dst, samples: int = 32,
         return (src[0] + t * (dst[0] - src[0]),
                 src[1] + t * (dst[1] - src[1]))
 
-    _, _, perm, _, _ = _run_track(sys, seg, max(samples, 32), max_depth,
-                                  singular_tol, sep_floor)
-    return tuple(perm.tolist())
+    [result] = _run_track(sys, [(seg, max(samples, 32), max_depth)],
+                          singular_tol, sep_floor)
+    if isinstance(result, Exception):
+        raise result
+    return tuple(result[2].tolist())

@@ -672,6 +672,13 @@ def _half_turn_with_sheets(sheets):
     return doc
 
 
+def _punctured_with_degree(degree):
+    doc = _read(PROBLEMS / "cusp_cover.json")
+    doc["system"].update(degree=degree, coefficients=[["x", "y"]] * degree
+                         + [["1", "0"]])
+    return doc
+
+
 def _surface_with(name, patch=(), **surface):
     doc = _read(PROBLEMS / name)
     doc["surface"]["patches"][0].update(patch)
@@ -715,6 +722,14 @@ def _surface_with(name, patch=(), **surface):
     ("analyze", _lemon_with(system={"type": "projective", "degree": True,
                                     "coefficients": ["y", "-2*x"]})),
     ("analyze", _half_turn_with_sheets(True)),
+    ("analyze", _lemon_with(system={"type": "projective", "degree": 33,
+                                    "coefficients": ["x"] * 34})),
+    ("analyze", _half_turn_with_sheets(33)),
+    ("analyze", _punctured_with_degree(7)),
+    ("verify-theorem", _surface_with(
+        "torus_constant_web.json",
+        bde={"source": "explicit",
+             "forms": [{"degree": 33, "coefficients": ["1"] * 34}]})),
     ("analyze", _lemon_with(loop__radius=True)),
     ("plot --grid 1025", _lemon_with()),
     ("verify-theorem", _surface_with("torus_constant_web.json",
@@ -732,7 +747,9 @@ def _surface_with(name, patch=(), **surface):
         "grid_density_257", "grid_density_1e6", "ellipsoid_grid_density_1e6",
         "declared_outside_domain", "declared_nan", "declared_string",
         "declared_three_coordinates", "declared_not_a_list",
-        "degree_bool", "sheets_bool", "loop_radius_bool", "plot_grid_1025",
+        "degree_bool", "sheets_bool", "degree_33", "sheets_33",
+        "punctured_degree_7", "form_degree_33", "loop_radius_bool",
+        "plot_grid_1025",
         "bde_string", "bde_form_number", "patch_name_number"])
 def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, doc):
     _refuse_to_run(monkeypatch)
@@ -745,6 +762,31 @@ def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, doc):
     assert "monoweb: input error" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    _lemon_with(system={"type": "projective", "degree": 32,
+                        "coefficients": ["x"] * 33}),
+    _half_turn_with_sheets(32),
+    _punctured_with_degree(6),
+], ids=["degree_32", "sheets_32", "punctured_degree_6"])
+def test_largest_sheet_counts_load(tmp_path, doc):
+    path = tmp_path / "largest.json"
+    path.write_text(json.dumps(doc))
+    assert load_problem(str(path)).system.sheet_count == (
+        doc["system"].get("degree") or doc["system"]["sheets"])
+
+
+def test_sheet_count_bounds_are_in_the_schema():
+    schema = _read(PROBLEMS.parent / "docs" / "problem.schema.json")
+    variants = {v["properties"]["type"]["const"]: v["properties"]
+                for v in schema["properties"]["system"]["oneOf"]}
+    assert variants["projective"]["degree"]["maximum"] == cli.MAX_SHEETS
+    assert variants["circle"]["sheets"]["maximum"] == cli.MAX_SHEETS
+    assert (variants["punctured_plane"]["degree"]["maximum"]
+            == cli.MAX_PUNCTURED_DEGREE)
+    forms = schema["properties"]["surface"]["properties"]["bde"]
+    assert f'"maximum": {cli.MAX_SHEETS}' in json.dumps(forms)
 
 
 def _refuse_to_run(monkeypatch):

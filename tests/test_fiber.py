@@ -4,6 +4,8 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoweb.expr import DomainError, parse
 from monoweb.fiber import (
@@ -194,6 +196,38 @@ def test_root_count_equals_sheet_number():
             roots = solve_fiber(sys, (x, y))
             assert len(roots) == sys.sheet_count
             checked += 1
+
+
+def _all_pairs_separation(kind, R):
+    """The minimum over every pair of roots of a row, +inf for one root."""
+    i, j = np.triu_indices(R.shape[1], 1)
+    if not len(i):
+        return np.full(len(R), math.inf)
+    return kind.distance(R[:, i], R[:, j]).min(axis=1)
+
+
+def _angle(period):
+    """Angles in [0, period): anywhere, on a coarse lattice (ties), 0.0,
+    and just below the period."""
+    below = math.nextafter(period, 0.0)
+    return st.one_of(
+        st.floats(0.0, below),
+        st.integers(0, 7).map(lambda k: k * period / 8),
+        st.sampled_from([0.0, below, math.nextafter(below, 0.0),
+                         math.nextafter(0.0, 1.0)]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data(), kind=st.sampled_from([FiberKind.PROJECTIVE,
+                                             FiberKind.CIRCLE]),
+       n=st.sampled_from([1, 2, 3, 4, 7]), k=st.integers(1, 4))
+def test_adjacent_separation_equals_all_pairs(data, kind, n, k):
+    rows = [sorted(data.draw(st.lists(_angle(kind.period), min_size=n,
+                                      max_size=n))) for _ in range(k)]
+    R = np.array(rows, dtype=float)
+    got = kind.separation(R)
+    want = _all_pairs_separation(kind, R)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 def test_ill_conditioned_separation():

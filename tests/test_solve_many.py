@@ -27,7 +27,7 @@ from monoweb.fiber import (SEP_FLOOR, SINGULAR_TOL, BinaryForm, CircleSystem,
                            ComplexPoint, ComplexRoots, FiberError,
                            FiberSystem, IllConditioned, ProjectiveSystem,
                            PuncturedPlaneSystem, Rect, RP1Angle,
-                           SingularFiber, _certify_isolation,
+                           SingularFiber, _isolation_radii,
                            _circle_roots_many, _projective_roots_many,
                            _punctured_roots_many)
 from monoweb.monodromy import (LoopSpec, SingularOnLoop, TrackingError,
@@ -574,14 +574,14 @@ RUNS = (lambda s: track_loop(s, LoopSpec((0.0, 0.0), 1.0)),
         # through the lemon's singular point at t = 0.5
         lambda s: track_loop(s, LoopSpec((0.5, 0.0), 0.5)),
         lambda s: transport_fiber(s, (1.0, 0.5), (-0.5, -1.0)),
-        lambda s: _certify_isolation(s, 0.0, 0.0, [(1.0, 1.0)], 1e-10,
-                                     1e-6))
+        lambda s: _isolation_radii(s, [(0.0, 0.0), (1.0, 1.0)], 1e-10,
+                                   1e-6))
 
 
 _fibers = FiberSystem._fibers
 
 
-def _one_at_a_time(self, points, singular_tol, sep_floor):
+def _one_at_a_time(self, points, singular_tol, sep_floor, groups=None):
     """``_fibers`` with one kernel call per point."""
     rows = [_fibers(self, [p], singular_tol, sep_floor) for p in points]
     if not rows:
@@ -728,14 +728,14 @@ def test_plot_and_isolation_ring_make_no_scalar_coefficient_calls(
     rings = []
     fibers = FiberSystem._fibers
 
-    def recorded(self, points, *args):
+    def recorded(self, points, *args, **kwargs):
         rings.append(len(points))
-        return fibers(self, points, *args)
+        return fibers(self, points, *args, **kwargs)
 
     monkeypatch.setattr(FiberSystem, "_fibers", recorded)
     render_svg(load_problem(str(PROBLEMS / "lemon.json")), grid=100)
     assert sum(rings) == 10_000 + 64 and 64 in rings
-    _certify_isolation(_lemon(), 0.0, 0.0, [(1.0, 1.0)], 1e-10, 1e-6)
+    _isolation_radii(_lemon(), [(0.0, 0.0)], 1e-10, 1e-6)
     assert rings[-1] == 64
     assert calls == []
 
