@@ -9,10 +9,11 @@ default, ``u``/``v`` for surface patches), numeric literals, the operators
 Expressions are evaluated only through compiled straight-line code
 (:func:`compile_value`, :func:`compile_value_vec`; :func:`eval_expr` is a
 checked one-off call of it).  One compiled body serves scalar and numpy
-evaluation (:func:`as_vector`).  :func:`diff` returns a derivative as a
-new expression; ``compile_value(..., gradient=True)`` emits the lines of
-first derivatives by forward mode, the same lines that compiling the
-:func:`diff` trees gives, without building those trees.
+evaluation (:func:`as_vector`).  First derivatives come from one set of
+folds and derivative rules over two kinds of node: :func:`diff` returns a
+derivative as a new expression, and ``compile_value(..., gradient=True)``
+emits the lines of first derivatives by forward mode, the same lines that
+compiling the :func:`diff` trees gives, without building those trees.
 """
 
 from __future__ import annotations
@@ -170,29 +171,191 @@ def _as_expr(v) -> Expr:
     raise TypeError(f"cannot coerce {type(v).__name__} to Expr")
 
 
-# Folding constructors.  Used by diff() and by programmatic assembly so that
-# derivative trees stay compact; parse() builds nodes directly.
+# ---------------------------------------------------------------------------
+# Folds and derivative rules
 #
-# The constructors of interior nodes intern them: building the same
-# operation on the same children again returns the node built before, so
-# an expression that diff() rebuilds many times is one shared object.  The
-# key is the node type plus each child's id(), or for a literal child the
-# repr() of its value, which is also the text the code generator emits
-# (so 0.0 and -0.0 stay apart).  Keying on the nodes themselves would call
-# the dataclass __hash__, which recurses through the whole subtree.  The
-# table holds nodes weakly, so it keeps no tree alive; while a node is in
-# it, the node keeps its children alive, so their ids are not reused.
+# One set of rules serves derivative trees (diff) and the Jacobian lines of
+# compiled code (forward mode).  _Rules folds + - * / and negation and holds
+# the derivative rule of every node type, over operands that are nodes (a
+# literal is a Num).  Its subclasses differ only in the nodes that make()
+# builds: _Trees interns Expr nodes, and its folds are the constructors
+# add/sub/neg/mul/div that diff() and programmatic assembly use (parse()
+# builds nodes directly); _Terms makes the tangent terms of Jacobian code.
+#
+# make() returns one node per structure: building the same operation on
+# the same operands again returns the node built before, so an expression
+# that diff() rebuilds many times is one shared object.  The key is the
+# kind of node plus each operand's id(), or for a literal the repr() of
+# its value, which is also the text the code generator emits (so 0.0 and
+# -0.0 stay apart).  Keying on an Expr itself would call the dataclass
+# __hash__, which recurses through the whole subtree; a _Term is its own
+# key, hashed by identity.  A node keeps its operands alive while it is in
+# the table, so their ids are not reused.  The table of Expr nodes holds
+# them weakly, so it keeps no tree alive.
 _NODES = weakref.WeakValueDictionary()
+_ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)   # literals the rules build
 
 
-def _binary(cls, a: Expr, b: Expr) -> Expr:
-    """The interned node ``cls(a, b)``, without folding."""
-    key = (cls, repr(a.value) if type(a) is Num else id(a),
-           repr(b.value) if type(b) is Num else id(b))
-    node = _NODES.get(key)
-    if node is None:
-        node = _NODES[key] = cls(a, b)
-    return node
+class _Rules:
+    """Folds and derivative rules over the nodes that ``new(kind, ops)``
+    makes, kept in the table ``nodes``.  A kind is a node class, or the
+    name of a function."""
+
+    def make(self, kind, *ops):
+        """The node of the operation ``kind`` on ``ops``, without folding."""
+        a = ops[0]
+        key = (kind, repr(a.value) if type(a) is Num else
+               a if type(a) is _Term else id(a))
+        if len(ops) == 2:
+            b = ops[1]
+            key = (*key, repr(b.value) if type(b) is Num else
+                   b if type(b) is _Term else id(b))
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = self.new(kind, ops)
+        return node
+
+    def add(self, a, b):
+        if type(a) is Num and a.value == 0.0:
+            return b
+        if type(b) is Num:
+            if b.value == 0.0:
+                return a
+            if type(a) is Num:
+                return Num(a.value + b.value)
+        return self.make(Add, a, b)
+
+    def sub(self, a, b):
+        if type(b) is Num:
+            if b.value == 0.0:
+                return a
+            if type(a) is Num:
+                return Num(a.value - b.value)
+        if type(a) is Num and a.value == 0.0:
+            return self.neg(b)
+        return self.make(Sub, a, b)
+
+    def neg(self, a):
+        if type(a) is Num:
+            return Num(-a.value)
+        if type(a) is Neg:
+            return a.a
+        if type(a) is _Term and a.kind is Neg:
+            return a.ops[0]
+        return self.make(Neg, a)
+
+    def mul(self, a, b):
+        if type(a) is Num:
+            if a.value == 0.0:
+                return _ZERO
+            if a.value == 1.0:
+                return b
+            if a.value == -1.0:
+                return self.neg(b)
+            if type(b) is Num:
+                return Num(a.value * b.value)
+        if type(b) is Num:
+            if b.value == 0.0:
+                return _ZERO
+            if b.value == 1.0:
+                return a
+            if b.value == -1.0:
+                return self.neg(a)
+        return self.make(Mul, a, b)
+
+    def div(self, a, b):
+        if type(a) is Num and a.value == 0.0:
+            return _ZERO
+        if type(b) is Num and b.value == 1.0:
+            return a
+        return self.make(Div, a, b)
+
+    def tangent(self, e: Expr, wrt: str, memo: dict):
+        """The derivative of ``e`` with respect to the variable named
+        ``wrt``; ``memo`` maps id(node) to the derivative built for it
+        before."""
+        d = memo.get(id(e))
+        if d is not None:
+            return d
+        t = type(e)
+        if t is Num or t is Var:
+            d = _ONE if t is Var and e.name == wrt else _ZERO
+        elif t is Neg:
+            d = self.neg(self.tangent(e.a, wrt, memo))
+        elif t is Call:
+            d = self._call_rule(e, [self.tangent(a, wrt, memo)
+                                    for a in e.args])
+        elif t is Pow:
+            base, expo = e.base, e.exponent
+            db = self.tangent(base, wrt, memo)
+            de = self.tangent(expo, wrt, memo)
+            if type(de) is Num and de.value == 0.0:
+                # c * u^(c-1) * u'
+                d = self.mul(self.mul(expo, self.make(
+                    Pow, base, self.sub(expo, _ONE))), db)
+            else:
+                # u^v * (v' log u + v u'/u)
+                d = self.mul(e, self.add(
+                    self.mul(de, self.make("log", base)),
+                    self.mul(expo, self.div(db, base))))
+        elif t in (Add, Sub, Mul, Div):
+            a, b = e.a, e.b
+            da, db = self.tangent(a, wrt, memo), self.tangent(b, wrt, memo)
+            if t is Add:
+                d = self.add(da, db)
+            elif t is Sub:
+                d = self.sub(da, db)
+            elif t is Mul:
+                d = self.add(self.mul(da, b), self.mul(a, db))
+            elif type(db) is Num and db.value == 0.0:
+                d = self.div(da, b)
+            else:
+                # (a/b)' = a'/b - a b'/b^2
+                d = self.div(self.sub(self.mul(da, b), self.mul(a, db)),
+                             self.make(Pow, b, _TWO))
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        memo[id(e)] = d
+        return d
+
+    def _call_rule(self, e: Call, ds):
+        fn = e.fn
+        if fn == "atan2":
+            (a, b), (da, db) = e.args, ds  # (b a' - a b') / (a^2 + b^2)
+            return self.div(self.sub(self.mul(b, da), self.mul(a, db)),
+                            self.add(self.make(Pow, a, _TWO),
+                                     self.make(Pow, b, _TWO)))
+        (u,), (du,) = e.args, ds
+        if type(du) is Num and du.value == 0.0 or fn == "sign":
+            return _ZERO
+        if fn == "sqrt":
+            return self.div(du, self.mul(_TWO, self.make("sqrt", u)))
+        if fn == "sin":
+            return self.mul(self.make("cos", u), du)
+        if fn == "cos":
+            return self.neg(self.mul(self.make("sin", u), du))
+        if fn == "exp":
+            return self.mul(self.make("exp", u), du)
+        if fn == "log":
+            return self.div(du, u)
+        if fn == "abs":
+            return self.mul(self.make("sign", u), du)
+        raise TypeError(f"unknown function {fn!r}")
+
+
+class _Trees(_Rules):
+    """The rules over interned Expr nodes."""
+
+    nodes = _NODES
+
+    @staticmethod
+    def new(kind, ops):
+        return Call(kind, ops) if type(kind) is str else kind(*ops)
+
+
+_TREES = _Trees()
+add, sub, neg, mul, div = (_TREES.add, _TREES.sub, _TREES.neg, _TREES.mul,
+                           _TREES.div)
 
 
 def num(v) -> Num:
@@ -203,77 +366,25 @@ def var(name: str) -> Var:
     return Var(name)
 
 
-def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Num) and a.value == 0.0:
-        return b
-    if isinstance(b, Num) and b.value == 0.0:
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
-    return _binary(Add, a, b)
-
-
-def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(b, Num) and b.value == 0.0:
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
-    if isinstance(a, Num) and a.value == 0.0:
-        return neg(b)
-    return _binary(Sub, a, b)
-
-
-def neg(a: Expr) -> Expr:
-    if isinstance(a, Num):
-        return Num(-a.value)
-    if isinstance(a, Neg):
-        return a.a
-    key = (Neg, id(a))
-    node = _NODES.get(key)
-    if node is None:
-        node = _NODES[key] = Neg(a)
-    return node
-
-
-def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Num):
-        if a.value == 0.0:
-            return Num(0.0)
-        if a.value == 1.0:
-            return b
-        if a.value == -1.0:
-            return neg(b)
-        if isinstance(b, Num):
-            return Num(a.value * b.value)
-    if isinstance(b, Num):
-        if b.value == 0.0:
-            return Num(0.0)
-        if b.value == 1.0:
-            return a
-        if b.value == -1.0:
-            return neg(a)
-    return _binary(Mul, a, b)
-
-
-def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Num) and a.value == 0.0:
-        return Num(0.0)
-    if isinstance(b, Num) and b.value == 1.0:
-        return a
-    return _binary(Div, a, b)
-
-
 def call(fn: str, *args: Expr) -> Expr:
     if fn not in FUNCTION_ARITY:
         raise ValueError(f"unknown function {fn!r}")
     if len(args) != FUNCTION_ARITY[fn]:
         raise ValueError(f"{fn} takes {FUNCTION_ARITY[fn]} argument(s)")
-    key = (Call, fn, *(repr(a.value) if type(a) is Num else id(a)
-                       for a in args))
-    node = _NODES.get(key)
-    if node is None:
-        node = _NODES[key] = Call(fn, args)
-    return node
+    return _TREES.make(fn, *args)
+
+
+def diff(e: Expr, wrt: str, memo=None) -> Expr:
+    """Derivative of ``e`` with respect to the variable named ``wrt``.
+
+    The result is again an Expr.  At kinks of abs the derivative uses the
+    internal ``sign`` function; sqrt/log derivatives raise DomainError when
+    later evaluated at their singular locus.  A node that occurs several
+    times (shared by identity) is differentiated once, and all its
+    occurrences share the derivative: within one call, and across calls
+    with the same ``wrt`` that pass one ``memo`` dict.
+    """
+    return _TREES.tangent(e, wrt, {} if memo is None else memo)
 
 
 # ---------------------------------------------------------------------------
@@ -512,111 +623,25 @@ def to_source(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Differentiation (AST level)
-
-
-def diff(e: Expr, wrt: str, memo=None) -> Expr:
-    """Derivative of ``e`` with respect to the variable named ``wrt``.
-
-    The result is again an Expr.  At kinks of abs the derivative uses the
-    internal ``sign`` function; sqrt/log derivatives raise DomainError when
-    later evaluated at their singular locus.  A node that occurs several
-    times (shared by identity) is differentiated once, and all its
-    occurrences share the derivative: within one call, and across calls
-    with the same ``wrt`` that pass one ``memo`` dict.
-    """
-    if memo is None:
-        memo = {}
-    elif id(e) in memo:
-        return memo[id(e)]
-    if isinstance(e, Num):
-        d = Num(0.0)
-    elif isinstance(e, Var):
-        d = Num(1.0 if e.name == wrt else 0.0)
-    elif isinstance(e, Neg):
-        d = neg(diff(e.a, wrt, memo))
-    elif isinstance(e, Add):
-        d = add(diff(e.a, wrt, memo), diff(e.b, wrt, memo))
-    elif isinstance(e, Sub):
-        d = sub(diff(e.a, wrt, memo), diff(e.b, wrt, memo))
-    elif isinstance(e, Mul):
-        d = add(mul(diff(e.a, wrt, memo), e.b),
-                mul(e.a, diff(e.b, wrt, memo)))
-    elif isinstance(e, Div):
-        # (a/b)' = a'/b - a b'/b^2
-        da, db = diff(e.a, wrt, memo), diff(e.b, wrt, memo)
-        if isinstance(db, Num) and db.value == 0.0:
-            d = div(da, e.b)
-        else:
-            d = div(sub(mul(da, e.b), mul(e.a, db)),
-                    _binary(Pow, e.b, Num(2.0)))
-    elif isinstance(e, Pow):
-        db = diff(e.base, wrt, memo)
-        de = diff(e.exponent, wrt, memo)
-        if isinstance(de, Num) and de.value == 0.0:
-            # c * u^(c-1) * u'
-            if isinstance(e.exponent, Num):
-                c = e.exponent.value
-                d = mul(mul(Num(c), _binary(Pow, e.base, Num(c - 1.0))),
-                        db)
-            else:
-                d = mul(mul(e.exponent,
-                            _binary(Pow, e.base, sub(e.exponent, Num(1.0)))),
-                        db)
-        else:
-            # u^v * (v' log u + v u'/u)
-            d = mul(e, add(mul(de, call("log", e.base)),
-                           mul(e.exponent, div(db, e.base))))
-    elif isinstance(e, Call):
-        d = _diff_call(e, wrt, memo)
-    else:
-        raise TypeError(f"not an Expr: {e!r}")
-    memo[id(e)] = d
-    return d
-
-
-def _diff_call(e: Call, wrt: str, memo) -> Expr:
-    fn = e.fn
-    if fn == "atan2":
-        a, b = e.args  # atan2(a, b), d = (b a' - a b') / (a^2 + b^2)
-        da, db = diff(a, wrt, memo), diff(b, wrt, memo)
-        denom = add(_binary(Pow, a, Num(2.0)), _binary(Pow, b, Num(2.0)))
-        return div(sub(mul(b, da), mul(a, db)), denom)
-    u = e.args[0]
-    du = diff(u, wrt, memo)
-    if isinstance(du, Num) and du.value == 0.0:
-        return Num(0.0)
-    if fn == "sqrt":
-        return div(du, mul(Num(2.0), call("sqrt", u)))
-    if fn == "sin":
-        return mul(call("cos", u), du)
-    if fn == "cos":
-        return neg(mul(call("sin", u), du))
-    if fn == "exp":
-        return mul(call("exp", u), du)
-    if fn == "log":
-        return div(du, u)
-    if fn == "abs":
-        return mul(call("sign", u), du)
-    if fn == "sign":
-        return Num(0.0)
-    raise TypeError(f"unknown function {fn!r}")
-
-
-# ---------------------------------------------------------------------------
 # Compilation to fast callables
 
 
 _FORMAT = {Neg: "-{}", Add: "{}+{}", Sub: "{}-{}", Mul: "{}*{}",
            Div: "{}/{}"}
-_CONST = (float, int)   # the types of Num values
 
 
-def _power_format(expo) -> str:
-    """``_ipow`` for an integer literal exponent, else ``_pow``."""
-    if type(expo) in _CONST and expo == round(expo):
-        return "_ipow({}, {})"
-    return "_pow({}, {})"
+def _format(kind, ops) -> str:
+    """The right-hand side of the operation ``kind`` (a node class, or a
+    function's name) on the nodes ``ops``, as a format of their texts.  A
+    power is ``_ipow`` for an integer literal exponent, else ``_pow``."""
+    if type(kind) is str:
+        return kind + ("({})" if len(ops) == 1 else "({}, {})")
+    if kind is Pow:
+        c = ops[1]
+        if type(c) is Num and c.value == round(c.value):
+            return "_ipow({}, {})"
+        return "_pow({}, {})"
+    return _FORMAT[kind]
 
 
 def _literal(v) -> str:
@@ -624,206 +649,32 @@ def _literal(v) -> str:
     return f"({s})" if s.startswith("-") else s
 
 
-def _rhs(e: Expr, ops) -> str:
-    """One operation on already-computed operands (names or literals)."""
-    if isinstance(e, Call):
-        return f"{e.fn}({', '.join(ops)})"
-    if isinstance(e, Pow):
-        expo = e.exponent
-        return _power_format(expo.value if isinstance(expo, Num) else expo
-                             ).format(*ops)
-    return _FORMAT[type(e)].format(*ops)
-
-
-# Forward-mode derivatives for the Jacobian code.  A tangent term stands for
-# the node diff() would build: a plain number for a Num, the value node
-# itself for a subtree of the differentiated expression, else a _Term, the
-# operation of one line.  The fold methods of _Forward fold as
-# add/sub/neg/mul/div do, case for case, so a term is the diff() tree node
-# for node and is emitted as the same text.  _Terms are interned as
-# diff()'s nodes are, so a structure built again is one object, reached
-# once.  A term costs no line until the emitter reaches it from a result:
-# one that a later fold drops (the u^(-1) of d(u^0)) is never computed, as
-# in the code of the diff() trees.
-_NEG, _ADD, _SUB, _MUL, _DIV = (_FORMAT[c] for c in (Neg, Add, Sub, Mul, Div))
-
-
-def _leaf(e):
-    return e.value if type(e) is Num else e
+# Forward-mode derivatives for the Jacobian code.  The rules that build a
+# diff() tree build a tangent, from nodes of a second kind: a tangent is a
+# Num, a value node (a subtree of the differentiated expression), or a
+# _Term, the operation of one line, standing for the diff() node of the
+# same structure and emitted as the same text.  A term costs no line until
+# the emitter reaches it from a result: one that a later fold drops (the
+# u^(-1) of d(u^0)) is never computed, as in the code of the diff() trees.
 
 
 class _Term:
-    """An operation in a tangent: the format of its right-hand side, its
-    operands, and once its line is emitted the temporary that holds it."""
+    """An operation in a tangent: its kind and operands, and once its line
+    is emitted the temporary that holds it."""
 
-    __slots__ = ("fmt", "ops", "name")
+    __slots__ = ("kind", "ops", "name")
 
-    def __init__(self, fmt, ops):
-        self.fmt, self.ops, self.name = fmt, ops, None
+    def __init__(self, kind, ops):
+        self.kind, self.ops, self.name = kind, ops, None
 
 
-class _Forward:
-    """The tangent terms in each of the variables ``wrt`` of the
-    expressions of one bundle of code."""
+class _Terms(_Rules):
+    """The rules over the tangent terms of one bundle of code."""
 
-    def __init__(self, wrt):
-        self.wrt = wrt
-        self.terms = {}   # (format, operand keys) -> the _Term
-        self.memo = {}    # id(node) -> its tangent in each variable
+    new = _Term
 
-    # A _Term operand is its own key, hashed by identity; a node's hash
-    # would walk its tree, and a number's would make 0.0 and -0.0 one key.
-
-    def op(self, fmt, a):
-        key = (fmt, a if type(a) is _Term else
-               repr(a) if type(a) in _CONST else id(a))
-        term = self.terms.get(key)
-        if term is None:
-            term = self.terms[key] = _Term(fmt, (a,))
-        return term
-
-    def op2(self, fmt, a, b):
-        key = (fmt, a if type(a) is _Term else
-               repr(a) if type(a) in _CONST else id(a),
-               b if type(b) is _Term else
-               repr(b) if type(b) in _CONST else id(b))
-        term = self.terms.get(key)
-        if term is None:
-            term = self.terms[key] = _Term(fmt, (a, b))
-        return term
-
-    def add(self, a, b):
-        if type(a) in _CONST and a == 0.0:
-            return b
-        if type(b) in _CONST:
-            if b == 0.0:
-                return a
-            if type(a) in _CONST:
-                return a + b
-        return self.op2(_ADD, a, b)
-
-    def sub(self, a, b):
-        if type(b) in _CONST:
-            if b == 0.0:
-                return a
-            if type(a) in _CONST:
-                return a - b
-        if type(a) in _CONST and a == 0.0:
-            return self.neg(b)
-        return self.op2(_SUB, a, b)
-
-    def neg(self, a):
-        if type(a) in _CONST:
-            return -a
-        if type(a) is _Term and a.fmt is _NEG:
-            return a.ops[0]
-        if type(a) is Neg:
-            return _leaf(a.a)
-        return self.op(_NEG, a)
-
-    def mul(self, a, b):
-        if type(a) in _CONST:
-            if a == 0.0:
-                return 0.0
-            if a == 1.0:
-                return b
-            if a == -1.0:
-                return self.neg(b)
-            if type(b) in _CONST:
-                return a * b
-        if type(b) in _CONST:
-            if b == 0.0:
-                return 0.0
-            if b == 1.0:
-                return a
-            if b == -1.0:
-                return self.neg(a)
-        return self.op2(_MUL, a, b)
-
-    def div(self, a, b):
-        if type(a) in _CONST and a == 0.0:
-            return 0.0
-        if type(b) in _CONST and b == 1.0:
-            return a
-        return self.op2(_DIV, a, b)
-
-    def power(self, base, c):
-        return self.op2(_power_format(c), base, c)
-
-    def tangents(self, e: Expr) -> tuple:
-        """``diff(e, w)`` as a term, for each variable w of ``wrt``."""
-        d = self.memo.get(id(e))
-        if d is not None:
-            return d
-        t = type(e)
-        if t is Num or t is Var:
-            d = tuple([1.0 if t is Var and e.name == w else 0.0
-                       for w in self.wrt])
-        else:
-            # a call's arguments, else the dataclass fields
-            ops = e.args if t is Call else [
-                getattr(e, field) for field in e.__slots__]
-            leaves = [_leaf(a) for a in ops]
-            d = tuple([self._rule(e, leaves, ds)
-                       for ds in zip(*[self.tangents(a) for a in ops])])
-        self.memo[id(e)] = d
-        return d
-
-    def _rule(self, e: Expr, ops, ds):
-        """diff()'s rule for the node ``e``, given its operands (as terms)
-        and their tangents in one variable."""
-        t = type(e)
-        if t is Neg:
-            return self.neg(ds[0])
-        if t is Add:
-            return self.add(*ds)
-        if t is Sub:
-            return self.sub(*ds)
-        if t is Mul:
-            (a, b), (da, db) = ops, ds
-            return self.add(self.mul(da, b), self.mul(a, db))
-        if t is Div:
-            (a, b), (da, db) = ops, ds
-            if type(db) in _CONST and db == 0.0:
-                return self.div(da, b)
-            return self.div(self.sub(self.mul(da, b), self.mul(a, db)),
-                            self.power(b, 2.0))
-        if t is Pow:
-            (base, expo), (db, de) = ops, ds
-            if type(de) in _CONST and de == 0.0:
-                # c * u^(c-1) * u'
-                if type(expo) in _CONST:
-                    pw = self.power(base, expo - 1.0)
-                else:
-                    pw = self.op2("_pow({}, {})", base, self.sub(expo, 1.0))
-                return self.mul(self.mul(expo, pw), db)
-            # u^v * (v' log u + v u'/u)
-            return self.mul(e, self.add(
-                self.mul(de, self.op("log({})", base)),
-                self.mul(expo, self.div(db, base))))
-        fn = e.fn
-        if fn == "atan2":
-            (a, b), (da, db) = ops, ds
-            return self.div(self.sub(self.mul(b, da), self.mul(a, db)),
-                            self.add(self.power(a, 2.0), self.power(b, 2.0)))
-        (u,), (du,) = ops, ds
-        if type(du) in _CONST and du == 0.0:
-            return 0.0
-        if fn == "sqrt":
-            return self.div(du, self.mul(2.0, self.op("sqrt({})", u)))
-        if fn == "sin":
-            return self.mul(self.op("cos({})", u), du)
-        if fn == "cos":
-            return self.neg(self.mul(self.op("sin({})", u), du))
-        if fn == "exp":
-            return self.mul(self.op("exp({})", u), du)
-        if fn == "log":
-            return self.div(du, u)
-        if fn == "abs":
-            return self.mul(self.op("sign({})", u), du)
-        if fn == "sign":
-            return 0.0
-        raise TypeError(f"unknown function {fn!r}")
+    def __init__(self):
+        self.nodes = {}
 
 
 class _Lines:
@@ -861,8 +712,9 @@ class _Lines:
         while todo:
             e, ops = todo.pop()
             if ops is not None:
-                text[id(e)] = self._assign(
-                    _rhs(e, [text[id(a)] for a in ops]), e)
+                kind = e.fn if type(e) is Call else type(e)
+                text[id(e)] = self._assign(_format(kind, ops).format(
+                    *[text[id(a)] for a in ops]), e)
                 continue
             if id(e) in text:
                 continue
@@ -884,17 +736,17 @@ class _Lines:
         """Emit the lines computing a tangent term whose value nodes have
         their lines already, as ``value`` emits the tree the term stands
         for; the name or literal that holds its value."""
-        if type(root) in _CONST:
-            return _literal(root)
+        if type(root) is Num:
+            return _literal(root.value)
         if type(root) is not _Term:
             return self.text[id(root)]
         text, todo = self.text, [(root, False)]
         while todo:
             t, ready = todo.pop()
             if ready:
-                t.name = self._assign(t.fmt.format(*[
+                t.name = self._assign(_format(t.kind, t.ops).format(*[
                     a.name if type(a) is _Term
-                    else _literal(a) if type(a) in _CONST else text[id(a)]
+                    else _literal(a.value) if type(a) is Num else text[id(a)]
                     for a in t.ops]), None)
             elif t.name is None:
                 todo.append((t, True))
@@ -909,11 +761,12 @@ def _straight_line(exprs, wrt=()):
     each result, and the node each line computes (None for a derivative
     line).  The lines are those of the same code over the expressions
     and their ``diff`` trees."""
-    code, forward, results = _Lines(), _Forward(wrt), []
+    code, terms, results = _Lines(), _Terms(), []
+    memos = [{} for _ in wrt]   # one per variable, for all the expressions
     for e in exprs:
         results.append(code.value(e))
-        if wrt:
-            results.extend(map(code.term, forward.tangents(e)))
+        results.extend([code.term(terms.tangent(e, w, memo))
+                        for w, memo in zip(wrt, memos)])
     return code.lines, results, code.nodes
 
 

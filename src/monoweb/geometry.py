@@ -68,6 +68,19 @@ SEED_GRID = 8
 # of that many values, and all of them live until the call returns.
 FRAME_BLOCK = 2048
 
+# The partition-of-unity check: random probe points per patch, and how far
+# the weights at a probe may sum from 1.
+PARTITION_PROBES = 8
+PARTITION_TOL = 1e-8
+
+# A surface point's tracking loop stays where its owning patch's weight is
+# within this margin of 1.
+WEIGHT_ONE_MARGIN = 1e-6
+
+# The least tolerance of the index theorem's identity, whatever the
+# quadrature's error estimate.
+IDENTITY_TOL_FLOOR = 1e-3
+
 
 def _dot(a, b) -> Expr:
     return add(add(mul(a[0], b[0]), mul(a[1], b[1])), mul(a[2], b[2]))
@@ -374,8 +387,7 @@ def locate_on_patch(patch: SurfacePatch, points, max_iter: int = 40):
     return u, v, np.linalg.norm(at - p.T, axis=0)
 
 
-def check_partition_of_unity(wpatches, probes_per_patch: int = 8,
-                             tol: float = 1e-8, seed: int = 0):
+def check_partition_of_unity(wpatches, seed: int = 0):
     """Verify the declared weights sum to 1 at random probe points.
 
     Each probe is mapped to 3D, and every probe of every patch is located
@@ -390,7 +402,7 @@ def check_partition_of_unity(wpatches, probes_per_patch: int = 8,
         dom = wp.patch.domain
         mx = 0.05 * (dom.xmax - dom.xmin)
         my = 0.05 * (dom.ymax - dom.ymin)
-        for _ in range(probes_per_patch):
+        for _ in range(PARTITION_PROBES):
             u = rng.uniform(dom.xmin + mx, dom.xmax - mx)
             v = rng.uniform(dom.ymin + my, dom.ymax - my)
             probes.append((wp, wp.patch.position(u, v)))
@@ -403,7 +415,7 @@ def check_partition_of_unity(wpatches, probes_per_patch: int = 8,
             if dist[k] <= loc_tol:
                 total += call_compiled(other.weight_fn, float(ou[k]),
                                        float(ov[k]), "weight evaluation")
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > PARTITION_TOL:
             raise WeightsNotPartition(
                 f"weights sum to {total:.12f} (not 1) at the probe "
                 f"point {tuple(p3)} from patch "
@@ -477,19 +489,18 @@ class TheoremReport:
     notes: tuple = ()
 
 
-def _weight_one_radius(wfn, sp: SingularPoint, margin: float,
-                       samples: int = 32) -> float:
+def _weight_one_radius(wfn, sp: SingularPoint, samples: int = 32) -> float:
     """Largest loop radius (at most isolation/2) on which the owning
-    patch weight stays within ``margin`` of 1."""
+    patch weight stays within ``WEIGHT_ONE_MARGIN`` of 1."""
     try:
         w0 = call_compiled(wfn, sp.x, sp.y, "weight evaluation")
     except DomainError:
         raise SingularPointOnPatchBoundary(
             f"weight undefined at the singular point ({sp.x}, {sp.y})")
-    if w0 < 1.0 - margin:
+    if w0 < 1.0 - WEIGHT_ONE_MARGIN:
         raise SingularPointOnPatchBoundary(
             f"owning-patch weight {w0:.9f} at ({sp.x}, {sp.y}) is below "
-            f"1 - {margin}")
+            f"1 - {WEIGHT_ONE_MARGIN}")
     r = sp.isolation_radius / 2.0
     for _ in range(40):
         ok = True
@@ -502,7 +513,7 @@ def _weight_one_radius(wfn, sp: SingularPoint, margin: float,
             except DomainError:
                 ok = False
                 break
-            if w < 1.0 - margin:
+            if w < 1.0 - WEIGHT_ONE_MARGIN:
                 ok = False
                 break
         if ok:
@@ -512,7 +523,7 @@ def _weight_one_radius(wfn, sp: SingularPoint, margin: float,
             break
     raise SingularPointOnPatchBoundary(
         f"no loop radius around ({sp.x}, {sp.y}) keeps the patch weight "
-        f"within {margin} of 1")
+        f"within {WEIGHT_ONE_MARGIN} of 1")
 
 
 def verify_index_theorem(wpatches, bde_source="curvature_lines",
@@ -520,9 +531,6 @@ def verify_index_theorem(wpatches, bde_source="curvature_lines",
                          grid_density: int = 48,
                          singular_tol: float = SINGULAR_TOL,
                          sep_floor: float = SEP_FLOOR,
-                         weight_one_margin: float = 1e-6,
-                         identity_tol_floor: float = 1e-3,
-                         check_partition: bool = True,
                          seed: int = 0) -> TheoremReport:
     """Compute rhs = sum N(x) * total_index(x) by loop tracking and
     lhs = (n/pi) * curvature integral by quadrature, and compare.
@@ -561,8 +569,7 @@ def verify_index_theorem(wpatches, bde_source="curvature_lines",
             except DomainError:
                 w = 0.0
             if w >= 0.5:
-                radius = _weight_one_radius(wp.weight_fn, sp,
-                                            weight_one_margin)
+                radius = _weight_one_radius(wp.weight_fn, sp)
                 rep = index_report(sys, sp, LoopSpec((sp.x, sp.y), radius),
                                    singular_tol=singular_tol,
                                    sep_floor=sep_floor)
@@ -596,11 +603,10 @@ def verify_index_theorem(wpatches, bde_source="curvature_lines",
                      "undefined and the identity is not evaluated")
 
     integral, q_err = integrate_gauss_curvature(
-        wpatches, quadrature_order=quadrature_order,
-        check_partition=check_partition, seed=seed)
+        wpatches, quadrature_order=quadrature_order, seed=seed)
     lhs = n / math.pi * integral
     lhs_err = n / math.pi * q_err
-    tolerance = max(identity_tol_floor, 10.0 * lhs_err)
+    tolerance = max(IDENTITY_TOL_FLOOR, 10.0 * lhs_err)
 
     difference = None
     orientation_flipped = None

@@ -6,14 +6,15 @@ fundamental group of the fiber is an integer winding number m.  The
 pairing normalization is fixed once: the cohomology class used to read
 indices pairs to 1 with the positive generator of the fiber's fundamental
 group, so m is the one canonical integer invariant and every other
-convention is a derived field:
+convention derives from it:
 
 * ``normalized_index``  m/k  — the index of the point per orbit under the
   generator-dual pairing, an exact rational;
 * ``classical_line_index``  m/(2k)  — the line-field index in half-turn
   units (RP^1 fibers only): +-1/2 at generic umbilics;
 * ``fukui_index``  m/(2n)  — the binary-n-form normalization obtained by
-  reading the same lift in the doubled unit-tangent cover.
+  reading the same lift in the doubled unit-tangent cover; only
+  ``alternative_normalizations`` returns it, and reports do not carry it.
 
 Indices are exact ``Fraction`` values; floating point appears only in
 lifts and closure defects.

@@ -362,8 +362,7 @@ def test_singular_point_outside_weight_one_zone():
              BinaryForm.from_strings(["1", "0"], variables=("u", "v"))]
     with pytest.raises(SingularPointOnPatchBoundary):
         verify_index_theorem(stereographic_sphere(), bde_source=forms,
-                             quadrature_order=16, grid_density=24,
-                             check_partition=False)
+                             quadrature_order=16, grid_density=24)
 
 
 def test_theorem_all_umbilic_sphere_rejected():
