@@ -1,8 +1,9 @@
-"""Scalar expressions in two variables with exact first derivatives.
+"""Scalar expressions with exact first derivatives.
 
-Expressions are immutable ASTs over two named variables (``x``/``y`` by
-default, ``u``/``v`` for surface patches), numeric literals, the operators
-``+ - * / ^`` (``^`` right-associative), unary minus, and the functions
+Expressions are immutable ASTs over named variables (``x``/``y`` by
+default, ``u``/``v`` for surface patches; compiled code takes any number
+of them), numeric literals, the operators ``+ - * / ^`` (``^``
+right-associative), unary minus, and the functions
 ``sqrt, sin, cos, exp, log, atan2, abs`` plus the internal helper ``sign``
 (emitted by differentiation of ``abs``).  ``pi`` is a predefined constant.
 
@@ -14,6 +15,9 @@ folds and derivative rules over two kinds of node: :func:`diff` returns a
 derivative as a new expression, and ``compile_value(..., gradient=True)``
 emits the lines of first derivatives by forward mode, the same lines that
 compiling the :func:`diff` trees gives, without building those trees.
+Forward mode may also start from given tangents of the variables, so
+the Jacobian of a composition is the outer code's forward mode applied
+to the inner code's values and tangents.
 """
 
 from __future__ import annotations
@@ -270,25 +274,27 @@ class _Rules:
             return a
         return self.make(Div, a, b)
 
-    def tangent(self, e: Expr, wrt: str, memo: dict):
-        """The derivative of ``e`` with respect to the variable named
-        ``wrt``; ``memo`` maps id(node) to the derivative built for it
-        before."""
+    def tangent(self, e: Expr, memo: dict):
+        """The derivative of ``e`` along one direction.  ``memo`` starts
+        with the tangent of each variable that moves, by name (a variable
+        not in it is constant), and maps id(node) to the derivative built
+        for the node before."""
         d = memo.get(id(e))
         if d is not None:
             return d
         t = type(e)
-        if t is Num or t is Var:
-            d = _ONE if t is Var and e.name == wrt else _ZERO
+        if t is Num:
+            d = _ZERO
+        elif t is Var:
+            d = memo.get(e.name, _ZERO)
         elif t is Neg:
-            d = self.neg(self.tangent(e.a, wrt, memo))
+            d = self.neg(self.tangent(e.a, memo))
         elif t is Call:
-            d = self._call_rule(e, [self.tangent(a, wrt, memo)
-                                    for a in e.args])
+            d = self._call_rule(e, [self.tangent(a, memo) for a in e.args])
         elif t is Pow:
             base, expo = e.base, e.exponent
-            db = self.tangent(base, wrt, memo)
-            de = self.tangent(expo, wrt, memo)
+            db = self.tangent(base, memo)
+            de = self.tangent(expo, memo)
             if type(de) is Num and de.value == 0.0:
                 # c * u^(c-1) * u'
                 d = self.mul(self.mul(expo, self.make(
@@ -300,7 +306,7 @@ class _Rules:
                     self.mul(expo, self.div(db, base))))
         elif t in (Add, Sub, Mul, Div):
             a, b = e.a, e.b
-            da, db = self.tangent(a, wrt, memo), self.tangent(b, wrt, memo)
+            da, db = self.tangent(a, memo), self.tangent(b, memo)
             if t is Add:
                 d = self.add(da, db)
             elif t is Sub:
@@ -384,7 +390,9 @@ def diff(e: Expr, wrt: str, memo=None) -> Expr:
     occurrences share the derivative: within one call, and across calls
     with the same ``wrt`` that pass one ``memo`` dict.
     """
-    return _TREES.tangent(e, wrt, {} if memo is None else memo)
+    memo = {} if memo is None else memo
+    memo[wrt] = _ONE
+    return _TREES.tangent(e, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +591,18 @@ _PREC = {"add": 1, "mul": 2, "neg": 2, "pow": 3, "atom": 4}
 
 
 def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
+    """A literal's text: an integer value without a fraction, -0.0 as
+    ``-0``; a non-finite value (which only folding makes) as ``inf``,
+    ``-inf`` or ``nan``, which do not parse."""
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+        return "-0" if v == 0 and math.copysign(1.0, v) < 0 else str(int(v))
     return repr(v)
 
 
 def _print(e: Expr, parent_prec: int) -> str:
     if isinstance(e, Num):
         s = _fmt_num(e.value)
-        if e.value < 0 and parent_prec > _PREC["add"]:
+        if s.startswith("-") and parent_prec > _PREC["add"]:
             return f"({s})"
         return s
     if isinstance(e, Var):
@@ -618,7 +629,8 @@ def _print(e: Expr, parent_prec: int) -> str:
 
 
 def to_source(e: Expr) -> str:
-    """Canonical text form; ``parse(to_source(e))`` evaluates like ``e``."""
+    """Canonical text form; ``parse(to_source(e))`` evaluates like ``e``
+    with its literals read as floats, bit for bit, -0.0 included."""
     return _print(e, 0)
 
 
@@ -756,18 +768,28 @@ class _Lines:
 
 
 def _straight_line(exprs, wrt=()):
-    """Assignment lines computing ``exprs``, each followed by its partial
-    derivatives in the variables ``wrt``; the name or literal that holds
-    each result, and the node each line computes (None for a derivative
-    line).  The lines are those of the same code over the expressions
-    and their ``diff`` trees."""
-    code, terms, results = _Lines(), _Terms(), []
-    memos = [{} for _ in wrt]   # one per variable, for all the expressions
+    """Assignment lines computing ``exprs``, each followed by its
+    derivatives along the directions ``wrt``; the name or literal that
+    holds each result, the node each line computes (None for a derivative
+    line), and each result that is a literal (a Num, else None).  A
+    direction is the name of a variable, for the partial derivative in
+    it, or a map from the names of the variables that move to their
+    tangents (a Num, or the Var of a parameter).  The lines are those of
+    the same code over the expressions and their ``diff`` trees."""
+    code, terms, results, outs = _Lines(), _Terms(), [], []
+    # one memo per direction, for all the expressions
+    memos = [{w: _ONE} if type(w) is str else dict(w) for w in wrt]
+    code.text.update((id(t), t.name) for memo in memos
+                     for t in memo.values() if type(t) is Var)
     for e in exprs:
         results.append(code.value(e))
-        results.extend([code.term(terms.tangent(e, w, memo))
-                        for w, memo in zip(wrt, memos)])
-    return code.lines, results, code.nodes
+        outs.append(e)
+        for memo in memos:
+            t = terms.tangent(e, memo)
+            results.append(code.term(t))
+            outs.append(t)
+    return (code.lines, results, code.nodes,
+            tuple(t if type(t) is Num else None for t in outs))
 
 
 def _sign(t: float) -> float:
@@ -834,30 +856,41 @@ def vec_errstate():
 
 
 def _compile(exprs, variables, wrt=()):
-    """The compiled scalar function of ``_straight_line(exprs, wrt)``, and
-    the node computed on each line of its body; body line i is line i + 2
-    of the ``<expr>`` source."""
-    lines, results, nodes = _straight_line(exprs, wrt)
-    src = "\n".join([f"def _f({variables[0]}, {variables[1]}):", *lines,
+    """The compiled scalar function of ``_straight_line(exprs, wrt)``,
+    whose ``literals`` attribute holds the result that is a literal at
+    each position (a Num, else None), and the node computed on each line
+    of its body; body line i is line i + 2 of the ``<expr>`` source."""
+    lines, results, nodes, literals = _straight_line(exprs, wrt)
+    src = "\n".join([f"def _f({', '.join(variables)}):", *lines,
                      f"    return {', '.join(results)}"])
     ns = _scalar_namespace()
     exec(compile(src, "<expr>", "exec"), ns)
-    return ns["_f"], nodes
+    fn = ns["_f"]
+    fn.literals = literals
+    return fn, nodes
 
 
 def compile_value(*exprs: Expr, variables=("x", "y"), gradient=False):
-    """Compile to a fast scalar callable f(x, y).
+    """Compile to a fast scalar callable f(x, y), or with other
+    ``variables`` a function of them in that order.
 
     f returns the value of the one expression, or a tuple with the value
-    of each expression in order; with ``gradient``, each value is
-    followed by its partial derivatives in the two variables, computed
-    as the code of the ``diff`` trees would compute them.  The body is
-    straight-line code in which each distinct subexpression of all the
-    expressions is computed once.  Exceptions from math functions
-    (ValueError, ZeroDivisionError, OverflowError) propagate raw;
-    ``call_compiled`` converts them.
+    of each expression in order.  With ``gradient``, each value is
+    followed by its derivatives, computed as the code of the ``diff``
+    trees would compute them: with ``True`` its partial derivatives in
+    the variables, else along each direction of the sequence
+    ``gradient``.  A direction maps the name of each variable that moves
+    to its tangent, a Num or the Var of one of the ``variables`` (a
+    parameter), and other variables are constant: forward mode started
+    from the given tangents of the inputs, the chain rule of a
+    composition.  ``f.literals`` holds the result that is a literal at
+    each position (a Num, else None).  The body is straight-line code in
+    which each distinct subexpression of all the expressions is computed
+    once.  Exceptions from math functions (ValueError, ZeroDivisionError,
+    OverflowError) propagate raw; ``call_compiled`` converts them.
     """
-    return _compile(exprs, variables, variables if gradient else ())[0]
+    wrt = variables if gradient is True else gradient or ()
+    return _compile(exprs, variables, wrt)[0]
 
 
 def as_vector(f):

@@ -3,12 +3,18 @@
 A closed surface is described as a list of parametric patches with
 partition-of-unity weights (no atlas transition machinery).  From a patch
 the curvature-line binary form is assembled symbolically; its singular
-points are the umbilics.  ``verify_index_theorem`` computes both sides of
-the index-sum identity independently: the right side by loop tracking at
-every owned singular point (exact rational), the left side as
-(n/pi) * integral of Gaussian curvature by tensor-product Gauss-Legendre
-quadrature.  The identity is the assertion under test; the report never
-adjusts one side to match the other.
+points are the umbilics.  Its coefficients are one fixed formula in the
+15 frame values su, sv, suu, suv, svv, so ``verify_index_theorem``
+compiles that formula and its Jacobian once, and the system of each
+patch evaluates them on the patch's compiled frame and frame jets (the
+frame values with their derivatives in u and v).
+
+``verify_index_theorem`` computes both sides of the index-sum identity
+independently: the right side by loop tracking at every owned singular
+point (exact rational), the left side as (n/pi) * integral of Gaussian
+curvature by tensor-product Gauss-Legendre quadrature.  The identity is
+the assertion under test; the report never adjusts one side to match
+the other.
 
 The (n/pi) reduction constant of the curvature integral is validated by
 the shipped sphere case with a degree-1 direction field (two index-2
@@ -25,9 +31,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import (VEC_ERRORS, DomainError, Expr, add, as_vector,
-                   call_compiled, compile_value, compile_value_vec, diff, div,
-                   mul, parse, stack_vec, sub, vec_errstate)
+from .expr import (VEC_ERRORS, DomainError, Expr, Var, add, as_vector,
+                   call_compiled, compile_value, diff, div, mul, parse,
+                   stack_vec, sub, vec_errstate)
 from .expr import call as expr_call
 from .fiber import (BinaryForm, ProjectiveSystem, Rect, SEP_FLOOR,
                     SINGULAR_TOL, SingularPoint, find_singularities)
@@ -183,8 +189,21 @@ class SurfacePatch:
         return as_vector(self._chart_fn)
 
     @cached_property
+    def _frame_fn(self):
+        """su, sv, suu, suv, svv, component by component."""
+        return compile_value(*self._frame_exprs, variables=self.variables)
+
+    @cached_property
     def _frame_vec_fn(self):
-        return compile_value_vec(*self._frame_exprs, variables=self.variables)
+        return as_vector(self._frame_fn)
+
+    @cached_property
+    def _jet_fn(self):
+        """The frame jets: each value of ``_frame_fn`` followed by its
+        derivatives in u and v.  Compiled on first use, by the
+        Gauss-Newton refinement of a curvature-line face."""
+        return compile_value(*self._frame_exprs, variables=self.variables,
+                             gradient=True)
 
     @cached_property
     def _brioschi_fn(self):
@@ -284,6 +303,24 @@ def gaussian_curvature_brioschi(patch: SurfacePatch, u: float, v: float
     return float((np.linalg.det(M1) - np.linalg.det(M2)) / W2 ** 2)
 
 
+def _curvature_coeffs(su, sv, suu, suv, svv):
+    """The coefficients a0, a1, a2 of the curvature-line form, from the
+    frame vectors."""
+    E = _dot(su, su)
+    F = _dot(su, sv)
+    G = _dot(sv, sv)
+    n = _cross(su, sv)
+    W2 = _dot(n, n)
+    Lt = _dot(n, suu)
+    Mt = _dot(n, suv)
+    Nt = _dot(n, svv)
+    denom = mul(W2, expr_call("sqrt", W2))
+    a0 = div(sub(mul(E, Mt), mul(F, Lt)), denom)
+    a1 = div(sub(mul(E, Nt), mul(G, Lt)), denom)
+    a2 = div(sub(mul(F, Nt), mul(G, Mt)), denom)
+    return a0, a1, a2
+
+
 def curvature_line_bde(patch: SurfacePatch) -> BinaryForm:
     """Degree-2 form whose roots are the principal directions.
 
@@ -291,21 +328,109 @@ def curvature_line_bde(patch: SurfacePatch) -> BinaryForm:
     scale-free across patch compression; the singular points are exactly
     the umbilics.
     """
-    du, dv = patch.d1
-    duu, duv, dvv = patch.d2
-    E = _dot(du, du)
-    F = _dot(du, dv)
-    G = _dot(dv, dv)
-    n = _cross(du, dv)
-    W2 = _dot(n, n)
-    Lt = _dot(n, duu)
-    Mt = _dot(n, duv)
-    Nt = _dot(n, dvv)
-    denom = mul(W2, expr_call("sqrt", W2))
-    a0 = div(sub(mul(E, Mt), mul(F, Lt)), denom)
-    a1 = div(sub(mul(E, Nt), mul(G, Lt)), denom)
-    a2 = div(sub(mul(F, Nt), mul(G, Mt)), denom)
-    return BinaryForm(2, (a0, a1, a2), patch.variables)
+    return BinaryForm(2, _curvature_coeffs(*patch.d1, *patch.d2),
+                      patch.variables)
+
+
+# The inputs of the compiled curvature-line formula: the frame values in
+# the order of ``SurfacePatch._frame_fn``, and the jets in the order of
+# ``SurfacePatch._jet_fn``, each frame value followed by its derivatives.
+_FRAME = tuple(f"{vec}_{c}" for vec in ("su", "sv", "suu", "suv", "svv")
+               for c in "xyz")
+_JETS = tuple(f"{name}{d}" for name in _FRAME for d in ("", "_du", "_dv"))
+
+
+def _literal_key(literals):
+    """A pattern of literal inputs as a dict key: repr keeps 0.0 and -0.0
+    apart, which compare equal."""
+    return tuple(None if n is None else repr(n.value) for n in literals)
+
+
+class _CurvatureFormula:
+    """The curvature-line coefficients compiled as a function of the frame
+    values, and their Jacobian as a function of the frame jets, for the
+    faces of one surface.
+
+    The folds that build a face's coefficient trees fire on literal
+    operands, so an input that a face's frame code returns as a literal
+    (the 1 of su = (1, 0, z_u) on a graph chart) is substituted into the
+    formula before it is compiled.  Then the formula's code performs the
+    operations of the face's own coefficient code on the same values, and
+    gives the same bits.  One compiled function is kept per pattern of
+    literal inputs; charts without literals share one.
+    """
+
+    def __init__(self):
+        self._values = {}
+        self._jacobians = {}
+
+    def values(self, literals):
+        """Scalar and vector coefficient functions of the frame values,
+        for a frame code whose ``literals`` these are."""
+        key = _literal_key(literals)
+        fns = self._values.get(key)
+        if fns is None:
+            frame = [Var(name) if lit is None else lit
+                     for name, lit in zip(_FRAME, literals)]
+            fn = compile_value(*_curvature_coeffs(*_vectors(frame)),
+                               variables=_FRAME)
+            fns = self._values[key] = fn, as_vector(fn)
+        return fns
+
+    def jacobian(self, literals):
+        """The coefficients, each followed by its derivatives in u and v,
+        as a function of the jets, for a jet code whose ``literals`` these
+        are: forward mode started from the tangents of the frame."""
+        key = _literal_key(literals)
+        fn = self._jacobians.get(key)
+        if fn is None:
+            frame, du, dv = [], {}, {}
+            for k, name in enumerate(_FRAME):
+                lit, lit_u, lit_v = literals[3 * k:3 * k + 3]
+                if lit is not None:   # then its tangents are 0
+                    frame.append(lit)
+                    continue
+                frame.append(Var(name))
+                du[name] = Var(name + "_du") if lit_u is None else lit_u
+                dv[name] = Var(name + "_dv") if lit_v is None else lit_v
+            fn = self._jacobians[key] = compile_value(
+                *_curvature_coeffs(*_vectors(frame)), variables=_JETS,
+                gradient=(du, dv))
+        return fn
+
+
+def _vectors(frame):
+    """su, sv, suu, suv, svv from the 15 frame values."""
+    return [frame[k:k + 3] for k in range(0, 15, 3)]
+
+
+@dataclass(frozen=True)
+class _CurvatureLineSystem(ProjectiveSystem):
+    """``ProjectiveSystem(patch.domain, form=curvature_line_bde(patch))``
+    whose code is composed: the coefficients are ``formula`` applied to
+    the patch's frame values, and their Jacobian is ``formula``'s Jacobian
+    applied to the frame jets.  Each face compiles only its jets; its
+    frame code is the one the patch compiled on construction."""
+    patch: SurfacePatch = None
+    formula: _CurvatureFormula = None
+
+    @cached_property
+    def _component_fn(self):
+        frame = self.patch._frame_fn
+        coeffs = self.formula.values(frame.literals)[0]
+        return lambda u, v: coeffs(*frame(u, v))
+
+    @cached_property
+    def _component_vec_fn(self):
+        frame = self.patch._frame_vec_fn
+        coeffs = self.formula.values(self.patch._frame_fn.literals)[1]
+        return lambda u, v: coeffs(*frame(u, v))
+
+    @cached_property
+    def _component_grad_fn(self):
+        jets = self.patch._jet_fn
+        jacobian = self.formula.jacobian(jets.literals)
+        return lambda u, v: jacobian(*jets(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -537,17 +662,27 @@ def verify_index_theorem(wpatches, bde_source="curvature_lines",
 
     ``bde_source`` is either "curvature_lines" (the form is assembled from
     each patch) or a list of explicit BinaryForm values, one per patch in
-    patch coordinates.  Each singular point is owned by the patch whose
+    patch coordinates.  With "curvature_lines" the coefficient formula
+    and its Jacobian are compiled once per call for all the patches (once
+    per pattern of literal frame values, see ``_CurvatureFormula``), and
+    each patch compiles only its frame jets, when it first refines a
+    singular point.  Each singular point is owned by the patch whose
     weight exceeds 1/2 there; the tracking loop must stay in the owning
     patch's weight-1 region.
     """
     wpatches = list(wpatches)
     if bde_source == "curvature_lines":
         forms = [curvature_line_bde(wp.patch) for wp in wpatches]
+        formula = _CurvatureFormula()
+        systems = [_CurvatureLineSystem(wp.patch.domain, form=form,
+                                        patch=wp.patch, formula=formula)
+                   for wp, form in zip(wpatches, forms)]
     else:
         forms = list(bde_source)
         if len(forms) != len(wpatches):
             raise ValueError("need one explicit form per patch")
+        systems = [ProjectiveSystem(wp.patch.domain, form=form)
+                   for wp, form in zip(wpatches, forms)]
     degrees = {f.degree for f in forms}
     if len(degrees) != 1:
         raise ValueError(f"patch forms disagree on the sheet count: "
@@ -556,9 +691,8 @@ def verify_index_theorem(wpatches, bde_source="curvature_lines",
 
     records = []
     unowned = []
-    for i, (wp, form) in enumerate(zip(wpatches, forms)):
+    for i, (wp, sys) in enumerate(zip(wpatches, systems)):
         name = wp.patch.name or f"patch{i}"
-        sys = ProjectiveSystem(wp.patch.domain, form=form)
         pts = find_singularities(sys, grid_density=grid_density,
                                  tol=singular_tol, sep_floor=sep_floor)
         for sp in pts:

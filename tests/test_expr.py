@@ -661,3 +661,118 @@ def test_forward_jacobian_lines_on_shipped_problems():
         names.append(name)
     assert names.count("ellipsoid_321.json") == 6
     assert len(set(names)) == len(list(PROBLEMS.glob("*.json")))
+
+
+# --- the printer keeps every literal; Jacobians from given input tangents --
+
+
+def test_to_source_prints_a_negative_zero():
+    e = ex.call("atan2", ex.Num(-0.0), ex.Var("x"))
+    assert to_source(e) == "atan2(-0, x)"
+    assert eval_expr(parse(to_source(e)), -1.0, 0.0) == -math.pi
+    assert to_source(ex.Mul(ex.Var("x"), ex.Num(-0.0))) == "x*(-0)"
+    assert to_source(ex.Num(0.0)) == "0"
+
+
+def test_to_source_prints_non_finite_literals():
+    # folding can make them; an error message that prints one must not
+    # raise in turn
+    x = ex.Var("x")
+    assert to_source(ex.Mul(ex.Num(math.inf), x)) == "inf*x"
+    assert to_source(ex.Mul(x, ex.Num(-math.inf))) == "x*(-inf)"
+    assert to_source(ex.Add(x, ex.Num(math.nan))) == "x + nan"
+    assert "in `inf*x`" in str(DomainError("failed", ex.Mul(ex.Num(math.inf),
+                                                           x)))
+
+
+def _floats(e):
+    """``e`` with each literal a float, as the parser reads it."""
+    if isinstance(e, ex.Num):
+        return ex.Num(float(e.value))
+    if isinstance(e, ex.Var):
+        return e
+    if isinstance(e, ex.Call):
+        return ex.Call(e.fn, tuple(_floats(a) for a in e.args))
+    return type(e)(*(_floats(getattr(e, f)) for f in e.__slots__))
+
+
+def _outcome(e, x, y):
+    try:
+        return float(eval_expr(e, x, y)).hex()
+    except DomainError:
+        return "DomainError"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tree=_JACOBIAN_TREES)
+def test_printed_trees_evaluate_bit_for_bit(tree):
+    back = parse(to_source(tree))
+    for x, y in [(-1.0, 0.5), (0.7, -0.3), (-0.0, -2.0), (1.5, 0.0)]:
+        assert _outcome(back, x, y) == _outcome(_floats(tree), x, y), (
+            to_source(tree), x, y)
+
+
+def _substitute(e, nodes, memo=None):
+    """``e`` with each variable named in ``nodes`` replaced by its node,
+    rebuilt without folding."""
+    memo = {} if memo is None else memo
+    if id(e) in memo:
+        return memo[id(e)]
+    if isinstance(e, ex.Num):
+        out = e
+    elif isinstance(e, ex.Var):
+        out = nodes.get(e.name, e)
+    elif isinstance(e, ex.Call):
+        out = ex.Call(e.fn, tuple(_substitute(a, nodes, memo)
+                                  for a in e.args))
+    else:
+        out = type(e)(*(_substitute(getattr(e, f), nodes, memo)
+                        for f in e.__slots__))
+    memo[id(e)] = out
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(outer=_JACOBIAN_TREES, inner=st.tuples(_JACOBIAN_TREES,
+                                              _JACOBIAN_TREES))
+def test_jacobian_from_given_tangents_is_the_chain_rule(outer, inner):
+    # outer(g(x, y), h(x, y)) two ways: its Jacobian compiled whole, and
+    # the Jacobian of outer over (a, b), started from the tangents of g
+    # and h that the inner code returns.  An inner result that is a
+    # literal is substituted into outer, as its folds would see it whole.
+    outer, inner = _floats(outer), tuple(map(_floats, inner))
+    whole = compile_value(_substitute(outer, dict(zip("xy", inner))),
+                          gradient=True)
+    jets = compile_value(*inner, gradient=True)
+    args, du, dv = [], {}, {}
+    for name, (lit, lit_u, lit_v) in zip("ab", (jets.literals[:3],
+                                                 jets.literals[3:])):
+        args.append(ex.Var(name) if lit is None else lit)
+        if lit is None:
+            du[name] = ex.Var(name + "_u") if lit_u is None else lit_u
+            dv[name] = ex.Var(name + "_v") if lit_v is None else lit_v
+    composed = compile_value(
+        _substitute(outer, dict(zip("xy", args))),
+        variables=("a", "a_u", "a_v", "b", "b_u", "b_v"), gradient=(du, dv))
+    for x, y in [(0.7, 0.3), (-1.3, 0.6), (0.0, -0.5), (-0.0, 0.0)]:
+        try:
+            got = composed(*jets(x, y))
+        except (ArithmeticError, ValueError):
+            # the inner code computes every tangent, also one that the
+            # whole Jacobian folds away
+            continue
+        assert [float(v).hex() for v in whole(x, y)] == [
+            float(v).hex() for v in got], (to_source(outer), x, y)
+
+
+def test_compiled_functions_take_any_number_of_variables():
+    e = parse("a*b - c/d + e", ("a", "b", "c", "d", "e"))
+    f = compile_value(e, e * e, variables=("a", "b", "c", "d", "e"))
+    assert f(1.0, 2.0, 3.0, 4.0, 5.0) == (6.25, 6.25 * 6.25)
+    assert f.literals == (None, None)
+    g = compile_value(ex.Num(2.0), parse("x"), gradient=True)
+    assert g(3.0, 4.0) == (2.0, 0.0, 0.0, 3.0, 1.0, 0.0)
+    assert [n if n is None else n.value for n in g.literals] == [
+        2.0, 0.0, 0.0, None, 1.0, 0.0]

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from monoweb import expr, geometry
 from monoweb.cli import load_problem
@@ -405,18 +407,18 @@ def test_patch_grid_underflow_is_not_a_domain_error():
     assert math.isfinite(value)
 
 
-def test_face_code_compiles_twice_and_calls_diff_never(monkeypatch):
-    # value code (scalar and vector share it) and Jacobian code; the
-    # Jacobian lines come from forward mode, not from diff() trees
-    wp = load_problem(str(PROBLEMS / "ellipsoid_321.json")).surface[0]
-    system = ProjectiveSystem(wp.patch.domain,
-                              form=curvature_line_bde(wp.patch))
-    system.components
+def _count_compile_and_diff(monkeypatch):
+    """Count the calls of Python's ``compile`` by the code generator and of
+    ``diff`` from every monoweb module; the counts, and the source of each
+    compiled function."""
     calls = {"diff": 0, "compile": 0}
+    sources = []
 
     def counting(name, fn):
         def counted(*args, **kwargs):
             calls[name] += 1
+            if name == "compile":
+                sources.append(args[0])
             return fn(*args, **kwargs)
         return counted
 
@@ -427,9 +429,162 @@ def test_face_code_compiles_twice_and_calls_diff_never(monkeypatch):
         if (getattr(mod, "__name__", "").startswith("monoweb")
                 and getattr(mod, "diff", None) is diff):
             monkeypatch.setattr(mod, "diff", counting("diff", diff))
+    return calls, sources
+
+
+def test_face_code_compiles_twice_and_calls_diff_never(monkeypatch):
+    # value code (scalar and vector share it) and Jacobian code; the
+    # Jacobian lines come from forward mode, not from diff() trees
+    wp = load_problem(str(PROBLEMS / "ellipsoid_321.json")).surface[0]
+    system = ProjectiveSystem(wp.patch.domain,
+                              form=curvature_line_bde(wp.patch))
+    system.components
+    calls, _ = _count_compile_and_diff(monkeypatch)
     system._component_fn, system._component_vec_fn
     system._component_grad_fn
     assert calls == {"diff": 0, "compile": 2}
+
+
+def test_theorem_compiles_the_curvature_formula_once(monkeypatch):
+    # the formula's value and Jacobian code once for the six faces; each
+    # face compiles its frame jets, and neither its coefficients nor
+    # their Jacobian as code of its own
+    prob = load_problem(str(PROBLEMS / "ellipsoid_321.json"))
+    faces = [wp.patch for wp in prob.surface]
+    composed = [expr._straight_line(curvature_line_bde(p).coeffs, wrt)[0]
+                for p in faces for wrt in ((), p.variables)]
+    calls, sources = _count_compile_and_diff(monkeypatch)
+    report = verify_index_theorem(
+        prob.surface, quadrature_order=prob.quadrature_order,
+        grid_density=prob.grid_density)
+    assert report.identity_ok and len(report.point_records) == 4
+
+    def signature(names):
+        return f"def _f({', '.join(names)}):"
+
+    heads = [src.split("\n", 1)[0] for src in sources]
+    assert heads.count(signature(geometry._FRAME)) == 1
+    assert heads.count(signature(geometry._JETS)) == 1
+    for lines in composed:
+        assert not any("\n".join(lines) in src for src in sources)
+    jets = [src for src in sources if src.startswith("def _f(u, v):")
+            and src.rsplit("return ", 1)[1].count(",") == 44]
+    assert len(jets) == 6   # every face refines a grid candidate
+    assert all(len(src.splitlines()) - 2 <= 450 for src in jets)
+    assert calls["diff"] == 0
+
+
+def _face_outcomes(system, points):
+    """For each point: the coefficients and the rows of their Jacobian as
+    ``float.hex``, or the type and message of the error raised; and the
+    vector rows at all the points, or the type of the error the vector
+    call signals."""
+    out = []
+    for u, v in points:
+        for get in (system.component_values, system.residual_vector):
+            try:
+                out.append([float(x).hex() for part in get(u, v)
+                            for x in np.ravel(part)])
+            except DomainError as e:
+                out.append((type(e).__name__, str(e)))
+    U, V = np.array(points).T
+    try:
+        with expr.vec_errstate():
+            rows = expr.stack_vec(system._component_vec_fn(U, V), U.shape)
+        out.append([float(x).hex() for x in rows.ravel()])
+    except expr.VEC_ERRORS as e:
+        out.append(type(e).__name__)
+    with np.errstate(all="ignore"):
+        rows = expr.stack_vec(system._component_vec_fn(U, V), U.shape)
+    out.append([float(x).hex() for x in rows.ravel()])
+    return out
+
+
+def _assert_faces_equal_their_forms(patches, points):
+    """Each curvature-line face system, with one formula for all the
+    patches, computes what the system of its form computes, bit for
+    bit."""
+    formula = geometry._CurvatureFormula()
+    for patch in patches:
+        form = curvature_line_bde(patch)
+        composed = geometry._CurvatureLineSystem(
+            patch.domain, form=form, patch=patch, formula=formula)
+        want = _face_outcomes(ProjectiveSystem(patch.domain, form=form),
+                              points)
+        assert _face_outcomes(composed, points) == want, patch.name
+    return formula
+
+
+def _random_points(patch, count, seed):
+    rng = random.Random(seed)
+    d = patch.domain
+    return [(rng.uniform(d.xmin, d.xmax), rng.uniform(d.ymin, d.ymax))
+            for _ in range(count)]
+
+
+def test_face_systems_equal_their_forms_on_shipped_surfaces():
+    for name in ("ellipsoid_321", "sphere_all_umbilic"):
+        patches = [wp.patch
+                   for wp in load_problem(str(PROBLEMS / f"{name}.json")
+                                          ).surface]
+        points = _random_points(patches[0], 40, 3) + [(0.0, 0.0), (0.0, 0.5)]
+        formula = _assert_faces_equal_their_forms(patches, points)
+        # charts without literal frame values share one formula
+        assert len(formula._values) == len(formula._jacobians) == 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(c=st.floats(0.8, 1.2), ratio=st.floats(1.8, 2.2),
+       s=st.floats(0.7, 0.8))
+def test_face_systems_equal_their_forms_on_ellipsoids(c, ratio, s):
+    # the band of axes that the surface_theorem benchmark draws from
+    b = c * ratio
+    a = math.sqrt(b * b + (b * b - c * c) / (s * s))
+    patches = [wp.patch for wp in cube_face_ellipsoid(a, b, c)]
+    _assert_faces_equal_their_forms(
+        patches, _random_points(patches[0], 12, 5) + [(0.0, 0.0)])
+
+
+@pytest.mark.parametrize("xyz, domain", [
+    (("u", "v", "u^3 - 3*u*v^2"), Rect(-1, 1, -1, 1)),
+    (("u", "v", "u^2 + 2*v^2"), Rect(-1, 1, -1, 1)),
+    (("u", "v", "0.1*u*v"), Rect(-1, 1, -1, 1)),
+    (("(2+0.75*cos(u))*cos(v)", "(2+0.75*cos(u))*sin(v)", "0.75*sin(u)"),
+     Rect(0, 2 * math.pi, 0, 2 * math.pi)),
+    # EG - F^2 vanishes at u = 0 (between the probe grid's nodes): every
+    # evaluation there divides by zero
+    (("u^3", "v", "u^2 + v^2"), Rect(-1, 1.1, -1, 1)),
+    # a graph chart whose sqrt fails outside the unit disc
+    (("u", "v", "sqrt(1 - u^2 - v^2)"), Rect(-0.6, 0.6, -0.6, 0.6)),
+])
+def test_face_systems_equal_their_forms_on_charts_with_literals(xyz, domain):
+    # graph charts have literal frame values (su = (1, 0, z_u)), whose
+    # folds the formula must see; axis points give signed zeros
+    patch = SurfacePatch.from_strings(*xyz, domain, name=xyz[2])
+    points = _random_points(patch, 40, 7) + [
+        (0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (-0.0, 0.0), (0.0, -0.0),
+        (1.0, 0.5)]
+    _assert_faces_equal_their_forms([patch], points)
+
+
+def test_face_systems_fail_as_their_forms_do():
+    # the error type and message at a failing point, by each route
+    patch = SurfacePatch.from_strings("u^3", "v", "u^2 + v^2",
+                                      Rect(-1, 1.1, -1, 1))
+    form = curvature_line_bde(patch)
+    composed = geometry._CurvatureLineSystem(
+        patch.domain, form=form, patch=patch,
+        formula=geometry._CurvatureFormula())
+    for system in (ProjectiveSystem(patch.domain, form=form), composed):
+        with pytest.raises(DomainError, match=r"^coefficient evaluation "
+                           r"failed at \(0.0, 0.5\): float division by "
+                           r"zero$"):
+            system.component_values(0.0, 0.5)
+        with pytest.raises(DomainError, match=r"^Jacobian evaluation "
+                           r"failed at \(0.0, 0.5\): float division by "
+                           r"zero$"):
+            system.residual_vector(0.0, 0.5)
 
 
 def test_frame_grids_in_blocks_equal_one_call_on_the_grid():
