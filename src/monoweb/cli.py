@@ -505,7 +505,7 @@ def run_verify_theorem(prob: Problem, seed: int = 0):
             quadrature_order=prob.quadrature_order,
             grid_density=prob.grid_density,
             singular_tol=prob.singular_tol, sep_floor=prob.sep_floor,
-            seed=seed)
+            seed=seed, samples=prob.samples, max_depth=prob.max_depth)
     except NUMERICAL_ERRORS as e:
         log.error("numerical failure: %s", e)
         report["error"] = _error_json(e)

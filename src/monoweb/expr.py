@@ -10,8 +10,11 @@ right-associative), unary minus, and the functions
 Expressions are evaluated only through compiled straight-line code
 (:func:`compile_value`, :func:`compile_value_vec`; :func:`eval_expr` is a
 checked one-off call of it).  One compiled body serves scalar and numpy
-evaluation (:func:`as_vector`).  First derivatives come from one set of
-folds and derivative rules over two kinds of node: :func:`diff` returns a
+evaluation: a compiled function ``f`` carries its numpy form as
+``f.vector``, and :func:`eval_rows` is the one path that evaluates it at
+many points, by one numpy call or, where that fails, by the scalar code
+point by point.  First derivatives come from one set of folds and
+derivative rules over two kinds of node: :func:`diff` returns a
 derivative as a new expression, and ``compile_value(..., gradient=True)``
 emits the lines of first derivatives by forward mode, the same lines that
 compiling the :func:`diff` trees gives, without building those trees.
@@ -29,12 +32,14 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "ParseError", "DomainError",
     "parse", "to_source", "eval_expr", "diff",
     "compile_value", "compile_value_vec", "as_vector", "call_compiled",
-    "stack_vec", "vec_errstate", "VEC_ERRORS",
+    "stack_vec", "vec_errstate", "VEC_ERRORS", "eval_rows",
     "add", "sub", "mul", "div", "neg", "call", "num", "var",
     "MAX_DEPTH",
 ]
@@ -823,20 +828,19 @@ def _scalar_namespace():
     }
 
 
-def _vector_namespace():
-    import numpy as np
+def _vector_pow(b, c):
+    # each branch sees harmless operands where the other one is taken
+    whole = c == np.round(c)
+    return np.where(whole, np.float_power(b, np.where(whole, c, 0.0)),
+                    np.exp(c * np.log(np.where(whole, 1.0, b))))[()]
 
-    def _pow(b, c):
-        # each branch sees harmless operands where the other one is taken
-        whole = c == np.round(c)
-        return np.where(whole, np.float_power(b, np.where(whole, c, 0.0)),
-                        np.exp(c * np.log(np.where(whole, 1.0, b))))[()]
 
-    return {
-        "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos,
-        "exp": np.exp, "log": np.log, "abs": np.abs, "sign": np.sign,
-        "atan2": np.arctan2, "_pow": _pow, "_ipow": np.float_power,
-    }
+# The one namespace of every vector form.
+_VECTOR_NAMESPACE = {
+    "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos,
+    "exp": np.exp, "log": np.log, "abs": np.abs, "sign": np.sign,
+    "atan2": np.arctan2, "_pow": _vector_pow, "_ipow": np.float_power,
+}
 
 
 # Exceptions a vectorised evaluation raises under ``vec_errstate``, as
@@ -850,7 +854,6 @@ def vec_errstate():
     must fail where scalar evaluation fails: division by zero, overflow and
     invalid operations raise (``VEC_ERRORS``), and underflow is ignored,
     as Python floats round it to zero without an error."""
-    import numpy as np
     return np.errstate(divide="raise", over="raise", invalid="raise",
                        under="ignore")
 
@@ -858,8 +861,9 @@ def vec_errstate():
 def _compile(exprs, variables, wrt=()):
     """The compiled scalar function of ``_straight_line(exprs, wrt)``,
     whose ``literals`` attribute holds the result that is a literal at
-    each position (a Num, else None), and the node computed on each line
-    of its body; body line i is line i + 2 of the ``<expr>`` source."""
+    each position (a Num, else None) and whose ``vector`` attribute is its
+    vector form (``as_vector``), and the node computed on each line of its
+    body; body line i is line i + 2 of the ``<expr>`` source."""
     lines, results, nodes, literals = _straight_line(exprs, wrt)
     src = "\n".join([f"def _f({', '.join(variables)}):", *lines,
                      f"    return {', '.join(results)}"])
@@ -867,6 +871,7 @@ def _compile(exprs, variables, wrt=()):
     exec(compile(src, "<expr>", "exec"), ns)
     fn = ns["_f"]
     fn.literals = literals
+    fn.vector = as_vector(fn)
     return fn, nodes
 
 
@@ -884,10 +889,12 @@ def compile_value(*exprs: Expr, variables=("x", "y"), gradient=False):
     parameter), and other variables are constant: forward mode started
     from the given tangents of the inputs, the chain rule of a
     composition.  ``f.literals`` holds the result that is a literal at
-    each position (a Num, else None).  The body is straight-line code in
-    which each distinct subexpression of all the expressions is computed
-    once.  Exceptions from math functions (ValueError, ZeroDivisionError,
-    OverflowError) propagate raw; ``call_compiled`` converts them.
+    each position (a Num, else None), and ``f.vector`` is the same code
+    run on numpy arrays, as ``compile_value_vec`` returns it.  The body is
+    straight-line code in which each distinct subexpression of all the
+    expressions is computed once.  Exceptions from math functions
+    (ValueError, ZeroDivisionError, OverflowError) propagate raw;
+    ``call_compiled`` and ``eval_rows`` convert them.
     """
     wrt = variables if gradient is True else gradient or ()
     return _compile(exprs, variables, wrt)[0]
@@ -896,7 +903,7 @@ def compile_value(*exprs: Expr, variables=("x", "y"), gradient=False):
 def as_vector(f):
     """The compiled function ``f`` of ``compile_value`` as the one of
     ``compile_value_vec``: the same code, run on numpy arrays."""
-    return types.FunctionType(f.__code__, _vector_namespace())
+    return types.FunctionType(f.__code__, _VECTOR_NAMESPACE)
 
 
 def compile_value_vec(*exprs: Expr, variables=("x", "y")):
@@ -905,14 +912,13 @@ def compile_value_vec(*exprs: Expr, variables=("x", "y")):
     not depend on the variables stays a scalar.  Each operation rounds as
     the scalar one does, except ``sin cos exp log atan2``, whose numpy
     versions can differ from math's in the last bit."""
-    return as_vector(_compile(exprs, variables)[0])
+    return _compile(exprs, variables)[0].vector
 
 
 def stack_vec(values, shape):
     """The outputs of a ``compile_value_vec`` function as one array of
     shape (outputs, *shape); an output that does not depend on the
     variables is broadcast."""
-    import numpy as np
     out = np.empty((len(values), *shape))
     for row, t in zip(out, values):
         row[...] = t
@@ -926,6 +932,70 @@ def call_compiled(fn, x, y, what: str):
         return fn(x, y)
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise DomainError(f"{what} failed at ({x}, {y}): {e}") from None
+
+
+def _vector_rows(vector, P):
+    """The rows of the vector form ``vector`` at the (k, 2) points P from
+    one call, shape (k, outputs), or None where that call signals a
+    floating-point event (``vec_errstate``) or gives a non-finite value."""
+    try:
+        with vec_errstate():
+            A = stack_vec(vector(P[:, 0], P[:, 1]), (len(P),))
+    except VEC_ERRORS:
+        return None
+    return A.T if np.isfinite(A).all() else None
+
+
+def _scalar_rows(fn, points, what):
+    """``fn`` at each (x, y) of ``points`` by ``call_compiled``: the rows,
+    NaN where a point fails, and for each point None or its DomainError,
+    which names ``what`` and the point as given.  A non-finite row
+    fails."""
+    if isinstance(points, np.ndarray):
+        points = points.tolist()   # a float64 would not raise as a float
+    A = np.full((len(points), len(fn.literals)), math.nan)
+    errors = [None] * len(points)
+    for k, (x, y) in enumerate(points):
+        try:
+            row = call_compiled(fn, x, y, what)
+        except DomainError as e:
+            errors[k] = e
+            continue
+        if all(map(math.isfinite, row)):
+            A[k] = row
+        else:
+            errors[k] = DomainError(f"{what} is not finite at ({x}, {y})")
+    return A, errors
+
+
+def eval_rows(fn, points, what, runs=None):
+    """The compiled function ``fn`` of several expressions at each (x, y)
+    of ``points``, a (k, 2) array or a sequence of pairs: a (k, outputs)
+    array of its values, and for each point None or the DomainError of
+    its evaluation, which names ``what`` and the point as given.  The row
+    of a failed point is NaN.
+
+    All the points share one call of ``fn.vector``.  Where that call
+    signals a floating-point event (``vec_errstate``) or gives a value
+    that is not finite, each run of ``runs`` (consecutive sizes; one run
+    of all the points by default) is evaluated alone: by one vector call,
+    or where that fails too, point by point by ``fn`` (``_scalar_rows``),
+    which names the failing points.  So no run's rows depend on the other
+    runs."""
+    P = np.asarray(points, dtype=float).reshape(-1, 2)
+    A = _vector_rows(fn.vector, P)
+    if A is not None:
+        return A, [None] * len(P)
+    A = np.empty((len(P), len(fn.literals)))
+    errors = [None] * len(P)
+    runs = [len(P)] if runs is None else runs
+    bounds = np.cumsum([0, *runs]).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = _vector_rows(fn.vector, P[lo:hi]) if len(runs) > 1 else None
+        if rows is None:
+            rows, errors[lo:hi] = _scalar_rows(fn, points[lo:hi], what)
+        A[lo:hi] = rows
+    return A, errors
 
 
 def eval_expr(e: Expr, x: float, y: float, variables=("x", "y")) -> float:

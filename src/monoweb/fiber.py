@@ -16,12 +16,12 @@ locates the points where it degenerates and probes their isolation.
 one batch; loop tracking, the isolation probes and plotting read the
 same batch as arrays (``_fibers``).  All of them run the variant's root
 kernel, so a point has the same roots either way.  A batch evaluates the
-coefficients of all its points in one call of compiled vector code,
-which rounds as the scalar code does; a batch where that call signals a
-floating-point event or gives a non-finite value is evaluated run by run
-(the rings and loops solved together in it), and a run where it fails
-again point by point with the scalar code, which names the failing
-points.
+coefficients of all its points by ``expr.eval_rows``: one call of the
+compiled function's vector form ``f.vector``, which rounds as the scalar
+code does, and where that call signals a floating-point event or gives a
+non-finite value, run by run (the rings and loops solved together in
+it), and a run where it fails again point by point with the scalar code,
+which names the failing points.
 
 A variant supplies three things: the expression ``components`` whose
 common zeros are the singular set; a stacked root kernel,
@@ -51,9 +51,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .expr import (VEC_ERRORS, DomainError, Expr, ExprError, Num, add,
-                   as_vector, call_compiled, compile_value, div, mul, parse,
-                   stack_vec, sub, vec_errstate)
+from .expr import (DomainError, Expr, ExprError, Num, add, call_compiled,
+                   compile_value, div, eval_rows, mul, parse, sub)
 
 __all__ = [
     "FiberKind", "Rect", "RP1Angle", "CircleAngle", "ComplexPoint",
@@ -261,10 +260,6 @@ class FiberSystem:
         return compile_value(*self.components, variables=self.variables)
 
     @cached_property
-    def _component_vec_fn(self):
-        return as_vector(self._component_fn)
-
-    @cached_property
     def _component_grad_fn(self):
         # each component followed by its two partial derivatives
         return compile_value(*self.components, variables=self.variables,
@@ -275,90 +270,39 @@ class FiberSystem:
                              "coefficient evaluation")
 
     @property
-    def _solve_vec_fn(self):
-        """The compiled vector function whose values the root kernel
-        reads, one row of them per point."""
-        return self._component_vec_fn
-
-    @property
     def _solve_fn(self):
-        """``_solve_vec_fn`` as scalar code, for ``_scalar_rows``."""
+        """The compiled function whose values the root kernel reads, one
+        row of them per point."""
         return self._component_fn
 
     def _roots_many(self, A, singular_tol, sep_floor):
         """The variant's stacked root kernel on the finite rows of
-        ``_solve_vec_fn`` values in A: ``(roots, sep, errors)``, row i of
+        ``_solve_fn`` values in A: ``(roots, sep, errors)``, row i of
         ``roots`` the fiber of row i and ``sep[i]`` its minimum root
         separation unless ``errors[i]`` is a FiberError."""
         raise NotImplementedError
-
-    def _scalar_rows(self, points, errors):
-        """The rows of ``_solve_fn`` at the points where it succeeds and is
-        finite, and the indices of those points; the DomainError of each
-        other point goes into ``errors``, with the point as given."""
-        if isinstance(points, np.ndarray):
-            points = points.tolist()   # a float64 would not raise as a float
-        fn, rows, where = self._solve_fn, [], []
-        for k, (x, y) in enumerate(points):
-            try:
-                rows.append(call_compiled(fn, x, y, "coefficient evaluation"))
-            except DomainError as e:
-                errors[k] = e
-                continue
-            where.append(k)
-        where = np.array(where, dtype=int)
-        if not rows:
-            return None, where
-        A = np.array(rows, dtype=float)
-        finite = np.isfinite(A).all(axis=1)
-        for k in where[~finite].tolist():
-            x, y = points[k]
-            errors[k] = DomainError(
-                f"coefficient evaluation is not finite at ({x}, {y})")
-        return A[finite], where[finite]
-
-    def _vector_rows(self, P):
-        """The rows of ``_solve_vec_fn`` at the (k, 2) points P from one
-        vector call, or None where that call signals a floating-point
-        event (``vec_errstate``) or gives a non-finite value."""
-        try:
-            with vec_errstate():
-                A = stack_vec(self._solve_vec_fn(P[:, 0], P[:, 1]),
-                              (len(P),)).T
-        except VEC_ERRORS:
-            return None
-        return A if np.isfinite(A).all() else None
 
     def _fibers(self, points, singular_tol, sep_floor, groups=None):
         """``(roots, sep, errors)`` for the (x, y) of ``points``, a (k, 2)
         array or a sequence of pairs, as from the kernel: ``errors[k]`` is
         None or the error ``solve`` raises at point k, a DomainError where
         the evaluation fails or is not finite, else the kernel's, with the
-        point named as given.  The rows of all the points come from one
-        call of ``_solve_vec_fn`` and share one call of ``_roots_many``.
+        point named as given.  The rows of all the points come from
+        ``eval_rows`` and share one call of ``_roots_many``.
 
         ``groups`` splits the points into consecutive runs of the given
         sizes (one run by default) that are solved together but must not
-        depend on each other.  Where the call on all the points signals a
-        floating-point event (``vec_errstate``) or gives a non-finite row,
-        each run is evaluated as a batch of its own: by one vector call,
-        or where that fails too, point by point by ``_scalar_rows``, whose
-        errors are those of scalar evaluation.  So a run's rows are those
-        it has when solved alone."""
-        P = np.asarray(points, dtype=float).reshape(-1, 2)
-        errors = [None] * len(P)
-        A = self._vector_rows(P)
-        if A is not None:
-            where = np.arange(len(P))
-        else:
-            A, where = self._group_rows(points, P, groups or [len(P)],
-                                        errors)
-        sep = np.zeros(len(P))
+        depend on each other: they are the runs of ``eval_rows``, so a
+        run's rows are those it has when solved alone."""
+        A, errors = eval_rows(self._solve_fn, points,
+                              "coefficient evaluation", groups)
+        where = np.flatnonzero(~np.isnan(A[:, 0]))   # a failed row is NaN
+        sep = np.zeros(len(A))
         if not len(where):
-            return np.zeros((len(P), self.sheet_count)), sep, errors
-        batch, batch_sep, batch_errors = self._roots_many(A, singular_tol,
-                                                          sep_floor)
-        roots = np.zeros((len(P), batch.shape[1]), batch.dtype)
+            return np.zeros((len(A), self.sheet_count)), sep, errors
+        batch, batch_sep, batch_errors = self._roots_many(
+            A if len(where) == len(A) else A[where], singular_tol, sep_floor)
+        roots = np.zeros((len(A), batch.shape[1]), batch.dtype)
         roots[where] = batch
         sep[where] = batch_sep
         for k, e in zip(where.tolist(), batch_errors):
@@ -366,27 +310,6 @@ class FiberSystem:
                 x, y = points[k]   # a float64 prints as a float does
                 errors[k] = type(e)(f"{e} at ({x}, {y})")
         return roots, sep, errors
-
-    def _group_rows(self, points, P, groups, errors):
-        """The rows of each run of ``groups`` evaluated alone (see
-        ``_fibers``), stacked, and the indices of their points."""
-        bounds = np.cumsum([0, *groups]).tolist()
-        rows, where = [], []
-        for lo, hi in zip(bounds, bounds[1:]):
-            A = self._vector_rows(P[lo:hi]) if len(groups) > 1 else None
-            if A is not None:
-                rows.append(A)
-                where.append(np.arange(lo, hi))
-                continue
-            run_errors = errors[lo:hi]
-            A, at = self._scalar_rows(points[lo:hi], run_errors)
-            errors[lo:hi] = run_errors
-            if A is not None:
-                rows.append(A)
-                where.append(at + lo)
-        if not rows:
-            return None, np.zeros(0, dtype=int)
-        return np.concatenate(rows), np.concatenate(where)
 
     # root objects are made only here, from .tolist() rows (Python floats)
     def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
@@ -411,24 +334,19 @@ class FiberSystem:
         return sum(r * r for r in self.component_values(x, y))
 
     def residual_grid(self, X, Y):
-        """Residual on a meshgrid; +inf where evaluation fails."""
-        XX, YY = np.meshgrid(X, Y, indexing="ij")
-        try:
-            with vec_errstate():
-                acc = sum((v * v for v in self._component_vec_fn(XX, YY)),
-                          np.zeros_like(XX))
-            if np.all(np.isfinite(acc)):
-                return acc
-        except VEC_ERRORS:
-            pass
-        out = np.empty_like(XX)
-        for i, x in enumerate(X.tolist()):
-            for j, y in enumerate(Y.tolist()):
-                try:
-                    out[i, j] = self.residual(x, y)
-                except ExprError:
-                    out[i, j] = math.inf
-        return out
+        """Residual on a meshgrid; +inf where evaluation fails.  The grid
+        is one run of ``eval_rows``, and a residual that overflows is
+        +inf at its own point only."""
+        P = np.empty((2, len(X), len(Y)))
+        P[0], P[1] = X[:, None], Y   # the meshgrid's X and Y
+        A, _ = eval_rows(self._component_fn, P.reshape(2, -1).T,
+                         "coefficient evaluation")
+        acc = np.zeros(len(A))
+        with np.errstate(over="ignore"):
+            for v in A.T:
+                acc += v * v
+        acc[np.isnan(acc)] = math.inf   # a failed row is NaN
+        return acc.reshape(P.shape[1:])
 
     def residual_vector(self, x, y):
         """The components r(x, y) and their exact Jacobian, for
@@ -543,10 +461,6 @@ class PuncturedPlaneSystem(FiberSystem):
     def _solve_fn(self):
         return compile_value(*(e for pair in self.coeffs for e in pair),
                              variables=self.variables)
-
-    @cached_property
-    def _solve_vec_fn(self):
-        return as_vector(self._solve_fn)
 
     def _roots_many(self, A, singular_tol, sep_floor):
         return _punctured_roots_many(A, singular_tol, sep_floor)
@@ -922,8 +836,8 @@ def _isolation_radii(sys, points, tol, sep_floor, probe_angles=64):
     the nearest other point), and its ring is halved until the fiber can
     be solved at all of its ``probe_angles`` points, at most 10 rounds
     and not below 1e-8.  Each round solves the rings of every point not
-    yet certified in one ``_fibers`` call, one run per ring.  Raises the
-    NonIsolatedZero of the first point that cannot be certified."""
+    yet probed in one ``_fibers`` call, one run per ring.  Raises the
+    NonIsolatedZero of the first point that cannot be probed."""
     dom = sys.domain
     radius = []
     for k, (x, y) in enumerate(points):
@@ -931,7 +845,7 @@ def _isolation_radii(sys, points, tol, sep_floor, probe_angles=64):
                       for j, (ox, oy) in enumerate(points) if j != k),
                      default=math.inf)
         radius.append(0.9 * min(dom.boundary_distance(x, y), d_near / 2.0))
-    certified = [False] * len(points)
+    probed = [False] * len(points)
     live = [k for k, r in enumerate(radius) if r > 0.0]
     angles = [_TWO_PI * k / probe_angles for k in range(probe_angles)]
     cos = np.array([math.cos(th) for th in angles])
@@ -949,13 +863,13 @@ def _isolation_radii(sys, points, tol, sep_floor, probe_angles=64):
         still = []
         for k, bad in zip(live, failed):
             if not bad:
-                certified[k] = True
+                probed[k] = True
                 continue
             radius[k] *= 0.5
             if radius[k] >= 1e-8:
                 still.append(k)
         live = still
-    for (x, y), r, ok in zip(points, radius, certified):
+    for (x, y), r, ok in zip(points, radius, probed):
         if r <= 0.0:
             raise NonIsolatedZero(f"cannot probe isolation of ({x}, {y}): "
                                   "no room inside domain")

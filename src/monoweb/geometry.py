@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import (VEC_ERRORS, DomainError, Expr, Var, add, as_vector,
-                   call_compiled, compile_value, diff, div, mul, parse,
+from .expr import (VEC_ERRORS, DomainError, Expr, Var, add, call_compiled,
+                   compile_value, diff, div, eval_rows, mul, parse,
                    stack_vec, sub, vec_errstate)
 from .expr import call as expr_call
 from .fiber import (BinaryForm, ProjectiveSystem, Rect, SEP_FLOOR,
@@ -164,17 +164,13 @@ class SurfacePatch:
         return compile_value(*self.coords, variables=self.variables)
 
     @cached_property
-    def _position_vec_fn(self):
-        return as_vector(self._position_fn)
-
-    @cached_property
     def _seed_grid(self):
         """Flattened U, V of a meshgrid and the positions on it, shape
         (3, SEED_GRID**2), that seed ``locate_on_patch``."""
         U, V = self.domain.grid(SEED_GRID)
         UU, VV = np.meshgrid(U, V, indexing="ij")
         with np.errstate(all="ignore"):
-            px = stack_vec(self._position_vec_fn(UU, VV), UU.shape)
+            px = stack_vec(self._position_fn.vector(UU, VV), UU.shape)
         return UU.ravel(), VV.ravel(), px.reshape(3, -1)
 
     @cached_property
@@ -184,18 +180,9 @@ class SurfacePatch:
                              variables=self.variables)
 
     @cached_property
-    def _chart_vec_fn(self):
-        """Position, su and sv, vectorized."""
-        return as_vector(self._chart_fn)
-
-    @cached_property
     def _frame_fn(self):
         """su, sv, suu, suv, svv, component by component."""
         return compile_value(*self._frame_exprs, variables=self.variables)
-
-    @cached_property
-    def _frame_vec_fn(self):
-        return as_vector(self._frame_fn)
 
     @cached_property
     def _jet_fn(self):
@@ -223,10 +210,6 @@ class SurfacePatch:
         return np.array(call_compiled(self._position_fn, u, v,
                                   "patch evaluation"))
 
-    def chart(self, u: float, v: float):
-        """Position, su and sv as one tuple of nine floats."""
-        return call_compiled(self._chart_fn, u, v, "patch evaluation")
-
     def _frame_grids(self, U, V):
         """Fundamental-form ingredients on a meshgrid (vectorized, one call
         of the frame code per block of rows)."""
@@ -238,7 +221,7 @@ class SurfacePatch:
                 for i in range(0, len(U), rows):
                     block = slice(i, i + rows)
                     vals[:, block] = stack_vec(
-                        self._frame_vec_fn(UU[block], VV[block]),
+                        self._frame_fn.vector(UU[block], VV[block]),
                         UU[block].shape)
         except VEC_ERRORS as e:
             raise DomainError(f"patch grid evaluation failed: {e}") from None
@@ -365,17 +348,16 @@ class _CurvatureFormula:
         self._jacobians = {}
 
     def values(self, literals):
-        """Scalar and vector coefficient functions of the frame values,
-        for a frame code whose ``literals`` these are."""
+        """The coefficients as a function of the frame values, for a frame
+        code whose ``literals`` these are."""
         key = _literal_key(literals)
-        fns = self._values.get(key)
-        if fns is None:
+        fn = self._values.get(key)
+        if fn is None:
             frame = [Var(name) if lit is None else lit
                      for name, lit in zip(_FRAME, literals)]
-            fn = compile_value(*_curvature_coeffs(*_vectors(frame)),
-                               variables=_FRAME)
-            fns = self._values[key] = fn, as_vector(fn)
-        return fns
+            fn = self._values[key] = compile_value(
+                *_curvature_coeffs(*_vectors(frame)), variables=_FRAME)
+        return fn
 
     def jacobian(self, literals):
         """The coefficients, each followed by its derivatives in u and v,
@@ -417,14 +399,14 @@ class _CurvatureLineSystem(ProjectiveSystem):
     @cached_property
     def _component_fn(self):
         frame = self.patch._frame_fn
-        coeffs = self.formula.values(frame.literals)[0]
-        return lambda u, v: coeffs(*frame(u, v))
+        coeffs = self.formula.values(frame.literals)
 
-    @cached_property
-    def _component_vec_fn(self):
-        frame = self.patch._frame_vec_fn
-        coeffs = self.formula.values(self.patch._frame_fn.literals)[1]
-        return lambda u, v: coeffs(*frame(u, v))
+        def fn(u, v):
+            return coeffs(*frame(u, v))
+
+        fn.vector = lambda u, v: coeffs.vector(*frame.vector(u, v))
+        fn.literals = coeffs.literals
+        return fn
 
     @cached_property
     def _component_grad_fn(self):
@@ -447,23 +429,6 @@ class WeightedPatch:
     def weight_fn(self):
         return compile_value(self.weight, variables=self.patch.variables)
 
-    @cached_property
-    def weight_vec_fn(self):
-        return as_vector(self.weight_fn)
-
-
-def _eval_rows(vec_fn, point_fn, u, v):
-    """A compiled patch function at the points (u[i], v[i]), shape
-    (outputs, k): one call of the vectorized ``vec_fn``, or, if that
-    raises, ``point_fn`` point by point, whose DomainError names the
-    failing point."""
-    try:
-        with vec_errstate():
-            return stack_vec(vec_fn(u, v), u.shape)
-    except VEC_ERRORS:
-        return np.array([point_fn(a, b)
-                         for a, b in zip(u.tolist(), v.tolist())]).T
-
 
 def locate_on_patch(patch: SurfacePatch, points, max_iter: int = 40):
     """Nearest parameter points of ``patch`` to a stack of 3D points.
@@ -477,7 +442,8 @@ def locate_on_patch(patch: SurfacePatch, points, max_iter: int = 40):
     at a non-finite step; after a move it stops at a fixed point of the
     clamped step, where every further iteration would repeat it, or at a
     step below 1e-14 (1 + |u| + |v|).  The rows still running share one
-    vectorized chart call per iteration.
+    ``eval_rows`` of the chart per iteration, which raises the error of
+    the first point where the chart fails.
     """
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     dom = patch.domain
@@ -490,8 +456,11 @@ def locate_on_patch(patch: SurfacePatch, points, max_iter: int = 40):
     for _ in range(max_iter):
         if not live.size:
             break
-        r, su, sv = _eval_rows(patch._chart_vec_fn, patch.chart,
-                               u[live], v[live]).reshape(3, 3, -1)
+        rows, errors = eval_rows(patch._chart_fn, np.stack(
+            [u[live], v[live]], axis=1), "patch evaluation")
+        for error in filter(None, errors):
+            raise error
+        r, su, sv = rows.T.reshape(3, 3, -1)
         with np.errstate(all="ignore"):
             d = p[live].T - r
             E, F, G = (su * su).sum(0), (su * sv).sum(0), (sv * sv).sum(0)
@@ -508,8 +477,11 @@ def locate_on_patch(patch: SurfacePatch, points, max_iter: int = 40):
         done = (((u1 == u0) & (v1 == v0))
                 | (np.hypot(du, dv) < 1e-14 * (1.0 + abs(u1) + abs(v1))))
         live = live[~done]
-    at = _eval_rows(patch._position_vec_fn, patch.position, u, v)
-    return u, v, np.linalg.norm(at - p.T, axis=0)
+    at, errors = eval_rows(patch._position_fn, np.stack([u, v], axis=1),
+                           "patch evaluation")
+    for error in filter(None, errors):
+        raise error
+    return u, v, np.linalg.norm(at.T - p.T, axis=0)
 
 
 def check_partition_of_unity(wpatches, seed: int = 0):
@@ -559,8 +531,7 @@ def _patch_curvature_integral(wp: WeightedPatch, nodes, weights) -> float:
     UU, VV = np.meshgrid(U, V, indexing="ij")
     try:
         with vec_errstate():
-            wgt = np.broadcast_to(
-                np.asarray(wp.weight_vec_fn(UU, VV), dtype=float), UU.shape)
+            wgt = np.broadcast_to(wp.weight_fn.vector(UU, VV), UU.shape)
     except VEC_ERRORS as e:
         raise DomainError(f"weight evaluation failed: {e}") from None
     # K * dA = (Lt*Nt - Mt^2) / W2^(3/2)  (unnormalized second form)
@@ -656,7 +627,8 @@ def verify_index_theorem(wpatches, bde_source="curvature_lines",
                          grid_density: int = 48,
                          singular_tol: float = SINGULAR_TOL,
                          sep_floor: float = SEP_FLOOR,
-                         seed: int = 0) -> TheoremReport:
+                         seed: int = 0, samples: int = 64,
+                         max_depth: int = 12) -> TheoremReport:
     """Compute rhs = sum N(x) * total_index(x) by loop tracking and
     lhs = (n/pi) * curvature integral by quadrature, and compare.
 
@@ -668,7 +640,8 @@ def verify_index_theorem(wpatches, bde_source="curvature_lines",
     each patch compiles only its frame jets, when it first refines a
     singular point.  Each singular point is owned by the patch whose
     weight exceeds 1/2 there; the tracking loop must stay in the owning
-    patch's weight-1 region.
+    patch's weight-1 region, so its radius is the weight-one radius, and
+    its ``samples`` and ``max_depth`` are those of ``LoopSpec``.
     """
     wpatches = list(wpatches)
     if bde_source == "curvature_lines":
@@ -704,8 +677,9 @@ def verify_index_theorem(wpatches, bde_source="curvature_lines",
                 w = 0.0
             if w >= 0.5:
                 radius = _weight_one_radius(wp.weight_fn, sp)
-                rep = index_report(sys, sp, LoopSpec((sp.x, sp.y), radius),
-                                   singular_tol=singular_tol,
+                loop = LoopSpec((sp.x, sp.y), radius, samples=samples,
+                                max_depth=max_depth)
+                rep = index_report(sys, sp, loop, singular_tol=singular_tol,
                                    sep_floor=sep_floor)
                 records.append(PointRecord(name, sp, p3, rep))
             else:

@@ -107,7 +107,7 @@ def test_a_failing_vector_run_beside_a_transcendental_run():
     divide = [(0.0, 0.5), (1.0, -0.5)]    # 1/x divides by zero
     exp = [(0.3 + 0.01 * k, -1.1 + 0.02 * k) for k in range(64)]
     with np.errstate(all="ignore"):
-        vector = np.array(sys_._solve_vec_fn(*np.array(exp).T)).T
+        vector = np.array(sys_._solve_fn.vector(*np.array(exp).T)).T
     scalar = np.array([sys_._solve_fn(x, y) for x, y in exp])
     assert (vector != scalar).any()   # the bits depend on who evaluates
     for groups in ([divide, exp], [exp, divide]):

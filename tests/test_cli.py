@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import monoweb
-from monoweb import cli
+from monoweb import cli, geometry
 from monoweb.cli import InputError, load_problem, main, render_svg
 from monoweb.expr import DomainError
 from monoweb.fiber import FiberError, ProjectiveSystem, find_singularities
@@ -817,6 +817,27 @@ def test_samples_override_applies(tmp_path):
                  str(PROBLEMS / "lemon.json"), "-o", str(out)]) == 0
     [point] = _read(out)["singular_points"]
     assert point["loop"]["initial_samples"] == 40
+
+
+def test_loop_settings_apply_to_verify_theorem(tmp_path, monkeypatch):
+    loops = []
+    report = geometry.index_report
+
+    def recorded(system, sp, loop, **kwargs):
+        loops.append(loop)
+        return report(system, sp, loop, **kwargs)
+
+    monkeypatch.setattr(geometry, "index_report", recorded)
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(_problem_with(
+        "sphere_meridian_field.json", loop__samples=48, loop__max_depth=5)))
+    out = tmp_path / "report.json"
+    assert main(["--samples", "128", "verify-theorem", str(path),
+                 "-o", str(out)]) == 0
+    points = _read(out)["singular_points"]
+    assert len(points) == 2
+    assert all(p["loop"]["initial_samples"] == 128 for p in points)
+    assert [(loop.samples, loop.max_depth) for loop in loops] == [(128, 5)] * 2
 
 
 def test_samples_bounds_are_inclusive(tmp_path):

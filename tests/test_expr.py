@@ -620,6 +620,53 @@ def test_scalar_and_vector_code_share_one_body():
     assert g(X, X).tolist() == [f(v, v) for v in X.tolist()]
 
 
+def test_compiled_functions_carry_their_vector_form():
+    f = compile_value(parse("x*y"), parse("sin(x)"))
+    g = compile_value(parse("exp(y)"), variables=("u", "y"))
+    assert f.vector.__code__ is f.__code__
+    # one namespace serves every vector form
+    assert f.vector.__globals__ is g.vector.__globals__
+    assert compile_value_vec(parse("x")).__globals__ is f.vector.__globals__
+
+
+def test_eval_rows_falls_back_run_by_run(monkeypatch):
+    f = compile_value(parse("1/x"), parse("exp(y)"))
+    vector, scalar_rows = f.vector, ex._scalar_rows
+    calls, batches = [], []
+
+    def counted_vector(X, Y):
+        calls.append(len(X))
+        return vector(X, Y)
+
+    def counted_scalar_rows(fn, points, what):
+        batches.append(len(points))
+        return scalar_rows(fn, points, what)
+
+    monkeypatch.setattr(f, "vector", counted_vector)
+    monkeypatch.setattr(ex, "_scalar_rows", counted_scalar_rows)
+    good = [(0.5 + 0.25 * k, 0.1 * k) for k in range(8)]
+    rows, errors = ex.eval_rows(f, good, "test evaluation")
+    # one vector call when nothing fails
+    assert calls == [8] and batches == [] and errors == [None] * 8
+    want = np.array(vector(*np.array(good).T)).T.tolist()
+    assert rows.tolist() == want
+    # a run with failing points goes point by point, and the other run
+    # keeps the rows of its own vector call
+    calls.clear()
+    bad = [(1, 2), (0, 3), (2, math.inf)]
+    rows, errors = ex.eval_rows(f, good + bad, "test evaluation",
+                                runs=[8, 3])
+    assert calls == [11, 8, 3] and batches == [3]
+    assert rows[:8].tolist() == want
+    assert rows[8].tolist() == [1.0, math.exp(2)]
+    assert np.isnan(rows[9:]).all()
+    assert errors[:9] == [None] * 9
+    # errors name the point as given: ints stay ints
+    assert [str(e) for e in errors[9:]] == [
+        "test evaluation failed at (0, 3): float division by zero",
+        "test evaluation is not finite at (2, inf)"]
+
+
 @pytest.mark.parametrize("base, expo", [
     (0.0, -1.0), (0, -1.0), (1e200, 2.0), (-3, 3.0), (3, 2), (2.5, 0.0),
     (-0.0, 3.0)])

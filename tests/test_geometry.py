@@ -231,8 +231,8 @@ def _partition_check_locates(monkeypatch):
 
     for wp in surface:
         charts[wp.patch.name] = rows[wp.patch.name] = 0
-        wp.patch.__dict__["_chart_vec_fn"] = counted(
-            wp.patch, wp.patch._chart_vec_fn)
+        monkeypatch.setattr(wp.patch._chart_fn, "vector", counted(
+            wp.patch, wp.patch._chart_fn.vector))
     monkeypatch.setattr(geometry, "locate_on_patch", record)
     check_partition_of_unity(surface)
     return calls, charts, rows
@@ -440,7 +440,7 @@ def test_face_code_compiles_twice_and_calls_diff_never(monkeypatch):
                               form=curvature_line_bde(wp.patch))
     system.components
     calls, _ = _count_compile_and_diff(monkeypatch)
-    system._component_fn, system._component_vec_fn
+    system._component_fn, system._component_fn.vector
     system._component_grad_fn
     assert calls == {"diff": 0, "compile": 2}
 
@@ -490,12 +490,12 @@ def _face_outcomes(system, points):
     U, V = np.array(points).T
     try:
         with expr.vec_errstate():
-            rows = expr.stack_vec(system._component_vec_fn(U, V), U.shape)
+            rows = expr.stack_vec(system._component_fn.vector(U, V), U.shape)
         out.append([float(x).hex() for x in rows.ravel()])
     except expr.VEC_ERRORS as e:
         out.append(type(e).__name__)
     with np.errstate(all="ignore"):
-        rows = expr.stack_vec(system._component_vec_fn(U, V), U.shape)
+        rows = expr.stack_vec(system._component_fn.vector(U, V), U.shape)
     out.append([float(x).hex() for x in rows.ravel()])
     return out
 
@@ -598,7 +598,7 @@ def test_frame_grids_in_blocks_equal_one_call_on_the_grid():
         assert len(U) * len(V) > 4 * geometry.FRAME_BLOCK
         UU, VV = np.meshgrid(U, V, indexing="ij")
         su, sv, suu, suv, svv = expr.stack_vec(
-            patch._frame_vec_fn(UU, VV), UU.shape).reshape(5, 3, *UU.shape)
+            patch._frame_fn.vector(UU, VV), UU.shape).reshape(5, 3, *UU.shape)
         n = np.cross(su, sv, axis=0)
         want = {"E": (su, su), "F": (su, sv), "G": (sv, sv), "W2": (n, n),
                 "Lt": (n, suu), "Mt": (n, suv), "Nt": (n, svv)}

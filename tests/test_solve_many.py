@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from monoweb import expr
 from monoweb.cli import load_problem, render_svg
 from monoweb.expr import DomainError, Num, parse
 from monoweb.fiber import (SEP_FLOOR, SINGULAR_TOL, BinaryForm, CircleSystem,
@@ -635,15 +636,16 @@ PROBLEMS = pathlib.Path(__file__).parent.parent / "problems"
 
 
 def _count_scalar_rows(m):
-    """Record the batch size of each ``_scalar_rows`` call."""
+    """Record the batch size of each ``expr._scalar_rows`` call, the scalar
+    loop of ``expr.eval_rows``."""
     calls = []
-    scalar_rows = FiberSystem._scalar_rows
+    scalar_rows = expr._scalar_rows
 
-    def counted(self, points, errors):
+    def counted(fn, points, what):
         calls.append(len(points))
-        return scalar_rows(self, points, errors)
+        return scalar_rows(fn, points, what)
 
-    m.setattr(FiberSystem, "_scalar_rows", counted)
+    m.setattr(expr, "_scalar_rows", counted)
     return calls
 
 
@@ -697,8 +699,7 @@ def test_fibers_fall_back_to_the_scalar_loop(monkeypatch, make, points, bad,
     assert calls == [len(points), len(points)]
     # every batch through the scalar loop, as before vector rows
     with monkeypatch.context() as m:
-        m.setattr(type(sys), "_solve_vec_fn",
-                  property(lambda self: _failing_vector_call))
+        m.setattr(sys._solve_fn, "vector", _failing_vector_call)
         want = _described(sys._fibers(points, SINGULAR_TOL, SEP_FLOOR))
     assert got == want == as_array
     assert got[2][bad] == message
@@ -716,8 +717,24 @@ def test_the_finite_but_raising_row_is_finite_as_a_vector():
     sys = ProjectiveSystem(SQ, form=BinaryForm.from_strings(
         ["1/(1/(x-0.5))", "1", "-1"]))
     with np.errstate(all="ignore"):
-        row = sys._solve_vec_fn(np.array([0.5]), np.array([0.3]))
+        row = sys._solve_fn.vector(np.array([0.5]), np.array([0.3]))
     assert np.isfinite(row[0]).all()
+
+
+def test_residual_grid_point_does_not_depend_on_its_grid_mates():
+    # the square of 1e160 overflows at the grid point (0.2, -0.2); every
+    # other point keeps the bits of its own 1 x 1 grid (numpy's exp and
+    # sin can differ from math's in the last bit)
+    sys = ProjectiveSystem(Rect(-1, 1, -1, 1), form=BinaryForm.from_strings(
+        ["exp(3*x + y) - 2",
+         "1e160*exp(-1000*((x-0.2)^2 + (y+0.2)^2)) + sin(x*y)",
+         "cos(x) - y"]))
+    X, Y = sys.domain.grid(11)
+    R = sys.residual_grid(X, Y)
+    assert np.isinf(R).sum() == 1
+    for i, j in zip(*np.nonzero(np.isfinite(R))):
+        alone = sys.residual_grid(X[i:i + 1], Y[j:j + 1])
+        assert float(R[i, j]).hex() == float(alone[0, 0]).hex()
 
 
 def test_plot_and_isolation_ring_make_no_scalar_coefficient_calls(
