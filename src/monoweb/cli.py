@@ -163,20 +163,24 @@ def _parse_domain(obj, where, names=("x", "y")):
         raise InputError(f"{where}: {e}") from None
 
 
+def _parse_form(obj, where, variables):
+    degree = _count(_need(obj, "degree", int, where), 1, MAX_SHEETS,
+                    f"{where}.degree")
+    coeffs = _need(obj, "coefficients", list, where)
+    if len(coeffs) != degree + 1:
+        raise InputError(
+            f"{where}: degree {degree} needs {degree + 1} coefficients, "
+            f"got {len(coeffs)}")
+    exprs = tuple(_parse_expr(c, f"{where}.coefficients[{i}]", variables)
+                  for i, c in enumerate(coeffs))
+    return BinaryForm(degree, exprs, variables)
+
+
 def _parse_system(obj, domain, declared):
     kind = _need(obj, "type", str, "system")
     if kind == "projective":
-        degree = _count(_need(obj, "degree", int, "system"), 1, MAX_SHEETS,
-                        "system.degree")
-        coeffs = _need(obj, "coefficients", list, "system")
-        if len(coeffs) != degree + 1:
-            raise InputError(
-                f"system: degree {degree} needs {degree + 1} coefficients, "
-                f"got {len(coeffs)}")
-        exprs = tuple(_parse_expr(c, f"system.coefficients[{i}]")
-                      for i, c in enumerate(coeffs))
         return ProjectiveSystem(domain, declared,
-                                form=BinaryForm(degree, exprs))
+                                form=_parse_form(obj, "system", ("x", "y")))
     if kind == "circle":
         sheets = _count(_need(obj, "sheets", int, "system"), 1, MAX_SHEETS,
                         "system.sheets")
@@ -242,19 +246,8 @@ def _parse_surface(obj):
         forms_spec = _need(bde, "forms", list, "surface.bde")
         if len(forms_spec) != len(wpatches):
             raise InputError("surface.bde.forms: need one form per patch")
-        bde_source = []
-        for i, f in enumerate(forms_spec):
-            where = f"surface.bde.forms[{i}]"
-            degree = _count(_need(f, "degree", int, where), 1, MAX_SHEETS,
-                            f"{where}.degree")
-            coeffs = _need(f, "coefficients", list, where)
-            if len(coeffs) != degree + 1:
-                raise InputError(f"{where}: degree {degree} needs "
-                                 f"{degree + 1} coefficients")
-            exprs = tuple(
-                _parse_expr(c, f"{where}.coefficients[{j}]", ("u", "v"))
-                for j, c in enumerate(coeffs))
-            bde_source.append(BinaryForm(degree, exprs, ("u", "v")))
+        bde_source = [_parse_form(f, f"surface.bde.forms[{i}]", ("u", "v"))
+                      for i, f in enumerate(forms_spec)]
     else:
         raise InputError(
             f"surface.bde.source: expected 'curvature_lines' or "
@@ -693,14 +686,10 @@ def main(argv=None) -> int:
         if args.samples is not None:
             prob.samples = _count(args.samples, 32, MAX_SAMPLES, "--samples")
 
-        if args.command == "analyze":
-            report, code = run_analyze(prob, seed=args.seed)
-            out = args.output or _default_out(args.problem, ".report.json")
-            write_report(report, out)
-            log.info("report written to %s", out)
-            return code
-        if args.command == "verify-theorem":
-            report, code = run_verify_theorem(prob, seed=args.seed)
+        if args.command in ("analyze", "verify-theorem"):
+            run = (run_analyze if args.command == "analyze"
+                   else run_verify_theorem)
+            report, code = run(prob, seed=args.seed)
             out = args.output or _default_out(args.problem, ".report.json")
             write_report(report, out)
             log.info("report written to %s", out)

@@ -12,12 +12,13 @@ Expressions are evaluated only through compiled straight-line code
 checked one-off call of it).  One compiled body serves scalar and numpy
 evaluation: a compiled function ``f`` carries its numpy form as
 ``f.vector``, and :func:`eval_rows` is the one path that evaluates it at
-many points, by one numpy call or, where that fails, by the scalar code
-point by point.  First derivatives come from one set of folds and
-derivative rules over two kinds of node: :func:`diff` returns a
-derivative as a new expression, and ``compile_value(..., gradient=True)``
-emits the lines of first derivatives by forward mode, the same lines that
-compiling the :func:`diff` trees gives, without building those trees.
+many points, by one numpy call or, at a point where that fails, by the
+scalar code, so each point's values are those it has alone.  First
+derivatives come from one set of folds and derivative rules over two
+kinds of node: :func:`diff` returns a derivative as a new expression,
+and ``compile_value(..., gradient=True)`` emits the lines of first
+derivatives by forward mode, the same lines that compiling the
+:func:`diff` trees gives, without building those trees.
 Forward mode may also start from given tangents of the variables, so
 the Jacobian of a composition is the outer code's forward mode applied
 to the inner code's values and tangents.
@@ -934,16 +935,14 @@ def call_compiled(fn, x, y, what: str):
         raise DomainError(f"{what} failed at ({x}, {y}): {e}") from None
 
 
-def _vector_rows(vector, P):
-    """The rows of the vector form ``vector`` at the (k, 2) points P from
-    one call, shape (k, outputs), or None where that call signals a
-    floating-point event (``vec_errstate``) or gives a non-finite value."""
-    try:
-        with vec_errstate():
-            A = stack_vec(vector(P[:, 0], P[:, 1]), (len(P),))
-    except VEC_ERRORS:
-        return None
-    return A.T if np.isfinite(A).all() else None
+def _vector_rows(fn, P):
+    """The rows of ``fn.vector`` at the (k, 2) points P from one call,
+    shape (k, outputs); a function of one expression gives one column.
+    Raises what the call raises."""
+    values = fn.vector(P[:, 0], P[:, 1])
+    if len(fn.literals) == 1:
+        values = (values,)
+    return stack_vec(values, (len(P),)).T
 
 
 def _scalar_rows(fn, points, what):
@@ -957,44 +956,63 @@ def _scalar_rows(fn, points, what):
     errors = [None] * len(points)
     for k, (x, y) in enumerate(points):
         try:
-            row = call_compiled(fn, x, y, what)
+            A[k] = call_compiled(fn, x, y, what)
         except DomainError as e:
             errors[k] = e
-            continue
-        if all(map(math.isfinite, row)):
-            A[k] = row
-        else:
+    for k in np.flatnonzero(~np.isfinite(A).all(axis=1)).tolist():
+        if errors[k] is None:
+            x, y = points[k]
             errors[k] = DomainError(f"{what} is not finite at ({x}, {y})")
+            A[k] = math.nan
     return A, errors
 
 
-def eval_rows(fn, points, what, runs=None):
-    """The compiled function ``fn`` of several expressions at each (x, y)
-    of ``points``, a (k, 2) array or a sequence of pairs: a (k, outputs)
-    array of its values, and for each point None or the DomainError of
-    its evaluation, which names ``what`` and the point as given.  The row
-    of a failed point is NaN.
+def eval_rows(fn, points, what):
+    """The compiled function ``fn`` at each (x, y) of ``points``, a (k, 2)
+    array or a sequence of pairs: a (k, outputs) array of its values, and
+    for each point None or the DomainError of its evaluation, which names
+    ``what`` and the point as given.  The row of a failed point is NaN.
 
-    All the points share one call of ``fn.vector``.  Where that call
+    Each row and each error is the one the point gets when it is
+    evaluated alone: by one call of ``fn.vector``, or where that call
     signals a floating-point event (``vec_errstate``) or gives a value
-    that is not finite, each run of ``runs`` (consecutive sizes; one run
-    of all the points by default) is evaluated alone: by one vector call,
-    or where that fails too, point by point by ``fn`` (``_scalar_rows``),
-    which names the failing points.  So no run's rows depend on the other
-    runs."""
+    that is not finite, by ``fn`` (``_scalar_rows``), which names the
+    failing point.  All the points share one vector call.  Where it
+    fails, a point whose row is not finite with the events ignored fails
+    alone too and goes to ``_scalar_rows``, and the others are evaluated
+    again; where no row is, an event left no trace in the values (as in
+    ``1/(1/0)``), and each half of the points is evaluated again."""
     P = np.asarray(points, dtype=float).reshape(-1, 2)
-    A = _vector_rows(fn.vector, P)
-    if A is not None:
-        return A, [None] * len(P)
+    try:
+        with vec_errstate():
+            A = _vector_rows(fn, P)
+        if np.isfinite(A).all():
+            return A, [None] * len(P)
+    except VEC_ERRORS:
+        pass
+    if len(P) == 1:
+        return _scalar_rows(fn, points, what)
+    try:
+        with np.errstate(all="ignore"):
+            bad = ~np.isfinite(_vector_rows(fn, P)).all(axis=1)
+    except VEC_ERRORS:   # a raw error of a constant subexpression
+        bad = np.ones(len(P), dtype=bool)
+    if bad.any():
+        parts = [(np.flatnonzero(bad), _scalar_rows),
+                 (np.flatnonzero(~bad), eval_rows)]
+    else:
+        parts = [(half, eval_rows)
+                 for half in np.array_split(np.arange(len(P)), 2)]
     A = np.empty((len(P), len(fn.literals)))
     errors = [None] * len(P)
-    runs = [len(P)] if runs is None else runs
-    bounds = np.cumsum([0, *runs]).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        rows = _vector_rows(fn.vector, P[lo:hi]) if len(runs) > 1 else None
-        if rows is None:
-            rows, errors[lo:hi] = _scalar_rows(fn, points[lo:hi], what)
-        A[lo:hi] = rows
+    for idx, rows_of in parts:
+        if not len(idx):
+            continue
+        part = (points[idx] if isinstance(points, np.ndarray)
+                else [points[k] for k in idx.tolist()])
+        A[idx], part_errors = rows_of(fn, part, what)
+        for k, e in zip(idx.tolist(), part_errors):
+            errors[k] = e
     return A, errors
 
 

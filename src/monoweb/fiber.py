@@ -18,10 +18,9 @@ same batch as arrays (``_fibers``).  All of them run the variant's root
 kernel, so a point has the same roots either way.  A batch evaluates the
 coefficients of all its points by ``expr.eval_rows``: one call of the
 compiled function's vector form ``f.vector``, which rounds as the scalar
-code does, and where that call signals a floating-point event or gives a
-non-finite value, run by run (the rings and loops solved together in
-it), and a run where it fails again point by point with the scalar code,
-which names the failing points.
+code does, and at a point where that call signals a floating-point event
+or gives a non-finite value, the scalar code, which names the point.  So
+each point's coefficients, and its fiber, are the ones it has alone.
 
 A variant supplies three things: the expression ``components`` whose
 common zeros are the singular set; a stacked root kernel,
@@ -282,20 +281,16 @@ class FiberSystem:
         separation unless ``errors[i]`` is a FiberError."""
         raise NotImplementedError
 
-    def _fibers(self, points, singular_tol, sep_floor, groups=None):
+    def _fibers(self, points, singular_tol, sep_floor):
         """``(roots, sep, errors)`` for the (x, y) of ``points``, a (k, 2)
         array or a sequence of pairs, as from the kernel: ``errors[k]`` is
         None or the error ``solve`` raises at point k, a DomainError where
         the evaluation fails or is not finite, else the kernel's, with the
         point named as given.  The rows of all the points come from
-        ``eval_rows`` and share one call of ``_roots_many``.
-
-        ``groups`` splits the points into consecutive runs of the given
-        sizes (one run by default) that are solved together but must not
-        depend on each other: they are the runs of ``eval_rows``, so a
-        run's rows are those it has when solved alone."""
+        ``eval_rows``, so each is the one its point has alone, and share
+        one call of ``_roots_many``."""
         A, errors = eval_rows(self._solve_fn, points,
-                              "coefficient evaluation", groups)
+                              "coefficient evaluation")
         where = np.flatnonzero(~np.isnan(A[:, 0]))   # a failed row is NaN
         sep = np.zeros(len(A))
         if not len(where):
@@ -334,9 +329,9 @@ class FiberSystem:
         return sum(r * r for r in self.component_values(x, y))
 
     def residual_grid(self, X, Y):
-        """Residual on a meshgrid; +inf where evaluation fails.  The grid
-        is one run of ``eval_rows``, and a residual that overflows is
-        +inf at its own point only."""
+        """Residual on a meshgrid; +inf where evaluation fails.  Each grid
+        point's residual is the one it has alone (``eval_rows``), and a
+        residual that overflows is +inf at its own point only."""
         P = np.empty((2, len(X), len(Y)))
         P[0], P[1] = X[:, None], Y   # the meshgrid's X and Y
         A, _ = eval_rows(self._component_fn, P.reshape(2, -1).T,
@@ -836,8 +831,8 @@ def _isolation_radii(sys, points, tol, sep_floor, probe_angles=64):
     the nearest other point), and its ring is halved until the fiber can
     be solved at all of its ``probe_angles`` points, at most 10 rounds
     and not below 1e-8.  Each round solves the rings of every point not
-    yet probed in one ``_fibers`` call, one run per ring.  Raises the
-    NonIsolatedZero of the first point that cannot be probed."""
+    yet probed in one ``_fibers`` call.  Raises the NonIsolatedZero of
+    the first point that cannot be probed."""
     dom = sys.domain
     radius = []
     for k, (x, y) in enumerate(points):
@@ -856,8 +851,7 @@ def _isolation_radii(sys, points, tol, sep_floor, probe_angles=64):
         X, Y = np.array([points[k] for k in live]).T[:, :, None]
         r = np.array([radius[k] for k in live])[:, None]
         ring = np.stack([X + r * cos, Y + r * sin], axis=-1).reshape(-1, 2)
-        _, _, errors = sys._fibers(ring, tol, sep_floor,
-                                   groups=[probe_angles] * len(live))
+        _, _, errors = sys._fibers(ring, tol, sep_floor)
         failed = np.array([e is not None for e in errors]).reshape(
             len(live), probe_angles).any(axis=1).tolist()
         still = []

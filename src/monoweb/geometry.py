@@ -587,7 +587,8 @@ class TheoremReport:
 
 def _weight_one_radius(wfn, sp: SingularPoint, samples: int = 32) -> float:
     """Largest loop radius (at most isolation/2) on which the owning
-    patch weight stays within ``WEIGHT_ONE_MARGIN`` of 1."""
+    patch weight stays within ``WEIGHT_ONE_MARGIN`` of 1 at each of
+    ``samples`` points, which one ``eval_rows`` call evaluates."""
     try:
         w0 = call_compiled(wfn, sp.x, sp.y, "weight evaluation")
     except DomainError:
@@ -598,21 +599,12 @@ def _weight_one_radius(wfn, sp: SingularPoint, samples: int = 32) -> float:
             f"owning-patch weight {w0:.9f} at ({sp.x}, {sp.y}) is below "
             f"1 - {WEIGHT_ONE_MARGIN}")
     r = sp.isolation_radius / 2.0
+    angles = [2.0 * math.pi * k / samples for k in range(samples)]
     for _ in range(40):
-        ok = True
-        for k in range(samples):
-            th = 2.0 * math.pi * k / samples
-            try:
-                w = call_compiled(wfn, sp.x + r * math.cos(th),
-                                  sp.y + r * math.sin(th),
-                                  "weight evaluation")
-            except DomainError:
-                ok = False
-                break
-            if w < 1.0 - WEIGHT_ONE_MARGIN:
-                ok = False
-                break
-        if ok:
+        ring = [(sp.x + r * math.cos(th), sp.y + r * math.sin(th))
+                for th in angles]
+        w, _ = eval_rows(wfn, ring, "weight evaluation")
+        if (w >= 1.0 - WEIGHT_ONE_MARGIN).all():   # a failed row is NaN
             return r
         r *= 0.6
         if r < 1e-6 * sp.isolation_radius:

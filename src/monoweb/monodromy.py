@@ -19,10 +19,11 @@ canonical order, which gives the labels, with its separation.
 Tracking refines paths level by level, many paths at once
 (``track_loops``): each level solves the new points of every path (the
 samples, then the midpoints of rejected steps) in one batch
-(``FiberSystem._fibers``, one run per path) and matches all of their
-steps in one call.  A path's result is the one it has when tracked
-alone, and ``track_loop`` is the one-loop case.  A failed solve raises
-``SingularOnLoop``, naming its loop parameter.
+(``FiberSystem._fibers``, where each point's fiber is the one it has
+alone) and matches all of their steps in one call.  A path's result is
+the one it has when tracked alone, and ``track_loop`` is the one-loop
+case.  A failed solve raises ``SingularOnLoop``, naming its loop
+parameter.
 
 One full traversal in the positive (counterclockwise) direction induces
 the permutation of the fiber that generates the local monodromy group;
@@ -303,8 +304,8 @@ def _run_track(sys, paths, singular_tol, sep_floor):
     Each level matches the steps of every path still refining in one
     call, with one bound per step, and splits each path's rejected steps
     at their midpoints, up to its ``max_depth``; the midpoints of every
-    path are solved in one batch.  In each batch a path's points are one
-    run of ``FiberSystem._fibers``, so no path depends on the others.  A
+    path are solved in one batch of ``FiberSystem._fibers``, which gives
+    each point the fiber it has alone, so no path depends on the others.  A
     failed solve fails a path at its t, and an ambiguous step or one
     rejected at the path's last level at its start.
 
@@ -317,11 +318,9 @@ def _run_track(sys, paths, singular_tol, sep_floor):
     tracks = [_Path(*p) for p in paths]
     live, depth = tracks, 0
     while live:
-        runs = [len(tr.new) for tr in live]
         roots, sep, errors = sys._fibers(
-            [p for tr in live for p in tr.new], singular_tol, sep_floor,
-            groups=runs)
-        ends = np.cumsum([0, *runs]).tolist()
+            [p for tr in live for p in tr.new], singular_tol, sep_floor)
+        ends = np.cumsum([0, *(len(tr.new) for tr in live)]).tolist()
         for tr, lo, hi in zip(live, ends, ends[1:]):
             tr.add(roots[lo:hi], sep[lo:hi], errors[lo:hi])
         prev, new, bound = (np.concatenate(x)

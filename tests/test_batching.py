@@ -96,7 +96,7 @@ def _described(fibers):
 def test_runs_solved_together_equal_runs_solved_alone(name, groups):
     sys_ = SYSTEMS[name]()
     together = sys_._fibers([p for g in groups for p in g], SINGULAR_TOL,
-                            SEP_FLOOR, groups=[len(g) for g in groups])
+                            SEP_FLOOR)
     alone = [row for g in groups
              for row in _described(sys_._fibers(g, SINGULAR_TOL, SEP_FLOOR))]
     assert _described(together) == alone
@@ -112,8 +112,7 @@ def test_a_failing_vector_run_beside_a_transcendental_run():
     assert (vector != scalar).any()   # the bits depend on who evaluates
     for groups in ([divide, exp], [exp, divide]):
         together = sys_._fibers([p for g in groups for p in g],
-                                SINGULAR_TOL, SEP_FLOOR,
-                                groups=[len(g) for g in groups])
+                                SINGULAR_TOL, SEP_FLOOR)
         assert _described(together) == [
             row for g in groups
             for row in _described(sys_._fibers(g, SINGULAR_TOL, SEP_FLOOR))]

@@ -764,6 +764,26 @@ def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, doc, where", [
+    ("analyze", _lemon_with(system={"type": "projective", "degree": 2,
+                                    "coefficients": ["y", "-2*x"]}),
+     "system"),
+    ("verify-theorem", _surface_with(
+        "torus_constant_web.json",
+        bde={"source": "explicit",
+             "forms": [{"degree": 2, "coefficients": ["0", "1"]}]}),
+     "surface.bde.forms[0]"),
+], ids=["system", "surface_form"])
+def test_wrong_coefficient_count_exits_1(tmp_path, capsys, monkeypatch,
+                                         command, doc, where):
+    _refuse_to_run(monkeypatch)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), "-o", str(tmp_path / "out.json")]) == 1
+    assert (f"monoweb: input error: {where}: degree 2 needs 3 coefficients, "
+            "got 2") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc", [
     _lemon_with(system={"type": "projective", "degree": 32,
                         "coefficients": ["x"] * 33}),

@@ -629,8 +629,9 @@ def test_compiled_functions_carry_their_vector_form():
     assert compile_value_vec(parse("x")).__globals__ is f.vector.__globals__
 
 
-def test_eval_rows_falls_back_run_by_run(monkeypatch):
-    f = compile_value(parse("1/x"), parse("exp(y)"))
+def _counted_eval_rows(monkeypatch, f):
+    """Record the size of each vector call of ``f`` and of each batch of
+    ``expr._scalar_rows``."""
     vector, scalar_rows = f.vector, ex._scalar_rows
     calls, batches = [], []
 
@@ -639,32 +640,99 @@ def test_eval_rows_falls_back_run_by_run(monkeypatch):
         return vector(X, Y)
 
     def counted_scalar_rows(fn, points, what):
-        batches.append(len(points))
+        batches.append(np.asarray(points, dtype=float).tolist())
         return scalar_rows(fn, points, what)
 
     monkeypatch.setattr(f, "vector", counted_vector)
     monkeypatch.setattr(ex, "_scalar_rows", counted_scalar_rows)
+    return vector, calls, batches
+
+
+def test_eval_rows_falls_back_point_by_point(monkeypatch):
+    f = compile_value(parse("1/x"), parse("exp(y)"))
+    vector, calls, batches = _counted_eval_rows(monkeypatch, f)
     good = [(0.5 + 0.25 * k, 0.1 * k) for k in range(8)]
     rows, errors = ex.eval_rows(f, good, "test evaluation")
     # one vector call when nothing fails
     assert calls == [8] and batches == [] and errors == [None] * 8
     want = np.array(vector(*np.array(good).T)).T.tolist()
     assert rows.tolist() == want
-    # a run with failing points goes point by point, and the other run
-    # keeps the rows of its own vector call
+    # only the failing points go to the scalar code, and the others keep
+    # the rows of one vector call of their own
     calls.clear()
     bad = [(1, 2), (0, 3), (2, math.inf)]
-    rows, errors = ex.eval_rows(f, good + bad, "test evaluation",
-                                runs=[8, 3])
-    assert calls == [11, 8, 3] and batches == [3]
+    rows, errors = ex.eval_rows(f, good + bad, "test evaluation")
+    assert calls == [11, 11, 9] and batches == [[[0, 3], [2, math.inf]]]
     assert rows[:8].tolist() == want
-    assert rows[8].tolist() == [1.0, math.exp(2)]
+    assert rows[8].tolist() == np.array(vector(1.0, 2.0)).tolist()
     assert np.isnan(rows[9:]).all()
     assert errors[:9] == [None] * 9
     # errors name the point as given: ints stay ints
     assert [str(e) for e in errors[9:]] == [
         "test evaluation failed at (0, 3): float division by zero",
         "test evaluation is not finite at (2, inf)"]
+
+
+def test_eval_rows_scalar_work_on_a_half_failing_grid(monkeypatch):
+    # sqrt(x) fails at every grid point with x < 0: the failing points are
+    # found by one more vector call, and the others need one call of
+    # their own
+    f = compile_value(parse("sqrt(x)"), parse("y"))
+    _, calls, batches = _counted_eval_rows(monkeypatch, f)
+    t = np.linspace(-1.0, 1.0, 48)
+    P = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+    rows, errors = ex.eval_rows(f, P, "test evaluation")
+    failing = P[P[:, 0] < 0].tolist()
+    assert len(calls) <= 4
+    assert [p for batch in batches for p in batch] == failing
+    assert [e is not None for e in errors] == (P[:, 0] < 0).tolist()
+
+
+def test_eval_rows_of_one_expression_is_one_column():
+    f = compile_value(parse("x*y"))
+    rows, errors = ex.eval_rows(f, [(1, 2), (3, 4), (5, 6)], "w")
+    assert rows.tolist() == [[2.0], [12.0], [30.0]]
+    assert errors == [None] * 3
+    rows, errors = ex.eval_rows(compile_value(parse("1")), [(1, 2), (3, 4)],
+                                "w")
+    assert rows.tolist() == [[1.0], [1.0]] and errors == [None, None]
+    rows, errors = ex.eval_rows(compile_value(parse("1/x")),
+                                [(0, 2), (4, 1)], "w")
+    assert np.isnan(rows[0, 0]) and rows[1].tolist() == [0.25]
+    assert [str(e) for e in errors[:1]] == [
+        "w failed at (0, 2): float division by zero"]
+    assert errors[1] is None
+
+
+# exp, sin and log, whose numpy values can differ from math's in the last
+# bit, beside a division by zero, the masked one of 1/(1/(y - 0.5)) (the
+# vector value 1/inf = 0 is finite) and a raw error of a constant
+_MIXED = [compile_value(parse("exp(x)*sin(y)"), parse("log(2 + y)"),
+                        parse("1/x"), parse("1/(1/(y - 0.5))")),
+          compile_value(parse("exp(3*x + y)"), parse("sin(7*x*y)")),
+          compile_value(parse("x + 1/(1 - 1)"))]
+_mixed_coordinate = st.one_of(
+    st.floats(-2.0, 2.0), st.sampled_from([0, 0.0, 0.5, math.inf, math.nan]))
+
+
+def _hex_rows(rows, errors):
+    return [([float(v).hex() for v in row], None if e is None else str(e))
+            for row, e in zip(rows.tolist(), errors)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(k=st.sampled_from(range(len(_MIXED))),
+       points=st.lists(st.tuples(_mixed_coordinate, _mixed_coordinate),
+                       max_size=12),
+       as_array=st.booleans())
+def test_eval_rows_gives_each_point_its_rows_alone(k, points, as_array):
+    f = _MIXED[k]
+    if as_array:
+        points = np.array(points, dtype=float).reshape(-1, 2)
+    alone = [row for p in (points.tolist() if as_array else points)
+             for row in _hex_rows(*ex.eval_rows(f, [p], "w"))]
+    assert _hex_rows(*ex.eval_rows(f, points, "w")) == alone
 
 
 @pytest.mark.parametrize("base, expo", [

@@ -696,7 +696,8 @@ def test_fibers_fall_back_to_the_scalar_loop(monkeypatch, make, points, bad,
         got = _described(sys._fibers(points, SINGULAR_TOL, SEP_FLOOR))
         as_array = _described(sys._fibers(np.array(points), SINGULAR_TOL,
                                           SEP_FLOOR))
-    assert calls == [len(points), len(points)]
+    # only the failing point reaches the scalar loop
+    assert calls == [1, 1]
     # every batch through the scalar loop, as before vector rows
     with monkeypatch.context() as m:
         m.setattr(sys._solve_fn, "vector", _failing_vector_call)
@@ -722,19 +723,26 @@ def test_the_finite_but_raising_row_is_finite_as_a_vector():
 
 
 def test_residual_grid_point_does_not_depend_on_its_grid_mates():
-    # the square of 1e160 overflows at the grid point (0.2, -0.2); every
-    # other point keeps the bits of its own 1 x 1 grid (numpy's exp and
-    # sin can differ from math's in the last bit)
-    sys = ProjectiveSystem(Rect(-1, 1, -1, 1), form=BinaryForm.from_strings(
-        ["exp(3*x + y) - 2",
-         "1e160*exp(-1000*((x-0.2)^2 + (y+0.2)^2)) + sin(x*y)",
-         "cos(x) - y"]))
-    X, Y = sys.domain.grid(11)
-    R = sys.residual_grid(X, Y)
-    assert np.isinf(R).sum() == 1
-    for i, j in zip(*np.nonzero(np.isfinite(R))):
-        alone = sys.residual_grid(X[i:i + 1], Y[j:j + 1])
-        assert float(R[i, j]).hex() == float(alone[0, 0]).hex()
+    # every grid point where the evaluation succeeds keeps the bits of its
+    # own 1 x 1 grid (numpy's exp, sin, log and atan2 can differ from
+    # math's in the last bit)
+    for coeffs, density, failing in [
+            # the square of 1e160 overflows at the grid point (0.2, -0.2)
+            (["exp(3*x + y) - 2",
+              "1e160*exp(-1000*((x-0.2)^2 + (y+0.2)^2)) + sin(x*y)",
+              "cos(x) - y"], 11, 1),
+            # sqrt fails at the 96 grid points with x < -0.95
+            (["sqrt(x + 0.95) + exp(3*x + y) - 2",
+              "sin(7*x*y) + log(2 + y) + 0.5", "cos(5*x) - atan2(y, 2)"],
+             48, 96)]:
+        sys = ProjectiveSystem(Rect(-1, 1, -1, 1),
+                               form=BinaryForm.from_strings(coeffs))
+        X, Y = sys.domain.grid(density)
+        R = sys.residual_grid(X, Y)
+        assert np.isinf(R).sum() == failing
+        for i, j in zip(*np.nonzero(np.isfinite(R))):
+            alone = sys.residual_grid(X[i:i + 1], Y[j:j + 1])
+            assert float(R[i, j]).hex() == float(alone[0, 0]).hex()
 
 
 def test_plot_and_isolation_ring_make_no_scalar_coefficient_calls(
