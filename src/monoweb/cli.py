@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 
@@ -176,10 +176,10 @@ def _parse_form(obj, where, variables):
     return BinaryForm(degree, exprs, variables)
 
 
-def _parse_system(obj, domain, declared):
+def _parse_system(obj, domain, declared, **tols):
     kind = _need(obj, "type", str, "system")
     if kind == "projective":
-        return ProjectiveSystem(domain, declared,
+        return ProjectiveSystem(domain, declared, **tols,
                                 form=_parse_form(obj, "system", ("x", "y")))
     if kind == "circle":
         sheets = _count(_need(obj, "sheets", int, "system"), 1, MAX_SHEETS,
@@ -187,7 +187,7 @@ def _parse_system(obj, domain, declared):
         num = _need(obj, "numerator", list, "system")
         if len(num) != 2:
             raise InputError("system.numerator: expected [re, im]")
-        return CircleSystem(domain, declared, sheets=sheets,
+        return CircleSystem(domain, declared, **tols, sheets=sheets,
                             v_re=_parse_expr(num[0], "system.numerator[0]"),
                             v_im=_parse_expr(num[1], "system.numerator[1]"))
     if kind == "punctured_plane":
@@ -206,8 +206,8 @@ def _parse_system(obj, domain, declared):
             pairs.append(
                 (_parse_expr(pair[0], f"system.coefficients[{i}][0]"),
                  _parse_expr(pair[1], f"system.coefficients[{i}][1]")))
-        return PuncturedPlaneSystem(domain, declared, degree_w=degree,
-                                    coeffs=tuple(pairs))
+        return PuncturedPlaneSystem(domain, declared, **tols,
+                                    degree_w=degree, coeffs=tuple(pairs))
     raise InputError(f"system.type: unknown variant {kind!r}")
 
 
@@ -326,8 +326,9 @@ def load_problem(path: str) -> Problem:
                                  "[x, y] with finite x, y in the domain")
             declared.append(pt)
         try:
-            prob.system = _parse_system(_need(doc, "system", dict, path),
-                                        domain, tuple(declared))
+            prob.system = _parse_system(
+                _need(doc, "system", dict, path), domain, tuple(declared),
+                singular_tol=prob.singular_tol, sep_floor=prob.sep_floor)
         except ValueError as e:
             raise InputError(f"{path}: system: {e}") from None
     else:
@@ -450,18 +451,14 @@ def run_analyze(prob: Problem, seed: int = 0):
     points_json = []
     try:
         points = find_singularities(prob.system,
-                                    grid_density=prob.grid_density,
-                                    tol=prob.singular_tol,
-                                    sep_floor=prob.sep_floor)
+                                    grid_density=prob.grid_density)
         report["singular_point_count"] = len(points)
         # the loader's checks leave LoopSpec nothing to reject
         loops = [LoopSpec((sp.x, sp.y), sp.isolation_radius / 2.0
                           if prob.loop_radius == "auto" else prob.loop_radius,
                           samples=prob.samples, max_depth=prob.max_depth)
                  for sp in points]
-        reports = index_reports(prob.system, points, loops,
-                                singular_tol=prob.singular_tol,
-                                sep_floor=prob.sep_floor)
+        reports = index_reports(prob.system, points, loops)
         try:
             for sp, rep in zip(points, reports):
                 points_json.append(_point_report_json(rep, sp))
@@ -606,8 +603,7 @@ def render_svg(prob: Problem, grid: int = 20, width: int = 640) -> str:
     for block in (xs[i:i + cols] for i in range(0, grid, cols)):
         centres = np.column_stack([np.repeat(block, grid),
                                    np.tile(ys, len(block))])
-        phi, _, errors = sys_._fibers(centres, prob.singular_tol,
-                                      prob.sep_floor)
+        phi, _, errors = sys_._fibers(centres)
         good = [k for k, e in enumerate(errors) if e is None]
         x, y = centres[good].T[:, :, None]
         phi = phi[good]
@@ -621,9 +617,7 @@ def render_svg(prob: Problem, grid: int = 20, width: int = 640) -> str:
                          ((x + dx) - dom.xmin) * sx,
                          (dom.ymax - (y + dy)) * sy], axis=-1)
         parts.append(_format_lines(ends))
-    points = find_singularities(sys_, grid_density=prob.grid_density,
-                                tol=prob.singular_tol,
-                                sep_floor=prob.sep_floor)
+    points = find_singularities(sys_, grid_density=prob.grid_density)
     parts += [f'<circle cx="{(sp.x - dom.xmin) * sx:.3f}" '
               f'cy="{(dom.ymax - sp.y) * sy:.3f}" r="4" fill="#c0392b"/>\n'
               for sp in points]
@@ -683,6 +677,9 @@ def main(argv=None) -> int:
         if args.tol_singular is not None:
             prob.singular_tol = _positive(args.tol_singular,
                                           "--tol-singular")
+            if prob.system is not None:
+                prob.system = replace(
+                    prob.system, singular_tol=prob.singular_tol)
         if args.samples is not None:
             prob.samples = _count(args.samples, 32, MAX_SAMPLES, "--samples")
 

@@ -11,7 +11,8 @@ Three concrete fiber variants are supported:
 
 Away from the singular set the fiber over a base point is a fixed finite
 set of roots; ``solve_fiber`` returns it, and ``find_singularities``
-locates the points where it degenerates and probes their isolation.
+locates the points where it degenerates and probes their isolation, all
+at the two tolerances the system carries (``FiberSystem``).
 ``FiberSystem.solve`` solves one base point and ``solve_many`` many in
 one batch; loop tracking, the isolation probes and plotting read the
 same batch as arrays (``_fibers``).  All of them run the variant's root
@@ -43,7 +44,7 @@ so concurrent calls on one system are safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 from typing import ClassVar
@@ -143,6 +144,9 @@ class Rect:
     ymax: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.xmin, self.xmax, self.ymin,
+                                       self.ymax))):
+            raise ValueError("rectangle bounds must be finite")
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError("empty rectangle")
 
@@ -240,11 +244,20 @@ class FiberSystem:
     the root kernel ``_roots_many`` and ``_root``, the root object of one
     kernel entry.  The residual, its grid scan and its Jacobian are
     computed here from the compiled components, and ``solve`` and
-    ``solve_many`` from the kernel."""
+    ``solve_many`` from the kernel.  Every stage run on the system reads
+    its tolerances, ``singular_tol`` and ``sep_floor``, both finite and
+    positive."""
     domain: Rect
     declared_singular: tuple = ()
+    singular_tol: float = field(default=SINGULAR_TOL, kw_only=True)
+    sep_floor: float = field(default=SEP_FLOOR, kw_only=True)
 
     kind: ClassVar[FiberKind]
+
+    def __post_init__(self):
+        for name in ("singular_tol", "sep_floor"):
+            if not 0.0 < getattr(self, name) < math.inf:   # NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def sheet_count(self) -> int:
@@ -274,14 +287,14 @@ class FiberSystem:
         row of them per point."""
         return self._component_fn
 
-    def _roots_many(self, A, singular_tol, sep_floor):
+    def _roots_many(self, A):
         """The variant's stacked root kernel on the finite rows of
         ``_solve_fn`` values in A: ``(roots, sep, errors)``, row i of
         ``roots`` the fiber of row i and ``sep[i]`` its minimum root
         separation unless ``errors[i]`` is a FiberError."""
         raise NotImplementedError
 
-    def _fibers(self, points, singular_tol, sep_floor):
+    def _fibers(self, points):
         """``(roots, sep, errors)`` for the (x, y) of ``points``, a (k, 2)
         array or a sequence of pairs, as from the kernel: ``errors[k]`` is
         None or the error ``solve`` raises at point k, a DomainError where
@@ -296,7 +309,7 @@ class FiberSystem:
         if not len(where):
             return np.zeros((len(A), self.sheet_count)), sep, errors
         batch, batch_sep, batch_errors = self._roots_many(
-            A if len(where) == len(A) else A[where], singular_tol, sep_floor)
+            A if len(where) == len(A) else A[where])
         roots = np.zeros((len(A), batch.shape[1]), batch.dtype)
         roots[where] = batch
         sep[where] = batch_sep
@@ -307,19 +320,18 @@ class FiberSystem:
         return roots, sep, errors
 
     # root objects are made only here, from .tolist() rows (Python floats)
-    def solve(self, x, y, singular_tol=SINGULAR_TOL, sep_floor=SEP_FLOOR):
+    def solve(self, x, y):
         """The fiber over (x, y) in canonical order.  Raises the variant's
         FiberError, or DomainError where the evaluation fails."""
-        roots, _, [error] = self._fibers([(x, y)], singular_tol, sep_floor)
+        roots, _, [error] = self._fibers([(x, y)])
         if error is not None:
             raise error
         return tuple(map(self._root, roots.tolist()[0]))
 
-    def solve_many(self, points, singular_tol=SINGULAR_TOL,
-                   sep_floor=SEP_FLOOR):
+    def solve_many(self, points):
         """``solve`` at each (x, y) of ``points`` in one batch: a list with
         the fiber of each point, or None where ``solve`` raises."""
-        roots, _, errors = self._fibers(points, singular_tol, sep_floor)
+        roots, _, errors = self._fibers(points)
         return [tuple(map(self._root, row)) if error is None else None
                 for row, error in zip(roots.tolist(), errors)]
 
@@ -368,6 +380,7 @@ class ProjectiveSystem(FiberSystem):
     _root: ClassVar = RP1Angle
 
     def __post_init__(self):
+        super().__post_init__()
         if self.form is None:
             raise ValueError("form is required")
 
@@ -383,8 +396,8 @@ class ProjectiveSystem(FiberSystem):
     def components(self) -> tuple:
         return self.form.coeffs
 
-    def _roots_many(self, A, singular_tol, sep_floor):
-        return _projective_roots_many(A, singular_tol, sep_floor)
+    def _roots_many(self, A):
+        return _projective_roots_many(A, self.singular_tol, self.sep_floor)
 
 
 @dataclass(frozen=True)
@@ -400,6 +413,7 @@ class CircleSystem(FiberSystem):
     _root: ClassVar = CircleAngle
 
     def __post_init__(self):
+        super().__post_init__()
         if self.sheets < 1 or self.v_re is None or self.v_im is None:
             raise ValueError("sheets >= 1 and both components of v required")
 
@@ -411,8 +425,8 @@ class CircleSystem(FiberSystem):
     def components(self) -> tuple:
         return (self.v_re, self.v_im)
 
-    def _roots_many(self, A, singular_tol, sep_floor):
-        return _circle_roots_many(A, self.sheets, singular_tol)
+    def _roots_many(self, A):
+        return _circle_roots_many(A, self.sheets, self.singular_tol)
 
 
 @dataclass(frozen=True)
@@ -430,6 +444,7 @@ class PuncturedPlaneSystem(FiberSystem):
     _root: ClassVar = staticmethod(lambda w: ComplexPoint(w.real, w.imag))
 
     def __post_init__(self):
+        super().__post_init__()
         if self.degree_w < 1:
             raise ValueError("degree_w must be >= 1")
         if len(self.coeffs) != self.degree_w + 1:
@@ -457,8 +472,8 @@ class PuncturedPlaneSystem(FiberSystem):
         return compile_value(*(e for pair in self.coeffs for e in pair),
                              variables=self.variables)
 
-    def _roots_many(self, A, singular_tol, sep_floor):
-        return _punctured_roots_many(A, singular_tol, sep_floor)
+    def _roots_many(self, A):
+        return _punctured_roots_many(A, self.singular_tol, self.sep_floor)
 
 
 # Complex arithmetic on (re, im) expression pairs
@@ -551,11 +566,11 @@ def _poly_angle_values(A, phi):
     return g, dg
 
 
-def _polish_angles(A, phi, iters=4):
+def _polish_angles(A, phi):
     """Newton steps on g for each row of A; an angle stops once dg/dphi
     vanishes or its step falls below 1e-15."""
     live = np.ones(phi.shape, dtype=bool)
-    for _ in range(iters):
+    for _ in range(4):
         g, dg = _poly_angle_values(A, phi)
         live &= dg != 0.0
         step = g / dg
@@ -737,11 +752,10 @@ def _punctured_roots_many(A, singular_tol, sep_floor):
 # Public operations
 
 
-def solve_fiber(sys: FiberSystem, base, singular_tol=SINGULAR_TOL,
-                sep_floor=SEP_FLOOR):
+def solve_fiber(sys: FiberSystem, base):
     """All fiber roots over ``base``; count equals the sheet number."""
     x, y = base
-    return sys.solve(x, y, singular_tol=singular_tol, sep_floor=sep_floor)
+    return sys.solve(x, y)
 
 
 @dataclass(frozen=True)
@@ -756,13 +770,13 @@ class SingularPoint:
         return (self.x, self.y)
 
 
-def _gauss_newton(sys, x, y, max_iter=80):
+def _gauss_newton(sys, x, y):
     """Refine a singular-point candidate; returns (x, y, residual).  Each
     accepted step lowers the residual, so the last point is the best.  The
     iterates are Python floats; the step comes from ``np.linalg.lstsq`` and
     its length from ``np.hypot``."""
     cur = _safe_residual(sys, x, y)
-    for _ in range(max_iter):
+    for _ in range(80):
         try:
             r, J = sys.residual_vector(x, y)
         except ExprError:
@@ -814,22 +828,22 @@ def _grid_local_minima(R):
     return list(zip(i.tolist(), j.tolist()))
 
 
-def _segment_max_residual(sys, p, q, samples=17):
+def _segment_max_residual(sys, p, q):
     worst = 0.0
-    for k in range(samples):
-        t = k / (samples - 1)
+    for k in range(17):
+        t = k / 16
         x = p[0] + t * (q[0] - p[0])
         y = p[1] + t * (q[1] - p[1])
         worst = max(worst, _safe_residual(sys, x, y))
     return worst
 
 
-def _isolation_radii(sys, points, tol, sep_floor, probe_angles=64):
+def _isolation_radii(sys, points):
     """The probed isolation radius of each of ``points``, the sorted
     positions of the singular points found.  A point's first ring has
     radius 0.9 min(distance to the domain boundary, half the distance to
     the nearest other point), and its ring is halved until the fiber can
-    be solved at all of its ``probe_angles`` points, at most 10 rounds
+    be solved at all of its 64 points, at most 10 rounds
     and not below 1e-8.  Each round solves the rings of every point not
     yet probed in one ``_fibers`` call.  Raises the NonIsolatedZero of
     the first point that cannot be probed."""
@@ -842,7 +856,7 @@ def _isolation_radii(sys, points, tol, sep_floor, probe_angles=64):
         radius.append(0.9 * min(dom.boundary_distance(x, y), d_near / 2.0))
     probed = [False] * len(points)
     live = [k for k, r in enumerate(radius) if r > 0.0]
-    angles = [_TWO_PI * k / probe_angles for k in range(probe_angles)]
+    angles = [_TWO_PI * k / 64 for k in range(64)]
     cos = np.array([math.cos(th) for th in angles])
     sin = np.array([math.sin(th) for th in angles])
     for _ in range(10):
@@ -851,9 +865,9 @@ def _isolation_radii(sys, points, tol, sep_floor, probe_angles=64):
         X, Y = np.array([points[k] for k in live]).T[:, :, None]
         r = np.array([radius[k] for k in live])[:, None]
         ring = np.stack([X + r * cos, Y + r * sin], axis=-1).reshape(-1, 2)
-        _, _, errors = sys._fibers(ring, tol, sep_floor)
+        _, _, errors = sys._fibers(ring)
         failed = np.array([e is not None for e in errors]).reshape(
-            len(live), probe_angles).any(axis=1).tolist()
+            len(live), 64).any(axis=1).tolist()
         still = []
         for k, bad in zip(live, failed):
             if not bad:
@@ -873,9 +887,7 @@ def _isolation_radii(sys, points, tol, sep_floor, probe_angles=64):
     return radius
 
 
-def find_singularities(sys: FiberSystem, grid_density: int = 48,
-                       tol: float = SINGULAR_TOL,
-                       sep_floor: float = SEP_FLOOR):
+def find_singularities(sys: FiberSystem, grid_density: int = 48):
     """Locate the isolated points of the singular set.
 
     Scans the domain grid for local minima of the squared residual,
@@ -884,11 +896,11 @@ def find_singularities(sys: FiberSystem, grid_density: int = 48,
     probing a surrounding circle, the circles of all points together
     (``_isolation_radii``).  Declared singular points of the system are
     verified and take precedence over refined candidates they merge
-    with.
+    with.  Residuals are tested against ``sys.singular_tol``.
     """
     if grid_density < 8:
         raise ValueError("grid_density must be >= 8")
-    dom = sys.domain
+    dom, tol = sys.domain, sys.singular_tol
     X, Y = dom.grid(grid_density)
     R = sys.residual_grid(X, Y)
 
@@ -969,7 +981,6 @@ def find_singularities(sys: FiberSystem, grid_density: int = 48,
         points.append(rep)
 
     points.sort(key=lambda m: (m[0], m[1]))
-    radii = _isolation_radii(sys, [(p[0], p[1]) for p in points], tol,
-                             sep_floor)
+    radii = _isolation_radii(sys, [(p[0], p[1]) for p in points])
     return [SingularPoint(x, y, radius, res)
             for (x, y, res, _), radius in zip(points, radii)]

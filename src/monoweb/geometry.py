@@ -585,10 +585,10 @@ class TheoremReport:
     notes: tuple = ()
 
 
-def _weight_one_radius(wfn, sp: SingularPoint, samples: int = 32) -> float:
+def _weight_one_radius(wfn, sp: SingularPoint) -> float:
     """Largest loop radius (at most isolation/2) on which the owning
-    patch weight stays within ``WEIGHT_ONE_MARGIN`` of 1 at each of
-    ``samples`` points, which one ``eval_rows`` call evaluates."""
+    patch weight stays within ``WEIGHT_ONE_MARGIN`` of 1 at each of 32
+    points, which one ``eval_rows`` call evaluates."""
     try:
         w0 = call_compiled(wfn, sp.x, sp.y, "weight evaluation")
     except DomainError:
@@ -599,7 +599,7 @@ def _weight_one_radius(wfn, sp: SingularPoint, samples: int = 32) -> float:
             f"owning-patch weight {w0:.9f} at ({sp.x}, {sp.y}) is below "
             f"1 - {WEIGHT_ONE_MARGIN}")
     r = sp.isolation_radius / 2.0
-    angles = [2.0 * math.pi * k / samples for k in range(samples)]
+    angles = [2.0 * math.pi * k / 32 for k in range(32)]
     for _ in range(40):
         ring = [(sp.x + r * math.cos(th), sp.y + r * math.sin(th))
                 for th in angles]
@@ -633,20 +633,23 @@ def verify_index_theorem(wpatches, bde_source="curvature_lines",
     singular point.  Each singular point is owned by the patch whose
     weight exceeds 1/2 there; the tracking loop must stay in the owning
     patch's weight-1 region, so its radius is the weight-one radius, and
-    its ``samples`` and ``max_depth`` are those of ``LoopSpec``.
+    its ``samples`` and ``max_depth`` are those of ``LoopSpec``.  The
+    face systems carry ``singular_tol`` and ``sep_floor`` (``FiberSystem``).
     """
     wpatches = list(wpatches)
+    tols = dict(singular_tol=singular_tol, sep_floor=sep_floor)
     if bde_source == "curvature_lines":
         forms = [curvature_line_bde(wp.patch) for wp in wpatches]
         formula = _CurvatureFormula()
         systems = [_CurvatureLineSystem(wp.patch.domain, form=form,
-                                        patch=wp.patch, formula=formula)
+                                        patch=wp.patch, formula=formula,
+                                        **tols)
                    for wp, form in zip(wpatches, forms)]
     else:
         forms = list(bde_source)
         if len(forms) != len(wpatches):
             raise ValueError("need one explicit form per patch")
-        systems = [ProjectiveSystem(wp.patch.domain, form=form)
+        systems = [ProjectiveSystem(wp.patch.domain, form=form, **tols)
                    for wp, form in zip(wpatches, forms)]
     degrees = {f.degree for f in forms}
     if len(degrees) != 1:
@@ -658,8 +661,7 @@ def verify_index_theorem(wpatches, bde_source="curvature_lines",
     unowned = []
     for i, (wp, sys) in enumerate(zip(wpatches, systems)):
         name = wp.patch.name or f"patch{i}"
-        pts = find_singularities(sys, grid_density=grid_density,
-                                 tol=singular_tol, sep_floor=sep_floor)
+        pts = find_singularities(sys, grid_density=grid_density)
         for sp in pts:
             p3 = tuple(wp.patch.position(sp.x, sp.y))
             try:
@@ -671,8 +673,7 @@ def verify_index_theorem(wpatches, bde_source="curvature_lines",
                 radius = _weight_one_radius(wp.weight_fn, sp)
                 loop = LoopSpec((sp.x, sp.y), radius, samples=samples,
                                 max_depth=max_depth)
-                rep = index_report(sys, sp, loop, singular_tol=singular_tol,
-                                   sep_floor=sep_floor)
+                rep = index_report(sys, sp, loop)
                 records.append(PointRecord(name, sp, p3, rep))
             else:
                 unowned.append((name, sp, p3))

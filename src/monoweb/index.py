@@ -17,7 +17,8 @@ convention derives from it:
   ``alternative_normalizations`` returns it, and reports do not carry it.
 
 Indices are exact ``Fraction`` values; floating point appears only in
-lifts and closure defects.
+lifts and closure defects.  The loops are tracked at the tolerances of
+the fiber system.
 """
 
 from __future__ import annotations
@@ -156,8 +157,7 @@ def _point_report(sys: FiberSystem, sp: SingularPoint,
 
 
 def index_report(sys: FiberSystem, sp: SingularPoint,
-                 loop: LoopSpec | None = None, **track_kwargs
-                 ) -> PointIndexReport:
+                 loop: LoopSpec | None = None) -> PointIndexReport:
     """Track a loop around ``sp`` (``track_loop``) and assemble the
     per-orbit indices.
 
@@ -172,10 +172,10 @@ def index_report(sys: FiberSystem, sp: SingularPoint,
     misfit = _loop_misfit(sp, loop)
     if misfit is not None:
         raise misfit
-    return _point_report(sys, sp, track_loop(sys, loop, **track_kwargs))
+    return _point_report(sys, sp, track_loop(sys, loop))
 
 
-def index_reports(sys: FiberSystem, points, loops, **track_kwargs):
+def index_reports(sys: FiberSystem, points, loops):
     """``index_report`` of each singular point of ``points`` with its
     explicit loop of ``loops``, as a generator in point order.  The loops
     that fit their points are tracked together first (``track_loops``);
@@ -184,8 +184,7 @@ def index_reports(sys: FiberSystem, points, loops, **track_kwargs):
     loop that does not fit, else its tracking or index error."""
     misfits = [_loop_misfit(sp, loop) for sp, loop in zip(points, loops)]
     results = iter(track_loops(
-        sys, [loop for loop, e in zip(loops, misfits) if e is None],
-        **track_kwargs))
+        sys, [loop for loop, e in zip(loops, misfits) if e is None]))
     for sp, misfit in zip(points, misfits):
         if misfit is not None:
             raise misfit

@@ -16,10 +16,10 @@ gives the rest: ``FiberKind.distance`` is the fiber metric, the angle
 ``FiberKind.period``, and the root kernels return each fiber in
 canonical order, which gives the labels, with its separation.
 
-Tracking refines paths level by level, many paths at once
-(``track_loops``): each level solves the new points of every path (the
-samples, then the midpoints of rejected steps) in one batch
-(``FiberSystem._fibers``, where each point's fiber is the one it has
+Tracking refines paths level by level, many paths at once (``track_loops``):
+each level solves the new points of every path (the samples, then the
+midpoints of rejected steps) in one batch (``FiberSystem._fibers``, at
+the system's tolerances, where each point's fiber is the one it has
 alone) and matches all of their steps in one call.  A path's result is
 the one it has when tracked alone, and ``track_loop`` is the one-loop
 case.  A failed solve raises ``SingularOnLoop``, naming its loop
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiber import (FiberError, FiberKind, FiberSystem, SEP_FLOOR,
-                    SINGULAR_TOL, SingularFiber)
+from .fiber import FiberError, FiberKind, FiberSystem, SingularFiber
 
 __all__ = [
     "LoopSpec", "TrackedPath", "MonodromyResult",
@@ -93,8 +92,10 @@ class LoopSpec:
     start_angle: float = 0.0
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError("center must be finite")
+        if not 0.0 < self.radius < math.inf:   # NaN fails too
+            raise ValueError("radius must be finite and positive")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         if self.samples < 32:
@@ -296,7 +297,7 @@ class _Path:
                 self.depth)
 
 
-def _run_track(sys, paths, singular_tol, sep_floor):
+def _run_track(sys, paths):
     """Track the whole fiber along each path of ``paths``, given as
     (path_fn, samples, max_depth) over [0, 1].
 
@@ -318,8 +319,7 @@ def _run_track(sys, paths, singular_tol, sep_floor):
     tracks = [_Path(*p) for p in paths]
     live, depth = tracks, 0
     while live:
-        roots, sep, errors = sys._fibers(
-            [p for tr in live for p in tr.new], singular_tol, sep_floor)
+        roots, sep, errors = sys._fibers([p for tr in live for p in tr.new])
         ends = np.cumsum([0, *(len(tr.new) for tr in live)]).tolist()
         for tr, lo, hi in zip(live, ends, ends[1:]):
             tr.add(roots[lo:hi], sep[lo:hi], errors[lo:hi])
@@ -358,16 +358,14 @@ def _build_paths(kind, ts, R):
 # Public operations
 
 
-def track_loops(sys: FiberSystem, loops,
-                singular_tol: float = SINGULAR_TOL,
-                sep_floor: float = SEP_FLOOR) -> list:
+def track_loops(sys: FiberSystem, loops) -> list:
     """The MonodromyResult of each of ``loops``, or the error that fails
     it (a TrackingError, or the DomainError of a failed evaluation).  The
     loops are tracked together (``_run_track``) and closed, each last
     fiber matched back onto its first, in one ``_match`` call; each
     loop's result is the one it has when tracked alone."""
     tracked = _run_track(sys, [(loop.point, loop.samples, loop.max_depth)
-                               for loop in loops], singular_tol, sep_floor)
+                               for loop in loops])
     done = [k for k, r in enumerate(tracked) if not isinstance(r, Exception)]
     if not done:
         return tracked
@@ -390,12 +388,10 @@ def track_loops(sys: FiberSystem, loops,
     return tracked
 
 
-def track_loop(sys: FiberSystem, loop: LoopSpec,
-               singular_tol: float = SINGULAR_TOL,
-               sep_floor: float = SEP_FLOOR) -> MonodromyResult:
+def track_loop(sys: FiberSystem, loop: LoopSpec) -> MonodromyResult:
     """Monodromy permutation induced by one traversal of ``loop``: the
     one-loop case of ``track_loops``, raising its error."""
-    [result] = track_loops(sys, [loop], singular_tol, sep_floor)
+    [result] = track_loops(sys, [loop])
     if isinstance(result, Exception):
         raise result
     return result
@@ -461,9 +457,7 @@ def orbit_lift(result: MonodromyResult, orbit) -> TrackedPath:
 
 
 def transport_fiber(sys: FiberSystem, src, dst, samples: int = 32,
-                    max_depth: int = 12,
-                    singular_tol: float = SINGULAR_TOL,
-                    sep_floor: float = SEP_FLOOR):
+                    max_depth: int = 12):
     """Bijection between the canonical fibers over two base points.
 
     Tracks the fiber along the straight segment src -> dst; returns a
@@ -474,8 +468,7 @@ def transport_fiber(sys: FiberSystem, src, dst, samples: int = 32,
         return (src[0] + t * (dst[0] - src[0]),
                 src[1] + t * (dst[1] - src[1]))
 
-    [result] = _run_track(sys, [(seg, max(samples, 32), max_depth)],
-                          singular_tol, sep_floor)
+    [result] = _run_track(sys, [(seg, max(samples, 32), max_depth)])
     if isinstance(result, Exception):
         raise result
     return tuple(result[2].tolist())

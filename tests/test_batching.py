@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from monoweb.cli import load_problem, main, run_analyze
 from monoweb.expr import parse
-from monoweb.fiber import (SEP_FLOOR, SINGULAR_TOL, BinaryForm, CircleSystem,
-                           FiberSystem, NonIsolatedZero, ProjectiveSystem,
+from monoweb.fiber import (BinaryForm, CircleSystem, FiberSystem,
+                           NonIsolatedZero, ProjectiveSystem,
                            PuncturedPlaneSystem, Rect, _isolation_radii)
 from monoweb.monodromy import LoopSpec, track_loop, track_loops
 
@@ -95,10 +95,8 @@ def _described(fibers):
        groups=st.lists(points, min_size=1, max_size=4))
 def test_runs_solved_together_equal_runs_solved_alone(name, groups):
     sys_ = SYSTEMS[name]()
-    together = sys_._fibers([p for g in groups for p in g], SINGULAR_TOL,
-                            SEP_FLOOR)
-    alone = [row for g in groups
-             for row in _described(sys_._fibers(g, SINGULAR_TOL, SEP_FLOOR))]
+    together = sys_._fibers([p for g in groups for p in g])
+    alone = [row for g in groups for row in _described(sys_._fibers(g))]
     assert _described(together) == alone
 
 
@@ -111,11 +109,9 @@ def test_a_failing_vector_run_beside_a_transcendental_run():
     scalar = np.array([sys_._solve_fn(x, y) for x, y in exp])
     assert (vector != scalar).any()   # the bits depend on who evaluates
     for groups in ([divide, exp], [exp, divide]):
-        together = sys_._fibers([p for g in groups for p in g],
-                                SINGULAR_TOL, SEP_FLOOR)
+        together = sys_._fibers([p for g in groups for p in g])
         assert _described(together) == [
-            row for g in groups
-            for row in _described(sys_._fibers(g, SINGULAR_TOL, SEP_FLOOR))]
+            row for g in groups for row in _described(sys_._fibers(g))]
 
 
 def _outcome(result):
@@ -168,7 +164,7 @@ def _radius_alone(sys_, x, y, others, probe_angles=64):
     angles = [2.0 * math.pi * k / probe_angles for k in range(probe_angles)]
     for _ in range(10):
         ring = [(x + r * math.cos(th), y + r * math.sin(th)) for th in angles]
-        _, _, errors = sys_._fibers(ring, SINGULAR_TOL, SEP_FLOOR)
+        _, _, errors = sys_._fibers(ring)
         if all(e is None for e in errors):
             return r
         r *= 0.5
@@ -194,7 +190,7 @@ def test_rings_solved_together_equal_rings_solved_alone(name, points):
     sys_ = SYSTEMS[name]()
     points = sorted(points)
     try:
-        together = _isolation_radii(sys_, points, SINGULAR_TOL, SEP_FLOOR)
+        together = _isolation_radii(sys_, points)
     except NonIsolatedZero as e:
         together = str(e)
     assert together == _radii_alone(sys_, points)

@@ -430,7 +430,7 @@ def _reference_svg(prob, grid, width=640):
         for j in range(grid):
             y = dom.ymin + (j + 0.5) * spany / grid
             try:
-                roots = sys_.solve(x, y, prob.singular_tol, prob.sep_floor)
+                roots = sys_.solve(x, y)
             except (FiberError, DomainError):
                 continue
             for r in roots:
@@ -440,9 +440,7 @@ def _reference_svg(prob, grid, width=640):
                 x2, y2 = to_px(x + dx, y + dy)
                 items.append('<line x1="%.3f" y1="%.3f" x2="%.3f" '
                              'y2="%.3f"/>' % (x1, y1, x2, y2))
-    for sp in find_singularities(sys_, grid_density=prob.grid_density,
-                                 tol=prob.singular_tol,
-                                 sep_floor=prob.sep_floor):
+    for sp in find_singularities(sys_, grid_density=prob.grid_density):
         cx, cy = to_px(sp.x, sp.y)
         items.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="4" '
                      'fill="#c0392b"/>')
@@ -888,13 +886,26 @@ def test_tol_singular_override_must_be_finite_positive(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_tol_singular_override_applies(tmp_path):
+def test_tol_singular_override_applies(tmp_path, monkeypatch):
+    seen = []
+
+    def recorded(fn):
+        def call(sys_, *args, **kwargs):
+            seen.append((fn.__name__, sys_.singular_tol, sys_.sep_floor))
+            return fn(sys_, *args, **kwargs)
+        return call
+
+    for name in ("find_singularities", "index_reports"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
     out = tmp_path / "report.json"
     assert main(["--tol-singular", "1e-12", "analyze",
                  str(PROBLEMS / "lemon.json"), "-o", str(out)]) == 0
     report = _read(out)
     assert report["parameters"]["singular_tolerance"] == "1e-12"
     assert report["singular_point_count"] == 1
+    # the scan and the tracking run on the system the flag rebuilt
+    assert seen == [("find_singularities", 1e-12, 1e-6),
+                    ("index_reports", 1e-12, 1e-6)]
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -12,8 +13,11 @@ from monoweb.fiber import (
     BinaryForm, CircleSystem, ComplexRoots, FiberError, FiberKind,
     IllConditioned, NonIsolatedZero, ProjectiveSystem, PuncturedPlaneSystem,
     Rect, SingularFiber, _gauss_newton, _grid_local_minima,
-    find_singularities, solve_fiber,
+    SingularPoint, find_singularities, solve_fiber,
 )
+from monoweb.index import index_report
+from monoweb.monodromy import (LoopSpec, SingularOnLoop, track_loop,
+                               transport_fiber)
 
 from sympy_reference import reference_gradient
 
@@ -419,11 +423,59 @@ FAILURES = [
                               "leading_zero", "constant_zero",
                               "near_puncture", "double_root"])
 def test_each_failure_raises_its_error_class(sys, point, tol, floor, error):
+    sys = dataclasses.replace(sys, singular_tol=tol, sep_floor=floor)
     with pytest.raises(error) as exc:
-        sys.solve(*point, tol, floor)
+        sys.solve(*point)
     assert type(exc.value) is error
     assert f"at ({point[0]}, {point[1]})" in str(exc.value)
-    assert sys.solve_many([point], tol, floor) == [None]
+    assert sys.solve_many([point]) == [None]
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["singular_tol", "sep_floor"])
+@pytest.mark.parametrize("make", [lemon_system, half_turn_circle_system,
+                                  cusp_cover_system],
+                         ids=["projective", "circle", "punctured_plane"])
+def test_systems_reject_tolerances_not_finite_and_positive(make, name,
+                                                           value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and "
+                                         "positive"):
+        dataclasses.replace(make(), **{name: value})
+
+
+@pytest.mark.parametrize("name, value, error", [
+    # the lemon's two roots are pi/2 apart, so every fiber is too close
+    ("sep_floor", 10.0, IllConditioned),
+    # the lemon's squared coefficients 4x^2 + 2y^2 stay below 24 on SQ
+    ("singular_tol", 100.0, SingularFiber)])
+def test_one_systems_tolerances_govern_every_stage(name, value, error):
+    sys = dataclasses.replace(lemon_system(), **{name: value})
+    with pytest.raises(error):
+        sys.solve(1.0, 0.5)
+    with pytest.raises(error):
+        solve_fiber(sys, (1.0, 0.5))
+    assert sys.solve_many([(1.0, 0.5), (-0.5, 1.0)]) == [None, None]
+    with pytest.raises(NonIsolatedZero):
+        find_singularities(sys)
+    with pytest.raises(SingularOnLoop):
+        track_loop(sys, LoopSpec((0.0, 0.0), 1.0))
+    with pytest.raises(SingularOnLoop):
+        transport_fiber(sys, (1.0, 0.5), (-0.5, -1.0))
+    with pytest.raises(SingularOnLoop):
+        index_report(sys, SingularPoint(0.0, 0.0, 1.8, 0.0))
+    # the same calls succeed on the system at the default tolerances
+    [sp] = find_singularities(lemon_system())
+    assert index_report(lemon_system(), sp).total_index == 2
+
+
+@pytest.mark.parametrize("bounds", [
+    (-math.inf, 2.0, -2.0, 2.0), (-2.0, math.inf, -2.0, 2.0),
+    (-2.0, 2.0, math.nan, 2.0), (-2.0, 2.0, -2.0, math.nan)])
+def test_rect_rejects_non_finite_bounds(bounds):
+    # Rect(-inf, 2, -2, 2) used to be accepted, and the scan on it found
+    # no singular point
+    with pytest.raises(ValueError, match="finite"):
+        Rect(*bounds)
 
 
 def test_solve_never_returns_nan_roots():

@@ -373,6 +373,20 @@ def test_theorem_all_umbilic_sphere_rejected():
                              grid_density=16)
 
 
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["singular_tol", "sep_floor"])
+@pytest.mark.parametrize("bde_source", ["curvature_lines", "explicit"])
+def test_theorem_rejects_tolerances_not_finite_and_positive(bde_source,
+                                                             name, value):
+    forms = (meridian_field_forms() if bde_source == "explicit"
+             else bde_source)
+    with pytest.raises(ValueError, match=f"{name} must be finite and "
+                                         "positive"):
+        verify_index_theorem(stereographic_sphere(), bde_source=forms,
+                             quadrature_order=16, grid_density=16,
+                             **{name: value})
+
+
 def test_local_global_classical_sum():
     # for a BDE split into n global line fields, the classical line-field
     # indices sum to n * Euler characteristic

@@ -295,6 +295,10 @@ def test_lift_projects_back_to_roots():
 def test_loopspec_validation():
     with pytest.raises(ValueError):
         LoopSpec((0, 0), -1.0)
+    for center, radius in (((0, 0), math.nan), ((0, 0), math.inf),
+                           ((math.nan, 0), 1.0), ((0, -math.inf), 1.0)):
+        with pytest.raises(ValueError):
+            LoopSpec(center, radius)
     with pytest.raises(ValueError):
         LoopSpec((0, 0), 1.0, orientation=2)
     with pytest.raises(ValueError):

@@ -24,8 +24,7 @@ from hypothesis import strategies as st
 from monoweb import expr
 from monoweb.cli import load_problem, render_svg
 from monoweb.expr import DomainError, Num, parse
-from monoweb.fiber import (SEP_FLOOR, SINGULAR_TOL, BinaryForm, CircleSystem,
-                           ComplexPoint, ComplexRoots, FiberError,
+from monoweb.fiber import (BinaryForm, CircleSystem, ComplexPoint, ComplexRoots, FiberError,
                            FiberSystem, IllConditioned, ProjectiveSystem,
                            PuncturedPlaneSystem, Rect, RP1Angle,
                            SingularFiber, _isolation_radii,
@@ -78,16 +77,17 @@ def _kernel_rows(system_cls, output):
     return out
 
 
-def _solve_or_none(sys, x, y, tol, floor):
+def _solve_or_none(sys, x, y):
     try:
-        return sys.solve(x, y, tol, floor)
+        return sys.solve(x, y)
     except (FiberError, DomainError):
         return None
 
 
 def _assert_matches_solve(sys, points, tol=1e-10, floor=1e-6):
-    batched = sys.solve_many(points, singular_tol=tol, sep_floor=floor)
-    alone = [_solve_or_none(sys, x, y, tol, floor) for x, y in points]
+    sys = dataclasses.replace(sys, singular_tol=tol, sep_floor=floor)
+    batched = sys.solve_many(points)
+    alone = [_solve_or_none(sys, x, y) for x, y in points]
     assert [_bits(r) for r in batched] == [_bits(r) for r in alone]
     return batched
 
@@ -317,7 +317,7 @@ def test_solve_many_at_the_tolerance_boundaries():
         ["y", "-2*x", "-y"]))
     x, y = 0.3, -0.7
     sq = sys.residual(x, y)     # the sum of squares solve compares
-    _, [sep], _ = sys._fibers([(x, y)], SINGULAR_TOL, SEP_FLOOR)
+    _, [sep], _ = sys._fibers([(x, y)])
     got = [_assert_matches_solve(sys, [(x, y)], tol, floor)[0] is None
            for tol in (sq, math.nextafter(sq, 0.0))
            for floor in (sep, math.nextafter(sep, 4.0))]
@@ -575,18 +575,17 @@ RUNS = (lambda s: track_loop(s, LoopSpec((0.0, 0.0), 1.0)),
         # through the lemon's singular point at t = 0.5
         lambda s: track_loop(s, LoopSpec((0.5, 0.0), 0.5)),
         lambda s: transport_fiber(s, (1.0, 0.5), (-0.5, -1.0)),
-        lambda s: _isolation_radii(s, [(0.0, 0.0), (1.0, 1.0)], 1e-10,
-                                   1e-6))
+        lambda s: _isolation_radii(s, [(0.0, 0.0), (1.0, 1.0)]))
 
 
 _fibers = FiberSystem._fibers
 
 
-def _one_at_a_time(self, points, singular_tol, sep_floor, groups=None):
+def _one_at_a_time(self, points):
     """``_fibers`` with one kernel call per point."""
-    rows = [_fibers(self, [p], singular_tol, sep_floor) for p in points]
+    rows = [_fibers(self, [p]) for p in points]
     if not rows:
-        return _fibers(self, points, singular_tol, sep_floor)
+        return _fibers(self, points)
     return (np.concatenate([roots for roots, _, _ in rows]),
             np.concatenate([sep for _, sep, _ in rows]),
             [error for _, _, [error] in rows])
@@ -693,15 +692,14 @@ def test_fibers_fall_back_to_the_scalar_loop(monkeypatch, make, points, bad,
     sys = make()
     with monkeypatch.context() as m:
         calls = _count_scalar_rows(m)
-        got = _described(sys._fibers(points, SINGULAR_TOL, SEP_FLOOR))
-        as_array = _described(sys._fibers(np.array(points), SINGULAR_TOL,
-                                          SEP_FLOOR))
+        got = _described(sys._fibers(points))
+        as_array = _described(sys._fibers(np.array(points)))
     # only the failing point reaches the scalar loop
     assert calls == [1, 1]
     # every batch through the scalar loop, as before vector rows
     with monkeypatch.context() as m:
         m.setattr(sys._solve_fn, "vector", _failing_vector_call)
-        want = _described(sys._fibers(points, SINGULAR_TOL, SEP_FLOOR))
+        want = _described(sys._fibers(points))
     assert got == want == as_array
     assert got[2][bad] == message
     assert [e is None for e in got[2]] == [k != bad
@@ -709,8 +707,7 @@ def test_fibers_fall_back_to_the_scalar_loop(monkeypatch, make, points, bad,
     # the good points have the roots they have in a batch of their own
     for k, (x, y) in enumerate(points):
         if k != bad:
-            alone = _described(sys._fibers([(x, y)], SINGULAR_TOL,
-                                            SEP_FLOOR))
+            alone = _described(sys._fibers([(x, y)]))
             assert alone == ([got[0][k]], [got[1][k]], [None])
 
 
@@ -760,7 +757,7 @@ def test_plot_and_isolation_ring_make_no_scalar_coefficient_calls(
     monkeypatch.setattr(FiberSystem, "_fibers", recorded)
     render_svg(load_problem(str(PROBLEMS / "lemon.json")), grid=100)
     assert sum(rings) == 10_000 + 64 and 64 in rings
-    _isolation_radii(_lemon(), [(0.0, 0.0)], 1e-10, 1e-6)
+    _isolation_radii(_lemon(), [(0.0, 0.0)])
     assert rings[-1] == 64
     assert calls == []
 
