@@ -84,6 +84,7 @@ class Problem:
     loop_radius: object = "auto"   # "auto" | float
     samples: int = 64
     max_depth: int = 12
+    # the tolerances of verify-theorem; a system carries its own
     singular_tol: float = SINGULAR_TOL
     sep_floor: float = SEP_FLOOR
     grid_density: int = 48
@@ -282,10 +283,10 @@ def load_problem(path: str) -> Problem:
     tol = doc.get("tolerances", {})
     if not isinstance(tol, dict):
         raise InputError(f"{path}: tolerances must be an object")
-    prob.singular_tol = _positive(tol.get("singular", SINGULAR_TOL),
-                                  "tolerances.singular")
-    prob.sep_floor = _positive(tol.get("separation_floor", SEP_FLOOR),
-                               "tolerances.separation_floor")
+    singular_tol = _positive(tol.get("singular", SINGULAR_TOL),
+                             "tolerances.singular")
+    sep_floor = _positive(tol.get("separation_floor", SEP_FLOOR),
+                          "tolerances.separation_floor")
 
     prob.grid_density = _count(doc.get("grid_density", prob.grid_density),
                                8, MAX_GRID_DENSITY, "grid_density")
@@ -328,10 +329,11 @@ def load_problem(path: str) -> Problem:
         try:
             prob.system = _parse_system(
                 _need(doc, "system", dict, path), domain, tuple(declared),
-                singular_tol=prob.singular_tol, sep_floor=prob.sep_floor)
+                singular_tol=singular_tol, sep_floor=sep_floor)
         except ValueError as e:
             raise InputError(f"{path}: system: {e}") from None
     else:
+        prob.singular_tol, prob.sep_floor = singular_tol, sep_floor
         quad = doc.get("quadrature", {})
         if not isinstance(quad, dict):
             raise InputError(f"{path}: quadrature must be an object")
@@ -401,11 +403,13 @@ def _point_report_json(rep: PointIndexReport, sp=None):
 
 
 def _provenance(prob: Problem, seed: int):
+    # the tolerances the run uses: the system's, where there is one
+    tols = prob.system if prob.system is not None else prob
     return {
         "tool": {"name": "monoweb", "version": __version__},
         "parameters": {
-            "singular_tolerance": _f(prob.singular_tol),
-            "separation_floor": _f(prob.sep_floor),
+            "singular_tolerance": _f(tols.singular_tol),
+            "separation_floor": _f(tols.sep_floor),
             "loop_samples": prob.samples,
             "loop_max_depth": prob.max_depth,
             "grid_density": prob.grid_density,
@@ -433,10 +437,13 @@ def run_analyze(prob: Problem, seed: int = 0):
 
     The loops of all points are tracked together (``index_reports``), and
     the reports are built in point order: the first point that fails
-    decides, as if the points were tracked one after another.  An explicit
-    loop radius not below a point's isolation radius is an input error
-    (exit 1); a numerical failure leaves the reports of the points before
-    it (exit 2).  Returns (report_dict, exit_code)."""
+    decides, as if the points were tracked one after another.  A loop
+    radius "auto" is half the isolation radius, halved again where the
+    loop fails (``index_reports``).  An explicit loop radius not below a
+    point's isolation radius is an input error (exit 1); a numerical
+    failure, such as a loop whose winding does not match its point's
+    local degree, leaves the reports of the points before it (exit 2).
+    Returns (report_dict, exit_code)."""
     if prob.system is None:
         raise InputError("analyze needs a problem file with a 'system'")
     report = {
@@ -458,12 +465,13 @@ def run_analyze(prob: Problem, seed: int = 0):
                           if prob.loop_radius == "auto" else prob.loop_radius,
                           samples=prob.samples, max_depth=prob.max_depth)
                  for sp in points]
-        reports = index_reports(prob.system, points, loops)
+        reports = index_reports(prob.system, points, loops,
+                                halve=prob.loop_radius == "auto")
         try:
-            for sp, rep in zip(points, reports):
+            for sp, rep in reports:
                 points_json.append(_point_report_json(rep, sp))
         except ValueError as e:
-            # a loop radius incompatible with the probed isolation
+            # a loop radius not below a point's isolation radius
             raise InputError(str(e)) from None
     except NUMERICAL_ERRORS as e:
         log.error("numerical failure: %s", e)
@@ -675,11 +683,11 @@ def main(argv=None) -> int:
     try:
         prob = load_problem(args.problem)
         if args.tol_singular is not None:
-            prob.singular_tol = _positive(args.tol_singular,
-                                          "--tol-singular")
+            tol = _positive(args.tol_singular, "--tol-singular")
             if prob.system is not None:
-                prob.system = replace(
-                    prob.system, singular_tol=prob.singular_tol)
+                prob.system = replace(prob.system, singular_tol=tol)
+            else:
+                prob.singular_tol = tol
         if args.samples is not None:
             prob.samples = _count(args.samples, 32, MAX_SAMPLES, "--samples")
 

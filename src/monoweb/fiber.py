@@ -11,17 +11,17 @@ Three concrete fiber variants are supported:
 
 Away from the singular set the fiber over a base point is a fixed finite
 set of roots; ``solve_fiber`` returns it, and ``find_singularities``
-locates the points where it degenerates and probes their isolation, all
-at the two tolerances the system carries (``FiberSystem``).
-``FiberSystem.solve`` solves one base point and ``solve_many`` many in
-one batch; loop tracking, the isolation probes and plotting read the
-same batch as arrays (``_fibers``).  All of them run the variant's root
-kernel, so a point has the same roots either way.  A batch evaluates the
-coefficients of all its points by ``expr.eval_rows``: one call of the
-compiled function's vector form ``f.vector``, which rounds as the scalar
-code does, and at a point where that call signals a floating-point event
-or gives a non-finite value, the scalar code, which names the point.  So
-each point's coefficients, and its fiber, are the ones it has alone.
+locates the points where it degenerates, all at the two tolerances the
+system carries (``FiberSystem``).  ``FiberSystem.solve`` solves one base
+point and ``solve_many`` many in one batch; loop tracking and plotting
+read the same batch as arrays (``_fibers``).  All of them run the
+variant's root kernel, so a point has the same roots either way.  A
+batch evaluates the coefficients of all its points by ``expr.eval_rows``:
+one call of the compiled function's vector form ``f.vector``, which
+rounds as the scalar code does, and at a point where that call signals a
+floating-point event or gives a non-finite value, the scalar code, which
+names the point.  So each point's coefficients, and its fiber, are the
+ones it has alone.
 
 A variant supplies three things: the expression ``components`` whose
 common zeros are the singular set; a stacked root kernel,
@@ -760,6 +760,11 @@ def solve_fiber(sys: FiberSystem, base):
 
 @dataclass(frozen=True)
 class SingularPoint:
+    """A point of the singular set.  ``isolation_radius`` is geometric:
+    0.9 min(distance to the domain boundary, half the distance to the
+    nearest other point found).  No fiber is solved to set it; the loop
+    tracked inside it checks, by degree bookkeeping, that the point is
+    alone there (``index``)."""
     x: float
     y: float
     isolation_radius: float
@@ -838,65 +843,17 @@ def _segment_max_residual(sys, p, q):
     return worst
 
 
-def _isolation_radii(sys, points):
-    """The probed isolation radius of each of ``points``, the sorted
-    positions of the singular points found.  A point's first ring has
-    radius 0.9 min(distance to the domain boundary, half the distance to
-    the nearest other point), and its ring is halved until the fiber can
-    be solved at all of its 64 points, at most 10 rounds
-    and not below 1e-8.  Each round solves the rings of every point not
-    yet probed in one ``_fibers`` call.  Raises the NonIsolatedZero of
-    the first point that cannot be probed."""
-    dom = sys.domain
-    radius = []
-    for k, (x, y) in enumerate(points):
-        d_near = min((math.hypot(x - ox, y - oy)
-                      for j, (ox, oy) in enumerate(points) if j != k),
-                     default=math.inf)
-        radius.append(0.9 * min(dom.boundary_distance(x, y), d_near / 2.0))
-    probed = [False] * len(points)
-    live = [k for k, r in enumerate(radius) if r > 0.0]
-    angles = [_TWO_PI * k / 64 for k in range(64)]
-    cos = np.array([math.cos(th) for th in angles])
-    sin = np.array([math.sin(th) for th in angles])
-    for _ in range(10):
-        if not live:
-            break
-        X, Y = np.array([points[k] for k in live]).T[:, :, None]
-        r = np.array([radius[k] for k in live])[:, None]
-        ring = np.stack([X + r * cos, Y + r * sin], axis=-1).reshape(-1, 2)
-        _, _, errors = sys._fibers(ring)
-        failed = np.array([e is not None for e in errors]).reshape(
-            len(live), 64).any(axis=1).tolist()
-        still = []
-        for k, bad in zip(live, failed):
-            if not bad:
-                probed[k] = True
-                continue
-            radius[k] *= 0.5
-            if radius[k] >= 1e-8:
-                still.append(k)
-        live = still
-    for (x, y), r, ok in zip(points, radius, probed):
-        if r <= 0.0:
-            raise NonIsolatedZero(f"cannot probe isolation of ({x}, {y}): "
-                                  "no room inside domain")
-        if not ok:
-            raise NonIsolatedZero(
-                f"isolation probe failed for the zero near ({x}, {y})")
-    return radius
-
-
 def find_singularities(sys: FiberSystem, grid_density: int = 48):
     """Locate the isolated points of the singular set.
 
     Scans the domain grid for local minima of the squared residual,
-    refines candidates by damped Gauss-Newton, merges duplicates (and
-    residual-flat plateaus around one zero), and checks isolation by
-    probing a surrounding circle, the circles of all points together
-    (``_isolation_radii``).  Declared singular points of the system are
-    verified and take precedence over refined candidates they merge
-    with.  Residuals are tested against ``sys.singular_tol``.
+    refines candidates by damped Gauss-Newton and merges duplicates (and
+    residual-flat plateaus around one zero).  Each point's isolation
+    radius is geometric (``SingularPoint``), and a point on the domain
+    boundary raises NonIsolatedZero; no fiber is solved here.  Declared
+    singular points of the system are verified and take precedence over
+    refined candidates they merge with.  Residuals are tested against
+    ``sys.singular_tol``.
     """
     if grid_density < 8:
         raise ValueError("grid_density must be >= 8")
@@ -981,6 +938,14 @@ def find_singularities(sys: FiberSystem, grid_density: int = 48):
         points.append(rep)
 
     points.sort(key=lambda m: (m[0], m[1]))
-    radii = _isolation_radii(sys, [(p[0], p[1]) for p in points])
-    return [SingularPoint(x, y, radius, res)
-            for (x, y, res, _), radius in zip(points, radii)]
+    out = []
+    for k, (x, y, res, _) in enumerate(points):
+        d_near = min((math.hypot(x - p[0], y - p[1])
+                      for j, p in enumerate(points) if j != k),
+                     default=math.inf)
+        radius = 0.9 * min(dom.boundary_distance(x, y), d_near / 2.0)
+        if radius <= 0.0:
+            raise NonIsolatedZero(f"cannot probe isolation of ({x}, {y}): "
+                                  "no room inside domain")
+        out.append(SingularPoint(x, y, radius, res))
+    return out

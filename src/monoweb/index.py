@@ -23,12 +23,14 @@ the fiber system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .fiber import FiberKind, FiberSystem, SingularPoint
-from .monodromy import (LoopSpec, MonodromyResult, TrackedPath, orbit_lift,
-                        track_loop, track_loops)
+from .expr import DomainError, ExprError
+from .fiber import FiberKind, FiberSystem, NonIsolatedZero, SingularPoint
+from .monodromy import (LoopSpec, MonodromyResult, SingularOnLoop,
+                        TrackedPath, orbit_lift, track_loop, track_loops)
 
 __all__ = [
     "OrbitIndexReport", "PointIndexReport", "LineFieldNormalizations",
@@ -40,6 +42,10 @@ __all__ = [
 
 # relative closure-defect bound (fraction of the fiber period)
 CLOSURE_DEFECT_TOL = 1e-6
+# smallest singular value of Dc at which a point's local degree is read
+DEGREE_SIGMA_MIN = 1e-6
+# the tracking failures that a loop of radius "auto" retries at half radius
+_RETRIED = (SingularOnLoop, DomainError)
 
 
 class IndexError_(Exception):
@@ -140,13 +146,58 @@ def _loop_misfit(sp: SingularPoint, loop: LoopSpec):
         return ValueError("loop is not centered at the singular point")
     if loop.radius >= sp.isolation_radius:
         return ValueError(
-            f"loop radius {loop.radius} is not below the probed "
-            f"isolation radius {sp.isolation_radius}")
+            f"loop radius {loop.radius} is not below the isolation radius "
+            f"{sp.isolation_radius}")
     return None
+
+
+def _check_degree(sys: FiberSystem, sp: SingularPoint,
+                  result: MonodromyResult):
+    """Raise NonIsolatedZero where the loop's counterclockwise winding,
+    the summed lift changes of its tracked roots in fiber periods (halved
+    on RP^1), is not the point's local degree sign det Dc.  Dc, on
+    Python floats, is from the rows of ``residual_vector``: their
+    alternating sums a_0 - a_2 + ... and a_1 - a_3 + ... on RP^1, the
+    first two rows on S^1 and C*.  No verdict where the Jacobian fails to
+    evaluate, where ``sp`` is off the singular set (residual above
+    ``singular_tol``) or where the smallest singular value of Dc is below
+    DEGREE_SIGMA_MIN."""
+    try:
+        r, J = sys.residual_vector(sp.x, sp.y)
+    except ExprError:
+        return
+    if sum(v * v for v in r.tolist()) > sys.singular_tol:
+        return
+    rows = J.tolist()
+    if sys.kind is FiberKind.PROJECTIVE:
+        sums = [[0.0, 0.0], [0.0, 0.0]]
+        for i, (gx, gy) in enumerate(rows):
+            s = -1.0 if i % 4 >= 2 else 1.0
+            sums[i % 2][0] += s * gx
+            sums[i % 2][1] += s * gy
+        rows = sums
+    (a, b), (c, d) = rows[:2]
+    det = a * d - b * c
+    # the singular values are (h1 + h2)/2 and |h1 - h2|/2, whose product
+    # is |det|
+    sigma_max = 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, b + c))
+    if not (sigma_max > 0.0
+            and abs(det) / sigma_max >= DEGREE_SIGMA_MIN):   # NaN fails too
+        return
+    degree = 1 if det > 0.0 else -1
+    turns = round(sum(p.lift_change for p in result.paths)
+                  / sys.kind.period) * result.loop.orientation
+    winding = Fraction(turns, 2 if sys.kind is FiberKind.PROJECTIVE else 1)
+    if winding != degree:
+        raise NonIsolatedZero(
+            f"the loop of radius {result.loop.radius} around ({sp.x}, "
+            f"{sp.y}) winds {winding} times, but the point's local degree "
+            f"is {degree}: another zero lies inside the loop")
 
 
 def _point_report(sys: FiberSystem, sp: SingularPoint,
                   result: MonodromyResult) -> PointIndexReport:
+    _check_degree(sys, sp, result)
     reports = tuple(orbit_index(result, orbit) for orbit in result.orbits)
     total = sum((r.normalized_index for r in reports), Fraction(0))
     sizes = {r.size for r in reports}
@@ -163,9 +214,11 @@ def index_report(sys: FiberSystem, sp: SingularPoint,
 
     With no explicit loop, a counterclockwise circle of radius
     isolation_radius/2 is used.  An explicit loop must be centered at the
-    point with radius below the probed isolation radius (else
-    ValueError).  ``index_reports`` does the same for many points with
-    their loops tracked together.
+    point with radius below its isolation radius, which is geometric
+    (else ValueError).  The loop's winding must match the point's local
+    degree, else NonIsolatedZero: a check by degree bookkeeping, sampled
+    on the tracked loop, not proven.  ``index_reports`` does the same for
+    many points with their loops tracked together.
     """
     if loop is None:
         loop = LoopSpec(center=sp.position, radius=sp.isolation_radius / 2.0)
@@ -175,23 +228,47 @@ def index_report(sys: FiberSystem, sp: SingularPoint,
     return _point_report(sys, sp, track_loop(sys, loop))
 
 
-def index_reports(sys: FiberSystem, points, loops):
-    """``index_report`` of each singular point of ``points`` with its
-    explicit loop of ``loops``, as a generator in point order.  The loops
-    that fit their points are tracked together first (``track_loops``);
-    then each report is assembled in turn, and the first point that fails
-    raises what ``index_report`` would raise for it: the ValueError of a
-    loop that does not fit, else its tracking or index error."""
+def index_reports(sys: FiberSystem, points, loops, halve=False):
+    """``(point, index_report)`` for each singular point of ``points``
+    with its explicit loop of ``loops``, as a generator in point order.
+    The loops that fit their points are tracked together first
+    (``track_loops``); then each report is assembled in turn, and the
+    first point that fails raises what ``index_report`` would raise for
+    it: the ValueError of a loop that does not fit, else its tracking or
+    index error.
+
+    With ``halve`` (the loops of a loop radius "auto"), a loop whose
+    tracking fails at a fiber solve or an evaluation is tracked again at
+    half its radius, and its point's isolation radius halves with it, so
+    the point is yielded with the radius its report used.  Each round
+    tracks every loop retried in one ``track_loops`` call, at most 10
+    rounds and not below radius 1e-8; a point whose loop still fails
+    raises NonIsolatedZero."""
+    points, loops = list(points), list(loops)
     misfits = [_loop_misfit(sp, loop) for sp, loop in zip(points, loops)]
-    results = iter(track_loops(
-        sys, [loop for loop, e in zip(loops, misfits) if e is None]))
-    for sp, misfit in zip(points, misfits):
+    results = [None] * len(points)
+    todo = [k for k, e in enumerate(misfits) if e is None]
+    for _ in range(10):
+        for k, result in zip(todo, track_loops(sys,
+                                               [loops[k] for k in todo])):
+            results[k] = result
+        todo = [k for k in todo if halve and loops[k].radius >= 2e-8
+                and isinstance(results[k], _RETRIED)]
+        if not todo:
+            break
+        for k in todo:
+            points[k] = replace(points[k], isolation_radius=0.5
+                                * points[k].isolation_radius)
+            loops[k] = replace(loops[k], radius=0.5 * loops[k].radius)
+    for sp, misfit, result in zip(points, misfits, results):
         if misfit is not None:
             raise misfit
-        result = next(results)
+        if halve and isinstance(result, _RETRIED):
+            raise NonIsolatedZero(
+                f"isolation probe failed for the zero near ({sp.x}, {sp.y})")
         if isinstance(result, Exception):
             raise result
-        yield _point_report(sys, sp, result)
+        yield sp, _point_report(sys, sp, result)
 
 
 def alternative_normalizations(report: OrbitIndexReport, degree: int

@@ -1,10 +1,11 @@
 """Work that ``analyze`` batches by system must not depend on its
-batch-mates.  Isolation rings and tracking loops solved together must end
-bit for bit as they do solved one at a time, also where a batch's vector
-evaluation fails and beside transcendental coefficients, whose numpy and
-``math`` values can differ in the last bit.  An ``analyze`` makes one
-``_fibers`` call per halving round of its isolation rings plus one per
-tracking level, and its exit code, reports and error are those of
+batch-mates.  Tracking loops solved together, and loops halved together
+where they fail, must end bit for bit as they do solved one at a time,
+also where a batch's vector evaluation fails and beside transcendental
+coefficients, whose numpy and ``math`` values can differ in the last
+bit.  ``find_singularities`` solves no fiber; an ``analyze`` makes one
+``_fibers`` call per tracking level, plus one per halving round of the
+loops that fail, and its exit code, reports and error are those of
 tracking the points one after another."""
 
 import json
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 from monoweb.cli import load_problem, main, run_analyze
 from monoweb.expr import parse
 from monoweb.fiber import (BinaryForm, CircleSystem, FiberSystem,
-                           NonIsolatedZero, ProjectiveSystem,
-                           PuncturedPlaneSystem, Rect, _isolation_radii)
+                           ProjectiveSystem, PuncturedPlaneSystem, Rect,
+                           SingularPoint, find_singularities)
+from monoweb.index import index_reports
 from monoweb.monodromy import LoopSpec, track_loop, track_loops
 
 PROBLEMS = pathlib.Path(__file__).parent.parent / "problems"
@@ -153,47 +155,38 @@ def test_a_loop_through_a_division_by_zero_beside_transcendental_loops():
     assert together == [_tracked_alone(sys_, loop) for loop in loops]
 
 
-def _radius_alone(sys_, x, y, others, probe_angles=64):
-    """One point's isolation ring, solved ring by ring."""
-    d_near = min((math.hypot(x - ox, y - oy) for ox, oy in others),
-                 default=math.inf)
-    r = 0.9 * min(sys_.domain.boundary_distance(x, y), d_near / 2.0)
-    if r <= 0.0:
-        raise NonIsolatedZero(
-            f"cannot probe isolation of ({x}, {y}): no room inside domain")
-    angles = [2.0 * math.pi * k / probe_angles for k in range(probe_angles)]
-    for _ in range(10):
-        ring = [(x + r * math.cos(th), y + r * math.sin(th)) for th in angles]
-        _, _, errors = sys_._fibers(ring)
-        if all(e is None for e in errors):
-            return r
-        r *= 0.5
-        if r < 1e-8:
-            break
-    raise NonIsolatedZero(
-        f"isolation probe failed for the zero near ({x}, {y})")
-
-
-def _radii_alone(sys_, points):
+def _halved(sys_, points):
+    """The outcome of each point's auto loop, halved where it fails, up to
+    the first point that fails: its error."""
+    loops = [LoopSpec(sp.position, sp.isolation_radius / 2.0)
+             for sp in points]
+    out = []
     try:
-        return [_radius_alone(sys_, x, y, points[:k] + points[k + 1:])
-                for k, (x, y) in enumerate(points)]
-    except NonIsolatedZero as e:
-        return str(e)
+        for sp, report in index_reports(sys_, points, loops, halve=True):
+            out.append(repr((sp, report)))
+    except Exception as e:   # the first failing point's error
+        out.append(_outcome(e))
+    return out
+
+
+def _halved_alone(sys_, points):
+    out = []
+    for sp in points:
+        out += _halved(sys_, [sp])
+        if not out[-1].startswith("(SingularPoint"):
+            break
+    return out
 
 
 @FIXED
 @given(name=st.sampled_from(sorted(SYSTEMS)),
-       points=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-                       min_size=1, max_size=4, unique=True))
-def test_rings_solved_together_equal_rings_solved_alone(name, points):
+       points=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+                                 st.sampled_from([0.1, 0.5, 1.0])),
+                       min_size=1, max_size=4))
+def test_loops_halved_together_equal_loops_halved_alone(name, points):
     sys_ = SYSTEMS[name]()
-    points = sorted(points)
-    try:
-        together = _isolation_radii(sys_, points)
-    except NonIsolatedZero as e:
-        together = str(e)
-    assert together == _radii_alone(sys_, points)
+    points = [SingularPoint(x, y, r, 0.0) for x, y, r in points]
+    assert _halved(sys_, points) == _halved_alone(sys_, points)
 
 
 # --- work count ---------------------------------------------------------------
@@ -235,21 +228,7 @@ def _collision_file(tmp_path):
 THREE = [(-1.1, 0.3), (0.2, -0.9), (1.0, 1.1)]
 
 
-@pytest.mark.parametrize("make", [
-    *[(lambda tmp, name=name: str(PROBLEMS / f"{name}.json"))
-      for name in SHIPPED],
-    lambda tmp: _seeded_file(tmp, "projective", THREE),
-    lambda tmp: _seeded_file(tmp, "circle", THREE, sheets=3),
-    lambda tmp: _seeded_file(tmp, "punctured", THREE, sheets=4),
-    # the first ring, of radius 1.8, meets the disc where evaluation fails
-    lambda tmp: _with_bad_disc(tmp, [(0.0, 0.0)], ((1.8, 0.0), 0.05),
-                               "auto"),
-    # bisection at the near collision of test_bisection_engages_...
-    lambda tmp: _collision_file(tmp),
-], ids=[*SHIPPED, "projective3", "circle3", "punctured3", "halving",
-        "bisection"])
-def test_analyze_makes_one_fibers_call_per_round_and_level(
-        tmp_path, monkeypatch, make):
+def _counted_fibers(monkeypatch):
     calls = []
     fibers = FiberSystem._fibers
 
@@ -258,29 +237,68 @@ def test_analyze_makes_one_fibers_call_per_round_and_level(
         return fibers(self, points, *args, **kwargs)
 
     monkeypatch.setattr(FiberSystem, "_fibers", counted)
-    report, code = run_analyze(load_problem(make(tmp_path)))
+    return calls
+
+
+def _halving_file(tmp_path):
+    """One zero at the origin, whose auto loop of radius 0.9 meets the disc
+    where the evaluation fails at its first sample, (0.9, 0)."""
+    return _with_bad_disc(tmp_path, [(0.0, 0.0)], ((0.9, 0.0), 0.05), "auto")
+
+
+@pytest.mark.parametrize("make", [
+    *[(lambda tmp, name=name: str(PROBLEMS / f"{name}.json"))
+      for name in SHIPPED],
+    lambda tmp: _seeded_file(tmp, "projective", THREE),
+    lambda tmp: _seeded_file(tmp, "circle", THREE, sheets=3),
+    lambda tmp: _seeded_file(tmp, "punctured", THREE, sheets=4),
+    _halving_file,
+    # both loops of radius 0.225 come within 0.275 of the origin, inside
+    # the failing disc; at 0.1125 neither does
+    lambda tmp: _with_bad_disc(tmp, [(-0.5, 0.0), (0.5, 0.0)],
+                               ((0.0, 0.0), 0.3), "auto"),
+    # bisection at the near collision of test_bisection_engages_...
+    lambda tmp: _collision_file(tmp),
+], ids=[*SHIPPED, "projective3", "circle3", "punctured3", "halving",
+        "halving2", "bisection"])
+def test_analyze_makes_one_fibers_call_per_round_and_level(
+        tmp_path, monkeypatch, make):
+    prob = load_problem(make(tmp_path))
+    calls = _counted_fibers(monkeypatch)
+    assert len(find_singularities(prob.system,
+                                  grid_density=prob.grid_density)) > 0
+    assert calls == []   # the isolation radius is geometric
+    report, code = run_analyze(prob)
     assert code == 0 and "error" not in report
     points = report["singular_points"]
     positions = [tuple(map(float, p["position"])) for p in points]
-    rounds = 0
+    halvings = 0
     for k, (x, y) in enumerate(positions):
         d_near = min((math.hypot(x - ox, y - oy)
                       for j, (ox, oy) in enumerate(positions) if j != k),
                      default=math.inf)
         r0 = 0.9 * min(SQ.boundary_distance(x, y), d_near / 2.0)
-        halvings = math.log2(r0 / float(points[k]["isolation_radius"]))
-        assert halvings == round(halvings)
-        rounds = max(rounds, round(halvings) + 1)
+        h = math.log2(r0 / float(points[k]["isolation_radius"]))
+        assert h == round(h)
+        halvings = max(halvings, round(h))
     levels = 1 + max(p["loop"]["refinement_depth_reached"] for p in points)
-    assert len(calls) == rounds + levels
-    if len(points) > 1 and rounds + levels == 2:
-        assert len(calls) < 2 * len(points)   # one ring and loop per point
+    # each failing round of a one-sheet loop ends at its first level, and
+    # one batch serves all the loops of a round or level
+    assert len(calls) == halvings + levels
+    if len(points) > 1 and halvings + levels == 1:
+        assert len(calls) < len(points)
 
 
 def test_the_work_count_cases_halve_and_bisect(tmp_path):
-    halving = run_analyze(load_problem(_with_bad_disc(
-        tmp_path, [(0.0, 0.0)], ((1.8, 0.0), 0.05), "auto")))[0]
-    assert halving["singular_points"][0]["isolation_radius"] == "0.9"
+    [halving] = run_analyze(load_problem(_halving_file(tmp_path)))[0][
+        "singular_points"]
+    assert (halving["isolation_radius"], halving["loop"]["radius"]) == (
+        "0.9", "0.45")
+    # a failing disc that the loop of radius 0.9 misses halves nothing
+    [whole] = run_analyze(load_problem(_with_bad_disc(
+        tmp_path, [(0.0, 0.0)], ((1.8, 0.0), 0.05), "auto")))[0][
+        "singular_points"]
+    assert whole["isolation_radius"] == "1.8"
     bisection = run_analyze(load_problem(_collision_file(tmp_path)))[0]
     assert bisection["singular_points"][0]["loop"][
         "refinement_depth_reached"] > 0
@@ -318,7 +336,7 @@ def test_the_first_failing_point_decides(tmp_path, capsys, zeros, disc, code,
     if code == 1:
         assert not out.exists()
         assert err == ("monoweb: input error: loop radius 0.25 is not below "
-                       "the probed isolation radius 0.13499999999999993\n")
+                       "the isolation radius 0.13499999999999993\n")
         return
     report = json.loads(out.read_text())
     assert report["singular_point_count"] == 3

@@ -15,7 +15,7 @@ from monoweb.fiber import (
     Rect, SingularFiber, _gauss_newton, _grid_local_minima,
     SingularPoint, find_singularities, solve_fiber,
 )
-from monoweb.index import index_report
+from monoweb.index import index_report, index_reports
 from monoweb.monodromy import (LoopSpec, SingularOnLoop, track_loop,
                                transport_fiber)
 
@@ -455,8 +455,15 @@ def test_one_systems_tolerances_govern_every_stage(name, value, error):
     with pytest.raises(error):
         solve_fiber(sys, (1.0, 0.5))
     assert sys.solve_many([(1.0, 0.5), (-0.5, 1.0)]) == [None, None]
-    with pytest.raises(NonIsolatedZero):
-        find_singularities(sys)
+    if name == "singular_tol":
+        with pytest.raises(NonIsolatedZero):
+            find_singularities(sys)
+    else:
+        # the scan solves no fiber; the auto loop fails at every radius
+        [sp] = find_singularities(sys)
+        with pytest.raises(NonIsolatedZero, match="isolation probe failed"):
+            list(index_reports(sys, [sp], [LoopSpec(
+                sp.position, sp.isolation_radius / 2.0)], halve=True))
     with pytest.raises(SingularOnLoop):
         track_loop(sys, LoopSpec((0.0, 0.0), 1.0))
     with pytest.raises(SingularOnLoop):

@@ -5,11 +5,11 @@ roots the kernel must find them; where it shows a vanishing form, complex
 roots or roots closer than the separation floor, the kernel must raise the
 matching error, and each row's separation must be the minimum distance
 between its roots.  ``solve_many`` must equal ``solve`` point by point
-(None where ``solve`` raises), and the tracking loops and isolation rings
-that batch their solves must end as they do with every point solved
-alone.  A batch whose vector coefficient evaluation fails must give the
-errors of the scalar loop, and plots and isolation rings must not fall
-back to it."""
+(None where ``solve`` raises), and the tracking loops, also those halved
+where they fail, that batch their solves must end as they do with every
+point solved alone.  A batch whose vector coefficient evaluation fails
+must give the errors of the scalar loop, and plots and loops must not
+fall back to it."""
 
 import dataclasses
 import math
@@ -27,9 +27,10 @@ from monoweb.expr import DomainError, Num, parse
 from monoweb.fiber import (BinaryForm, CircleSystem, ComplexPoint, ComplexRoots, FiberError,
                            FiberSystem, IllConditioned, ProjectiveSystem,
                            PuncturedPlaneSystem, Rect, RP1Angle,
-                           SingularFiber, _isolation_radii,
+                           SingularFiber, SingularPoint,
                            _circle_roots_many, _projective_roots_many,
                            _punctured_roots_many)
+from monoweb.index import index_report, index_reports
 from monoweb.monodromy import (LoopSpec, SingularOnLoop, TrackingError,
                                track_loop, transport_fiber)
 
@@ -575,7 +576,13 @@ RUNS = (lambda s: track_loop(s, LoopSpec((0.0, 0.0), 1.0)),
         # through the lemon's singular point at t = 0.5
         lambda s: track_loop(s, LoopSpec((0.5, 0.0), 0.5)),
         lambda s: transport_fiber(s, (1.0, 0.5), (-0.5, -1.0)),
-        lambda s: _isolation_radii(s, [(0.0, 0.0), (1.0, 1.0)]))
+        # the loop through the origin fails and is halved, beside a loop
+        # that does not fail
+        lambda s: list(index_reports(
+            s, [SingularPoint(0.5, 0.0, 1.0, 0.0),
+                SingularPoint(1.0, 1.0, 0.5, 0.0)],
+            [LoopSpec((0.5, 0.0), 0.5), LoopSpec((1.0, 1.0), 0.25)],
+            halve=True)))
 
 
 _fibers = FiberSystem._fibers
@@ -744,21 +751,23 @@ def test_residual_grid_point_does_not_depend_on_its_grid_mates():
 
 def test_plot_and_isolation_ring_make_no_scalar_coefficient_calls(
         monkeypatch):
-    # the grid-100 lemon plot: 10,000 centres in blocks, and the 64-point
-    # isolation ring of its singular point
+    # the grid-100 lemon plot: 10,000 centres in blocks, whose
+    # singular-point search solves no fiber, and the 65 first-level
+    # samples of the auto loop of its singular point
     calls = _count_scalar_rows(monkeypatch)
-    rings = []
+    batches = []
     fibers = FiberSystem._fibers
 
     def recorded(self, points, *args, **kwargs):
-        rings.append(len(points))
+        batches.append(len(points))
         return fibers(self, points, *args, **kwargs)
 
     monkeypatch.setattr(FiberSystem, "_fibers", recorded)
     render_svg(load_problem(str(PROBLEMS / "lemon.json")), grid=100)
-    assert sum(rings) == 10_000 + 64 and 64 in rings
-    _isolation_radii(_lemon(), [(0.0, 0.0)])
-    assert rings[-1] == 64
+    assert sum(batches) == 10_000
+    batches.clear()
+    index_report(_lemon(), SingularPoint(0.0, 0.0, 1.8, 0.0))
+    assert batches[0] == 65
     assert calls == []
 
 
